@@ -193,7 +193,11 @@ def cmd_solve_grid(args) -> int:
         )
     else:
         window = args.window if density.dim == 1 else ((args.window[0], args.window[1]),) * 2
-        f = discretize(density, args.n_points, window)
+        try:
+            f = discretize(density, args.n_points, window)
+        except ValueError as exc:
+            print(f"solve-grid: {exc}", file=sys.stderr)
+            return 2
 
     rng = np.random.default_rng(args.init_seed)
     if args.init == "ones":

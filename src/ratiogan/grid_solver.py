@@ -308,5 +308,5 @@ def field_to_text(f: DiscreteDensity, r: RatioField) -> str:
     pts = f.support.reshape(len(f), -1)
     for point, m, v in zip(pts, f.mass, r.values):
         coord = ",".join(repr(float(c)) for c in point)
-        lines.append(f"{coord}\t{m!r}\t{v!r}")
+        lines.append(f"{coord}\t{float(m)!r}\t{float(v)!r}")
     return "\n".join(lines) + "\n"

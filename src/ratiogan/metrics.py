@@ -1,4 +1,14 @@
-"""Two-sample distances for monitoring desk-scale training runs."""
+"""Two-sample distances for monitoring desk-scale training runs.
+
+``mmd_rbf`` works on three distance blocks, xx (m x m), yy (n x n) and
+xy (m x n).  The distinct pairs of the pooled sample are exactly the
+strict upper triangles of xx and yy plus all of xy, so the
+median-heuristic bandwidth is read off those blocks without the pooled
+(m+n)^2 matrix.  Each block is computed in the buffer of its own matmul
+and then turned into its kernel values in place; the arithmetic is the
+same element by element as ``(|x|^2 + |y|^2) - 2 x.y`` clamped at 0, so
+recorded values do not depend on the layout.
+"""
 
 from __future__ import annotations
 
@@ -8,19 +18,66 @@ import numpy as np
 
 __all__ = ["mmd_rbf", "sliced_wasserstein"]
 
-
-def _pairwise_sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    x_sq = (x**2).sum(axis=1)[:, None]
-    y_sq = (y**2).sum(axis=1)[None, :]
-    return np.maximum(x_sq + y_sq - 2.0 * (x @ y.T), 0.0)
+_ROW_CHUNK = 256  # rows of |x|^2 + |y|^2 materialised at a time
+_MEDIAN_SAMPLE = 8192  # subsample size that brackets the median
+_MEDIAN_WIDTH = 4.0  # bracket half-width in units of sqrt(subsample size)
 
 
-def median_heuristic_bandwidth(x: np.ndarray, y: np.ndarray) -> float:
-    """Median pairwise distance of the pooled sample."""
-    pooled = np.vstack([x, y])
-    d = _pairwise_sq_dists(pooled, pooled)
-    off = d[np.triu_indices(len(pooled), k=1)]
-    return float(np.sqrt(np.median(off)))
+def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """max((|x|^2 + |y|^2) - 2 x y^T, 0), built in the matmul's buffer."""
+    x_sq = (x**2).sum(axis=1)
+    y_sq = (y**2).sum(axis=1)
+    d = x @ y.T
+    d *= 2.0
+    norms = np.empty((min(_ROW_CHUNK, len(x)), len(y)))
+    for lo in range(0, len(x), _ROW_CHUNK):
+        rows = d[lo : lo + _ROW_CHUNK]
+        part = norms[: len(rows)]
+        np.add(x_sq[lo : lo + _ROW_CHUNK, None], y_sq, out=part)
+        np.subtract(part, rows, out=rows)
+    return np.maximum(d, 0.0, out=d)
+
+
+def _upper_triangles(blocks) -> np.ndarray:
+    """Strict upper triangles of square blocks, row by row, in one array."""
+    out = np.empty(sum(len(d) * (len(d) - 1) // 2 for d in blocks))
+    pos = 0
+    for d in blocks:
+        for i in range(len(d) - 1):
+            row = d[i, i + 1 :]
+            out[pos : pos + row.size] = row
+            pos += row.size
+    return out
+
+
+def _median(pieces) -> np.float64:
+    """np.median of the concatenated 1-D pieces, which are left unchanged.
+
+    A fixed-stride subsample brackets the middle order statistics, so
+    only the values inside the bracket are partitioned.  When the counts
+    show the bracket missed them, or some value (NaN) fell in no part of
+    it, np.median on a copy decides.
+    """
+    total = sum(v.size for v in pieces)
+    ks = [total // 2] if total % 2 else [total // 2 - 1, total // 2]
+    step = max(1, total // _MEDIAN_SAMPLE)
+    sub = np.sort(np.concatenate([v[::step] for v in pieces]))
+    at = ks[0] * sub.size // total
+    half = int(_MEDIAN_WIDTH * np.sqrt(sub.size))
+    lo = sub[max(at - half, 0)]
+    hi = sub[min(at + half, sub.size - 1)]
+    below = above = 0
+    inside = []
+    for v in pieces:
+        below += np.count_nonzero(v < lo)
+        above += np.count_nonzero(v > hi)
+        inside.append(v[(v >= lo) & (v <= hi)])
+    inside = np.concatenate(inside)
+    if below + inside.size + above == total and below <= ks[0] and ks[-1] < below + inside.size:
+        ks = [k - below for k in ks]
+        inside.partition(ks)
+        return np.mean(inside[ks])
+    return np.median(np.concatenate(pieces), overwrite_input=True)
 
 
 def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: Union[float, str] = "median") -> float:
@@ -28,7 +85,8 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: Union[float, str] = "median
 
     Diagonal terms are excluded from the within-sample sums, so the
     estimator is unbiased and may dip slightly negative for close
-    distributions.
+    distributions.  ``"median"`` sets the bandwidth to the median
+    pairwise distance of the pooled sample.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -38,17 +96,21 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: Union[float, str] = "median
     if m < 2 or n < 2:
         raise ValueError("need at least 2 samples on each side")
 
+    k_xx = _sq_dists(x, x)
+    k_yy = _sq_dists(y, y)
+    k_xy = _sq_dists(x, y)
     if bandwidth == "median":
-        bw = median_heuristic_bandwidth(x, y)
+        # pooled pairs: upper(xx), all of xy, upper(yy)
+        bw = float(np.sqrt(_median([_upper_triangles((k_xx, k_yy)), k_xy.ravel()])))
     else:
         bw = float(bandwidth)
     if bw <= 0:
         raise ValueError("degenerate bandwidth")
     gamma = 1.0 / (2.0 * bw * bw)
 
-    k_xx = np.exp(-gamma * _pairwise_sq_dists(x, x))
-    k_yy = np.exp(-gamma * _pairwise_sq_dists(y, y))
-    k_xy = np.exp(-gamma * _pairwise_sq_dists(x, y))
+    for k in (k_xx, k_yy, k_xy):  # squared distances -> kernel values
+        np.multiply(k, -gamma, out=k)
+        np.exp(k, out=k)
     sum_xx = k_xx.sum() - np.trace(k_xx)
     sum_yy = k_yy.sum() - np.trace(k_yy)
     return float(

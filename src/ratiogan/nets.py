@@ -258,7 +258,7 @@ def weighted_norm_param_grads(net: DenseNet, batch: np.ndarray, coeffs_fn):
     if net.spec.hidden == "relu":
         raise ValueError(
             "exact penalty pass needs a twice-differentiable hidden activation; "
-            "use smooth_leaky (or tanh), or the finite-difference fallback mode"
+            "use smooth_leaky (or tanh)"
         )
     x = np.asarray(batch, dtype=float)
     a = x

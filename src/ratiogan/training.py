@@ -87,6 +87,11 @@ class TrainConfig:
             raise ValueError(f"unknown penalty variant {self.penalty_variant!r}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if self.disc_hidden == "relu" and self.lam > 0:
+            raise ValueError(
+                "discriminator.hidden = relu has no second derivative for the gradient "
+                "penalty; use smooth_leaky or tanh, or set lambda = 0"
+            )
 
 
 @dataclass(frozen=True)
@@ -279,6 +284,20 @@ def train(config: TrainConfig, loss: Optional[LossPair] = None) -> TrainResult:
             swd=sliced_wasserstein(y_eval, x_eval, 64, seed=swd_seed),
         )
 
+    def aborted(player: str, iteration: int) -> TrainResult:
+        """Stop on a non-finite objective and hand back the last-good nets."""
+        gen_ckpt, disc_ckpt = last_good
+        return TrainResult(
+            generator=gen_ckpt,
+            discriminator=disc_ckpt,
+            records=records,
+            gen_state=gen_state,
+            disc_state=disc_state,
+            aborted=True,
+            abort_reason=f"non-finite {player} objective at iteration {iteration}",
+            checkpoints=checkpoints,
+        )
+
     for iteration in range(1, config.total_generator_iters + 1):
         # -- critic phase -------------------------------------------------
         for _ in range(config.critic_iters):
@@ -304,17 +323,7 @@ def train(config: TrainConfig, loss: Optional[LossPair] = None) -> TrainResult:
                 np.mean(phi_v(d_real[:, 0])) + np.mean(psi_v(d_fake[:, 0])) - penalty_value
             )
             if not math.isfinite(disc_obj):
-                gen_ckpt, disc_ckpt = last_good
-                return TrainResult(
-                    generator=gen_ckpt,
-                    discriminator=disc_ckpt,
-                    records=records,
-                    gen_state=gen_state,
-                    disc_state=disc_state,
-                    aborted=True,
-                    abort_reason=f"non-finite discriminator objective at iteration {iteration}",
-                    checkpoints=checkpoints,
-                )
+                return aborted("discriminator", iteration)
             adam_step(disc_state, discriminator, grads)
             last_penalty = penalty_value
 
@@ -333,17 +342,7 @@ def train(config: TrainConfig, loss: Optional[LossPair] = None) -> TrainResult:
         d_fake, disc_cache = forward(discriminator, y, with_derivs=True)
         gen_obj = float(np.mean(psi_v(d_fake[:, 0])))
         if not math.isfinite(gen_obj):
-            gen_ckpt, disc_ckpt = last_good
-            return TrainResult(
-                generator=gen_ckpt,
-                discriminator=disc_ckpt,
-                records=records,
-                gen_state=gen_state,
-                disc_state=disc_state,
-                aborted=True,
-                abort_reason=f"non-finite generator objective at iteration {iteration}",
-                checkpoints=checkpoints,
-            )
+            return aborted("generator", iteration)
         _, input_grads = backward(discriminator, disc_cache, loss.psi_prime(d_fake) / b)
         gen_grads, _ = backward(generator, gen_cache, input_grads)
         adam_step(gen_state, generator, gen_grads)

@@ -90,6 +90,16 @@ class TestSolveGridCommand:
         assert run_cli(tmp_path, "solve-grid", "--loss", "Wasserstein", "--uniform") == 2
         assert "invertible" in capsys.readouterr().err
 
+    def test_narrow_density_is_usage_error(self, tmp_path, capsys):
+        """A ring too thin for the 64-point grid is reported, not raised."""
+        cfg = tmp_path / "ring.cfg"
+        cfg.write_text("[density.target]\nkind = ring\nsigma = 0.02\n")
+        assert run_cli(tmp_path, "solve-grid", "--loss", "MSE", "--config", str(cfg)) == 2
+        err = capsys.readouterr().err
+        assert "window captures only 0.028 of the density mass" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
 
 class TestTrainCommand:
     def test_run_produces_artifacts(self, tmp_path, capsys):
@@ -127,6 +137,24 @@ class TestTrainCommand:
         assert not (tmp_path / "out" / "bad").exists() or not list(
             (tmp_path / "out" / "bad").iterdir()
         )
+
+    def test_rectifier_with_penalty_refused_before_work(self, tmp_path, capsys):
+        cfg = tmp_path / "relu.cfg"
+        cfg.write_text(TINY_TRAIN.format(loss="MSE"))
+        rc = run_cli(
+            tmp_path, "train", "--config", str(cfg), "--set", "discriminator.hidden=relu"
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "gradient penalty" in err and "Traceback" not in err
+        assert not (tmp_path / "out" / "relu").exists()
+
+    def test_rectifier_without_penalty_runs(self, tmp_path):
+        cfg = tmp_path / "relu.cfg"
+        cfg.write_text(TINY_TRAIN.format(loss="MSE"))
+        overrides = ["--set", "discriminator.hidden=relu", "--set", "train.lambda=0"]
+        assert run_cli(tmp_path, "train", "--config", str(cfg), *overrides) == 0
+        assert (tmp_path / "out" / "relu" / "metrics.tsv").exists()
 
     def test_override_applies(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"

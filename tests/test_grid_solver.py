@@ -267,7 +267,12 @@ class TestExports:
 
     def test_field_table(self):
         f = uniform_density(4)
-        text = field_to_text(f, RatioField(np.ones(4)))
+        r = RatioField(np.array([0.5, 1.0, 1.25, 1.25]))
+        text = field_to_text(f, r)
         lines = text.splitlines()
         assert lines[0].split("\t") == ["support", "mass", "ratio"]
         assert len(lines) == 5
+        rows = [[float(cell) for cell in line.split("\t")] for line in lines[1:]]
+        assert [row[0] for row in rows] == list(f.support)
+        assert [row[1] for row in rows] == list(f.mass)
+        assert [row[2] for row in rows] == list(r.values)

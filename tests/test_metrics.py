@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from ratiogan.densities import gaussian, sample
-from ratiogan.metrics import mmd_rbf, sliced_wasserstein
+from helpers import pooled_mmd_rbf
+from ratiogan.densities import gaussian, ring, sample
+from ratiogan.metrics import _median, mmd_rbf, sliced_wasserstein
 
 
 class TestMmd:
@@ -46,6 +47,88 @@ class TestMmd:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="arity"):
             mmd_rbf(np.ones((5, 1)), np.ones((5, 2)), 1.0)
+
+
+class TestMmdMatchesPooledOracle:
+    """The block layout gives bit-for-bit the pooled-matrix numbers."""
+
+    @pytest.mark.parametrize("bandwidth", ["median", 0.7])
+    @pytest.mark.parametrize(
+        "m,n,dim",
+        [
+            (2, 2, 1),
+            (2, 3, 2),
+            (3, 4, 1),  # 21 pooled pairs: odd
+            (300, 451, 1),  # 281625 pooled pairs: odd
+            (300, 452, 2),  # 282376 pooled pairs: even
+            (517, 80, 2),
+            (2048, 2048, 1),
+            (2048, 2048, 2),
+        ],
+    )
+    def test_equal_to_oracle(self, m, n, dim, bandwidth):
+        rng = np.random.default_rng(m * 7 + n * 3 + dim)
+        x = rng.standard_normal((m, dim)) * 1.5
+        y = rng.standard_normal((n, dim)) + 0.4
+        assert mmd_rbf(x, y, bandwidth) == pooled_mmd_rbf(x, y, bandwidth)
+
+    def test_ring_eval_shape(self):
+        """The ring2d eval call: 2048 generated vs 2048 target points."""
+        x = sample(ring(8, 2.0, 0.02), 2048, 5)
+        y = sample(gaussian([0.0, 0.0], np.eye(2)), 2048, 6)
+        assert mmd_rbf(y, x, "median") == pooled_mmd_rbf(y, x, "median")
+
+    @pytest.mark.parametrize("bandwidth", ["median", 0.0, -1.0])
+    def test_degenerate_bandwidth_like_oracle(self, bandwidth):
+        x = np.zeros((6, 2))
+        for fn in (mmd_rbf, pooled_mmd_rbf):
+            with pytest.raises(ValueError, match="degenerate bandwidth"):
+                fn(x, x, bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", ["median", 1.0])
+    def test_nan_input_like_oracle(self, bandwidth):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((40, 2))
+        y = rng.standard_normal((30, 2))
+        x[7, 1] = np.nan
+        assert math.isnan(pooled_mmd_rbf(x, y, bandwidth))
+        assert math.isnan(mmd_rbf(x, y, bandwidth))
+
+
+class TestMedianSelection:
+    @pytest.mark.parametrize("size", [1, 2, 3, 10, 9999, 100_000, 100_001])
+    def test_equals_numpy_median(self, size):
+        rng = np.random.default_rng(size)
+        v = rng.standard_normal(size) ** 2
+        cut = size // 3
+        pieces = [v[:cut], v[cut:]]
+        assert _median(pieces) == np.median(v)
+
+    def test_pieces_left_unchanged(self):
+        v = np.random.default_rng(1).random(50_000)
+        before = v.copy()
+        _median([v[:20_000], v[20_000:]])
+        assert np.array_equal(v, before)
+
+    def test_ties_at_bracket_edges(self):
+        v = np.random.default_rng(2).integers(0, 5, 100_000).astype(float)
+        assert _median([v]) == np.median(v)
+
+    def test_biased_subsample_falls_back(self):
+        """Every strided sample is 0, so the bracket misses the middle."""
+        v = np.random.default_rng(3).uniform(1.0, 2.0, 100_000)
+        v[:: max(1, v.size // 8192)] = 0.0
+        assert _median([v]) == np.median(v)
+
+    def test_nan_falls_back(self):
+        v = np.random.default_rng(5).random(100_000)
+        v[12_345] = np.nan
+        assert math.isnan(_median([v[:500], v[500:]]))
+
+    def test_infinities(self):
+        v = np.random.default_rng(6).random(100_000)
+        v[:30_000] = np.inf
+        assert _median([v]) == np.median(v)
 
 
 class TestSlicedWasserstein:

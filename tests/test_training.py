@@ -53,6 +53,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=msg):
             shift_config(**{field: value}).validate()
 
+    def test_rejects_rectifier_with_penalty(self):
+        with pytest.raises(ValueError, match="relu"):
+            shift_config(disc_hidden="relu", lam=10.0).validate()
+
+    def test_accepts_rectifier_without_penalty(self):
+        shift_config(disc_hidden="relu", lam=0.0).validate()
+
 
 class TestLoopAccounting:
     def test_step_counters(self):
