@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -45,6 +46,13 @@ class DensitySpec:
     sigma: Optional[float] = None
     low: Optional[tuple] = None
     high: Optional[tuple] = None
+
+    @cached_property
+    def cholesky_factor(self) -> np.ndarray:
+        """Lower Cholesky factor of ``cov`` (gaussian kind), computed once per spec."""
+        factor = np.linalg.cholesky(np.asarray(self.cov, dtype=float))
+        factor.flags.writeable = False
+        return factor
 
 
 def _as_tuple(x) -> tuple:
@@ -136,10 +144,6 @@ def _standard_normals(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return _box_muller(u)[:, :d]
 
 
-def _gaussian_factor(spec: DensitySpec) -> np.ndarray:
-    return np.linalg.cholesky(np.asarray(spec.cov, dtype=float))
-
-
 def sample(spec: DensitySpec, n: int, seed) -> np.ndarray:
     """Draw an (n, dim) matrix of i.i.d. samples, deterministic per seed."""
     if n < 1:
@@ -149,7 +153,7 @@ def sample(spec: DensitySpec, n: int, seed) -> np.ndarray:
 
     if spec.kind == "gaussian":
         z = _standard_normals(rng, n, d)
-        return np.asarray(spec.mean) + z @ _gaussian_factor(spec).T
+        return np.asarray(spec.mean) + z @ spec.cholesky_factor.T
 
     if spec.kind == "uniform":
         lo = np.asarray(spec.low)
@@ -175,7 +179,7 @@ def sample(spec: DensitySpec, n: int, seed) -> np.ndarray:
         for j, sub in enumerate(spec.components):
             idx = comp == j
             if np.any(idx):
-                out[idx] = np.asarray(sub.mean) + z[idx] @ _gaussian_factor(sub).T
+                out[idx] = np.asarray(sub.mean) + z[idx] @ sub.cholesky_factor.T
         return out
 
     raise ValueError(f"unknown density kind {spec.kind!r}")

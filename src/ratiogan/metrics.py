@@ -18,8 +18,8 @@ import numpy as np
 
 __all__ = ["mmd_rbf", "sliced_wasserstein"]
 
-_ROW_CHUNK = 256  # rows of |x|^2 + |y|^2 materialised at a time
-_MEDIAN_SAMPLE = 8192  # subsample size that brackets the median
+_ROW_CHUNK = 256  # rows per band: the |x|^2 + |y|^2 scratch and the median pieces
+_MEDIAN_SAMPLE = 65536  # subsample size that brackets the median
 _MEDIAN_WIDTH = 4.0  # bracket half-width in units of sqrt(subsample size)
 
 
@@ -38,30 +38,30 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.maximum(d, 0.0, out=d)
 
 
-def _upper_triangles(blocks) -> np.ndarray:
-    """Strict upper triangles of square blocks, row by row, in one array."""
-    out = np.empty(sum(len(d) * (len(d) - 1) // 2 for d in blocks))
-    pos = 0
-    for d in blocks:
-        for i in range(len(d) - 1):
-            row = d[i, i + 1 :]
-            out[pos : pos + row.size] = row
-            pos += row.size
-    return out
+def _upper_triangle_bands(d: np.ndarray) -> list:
+    """The strict upper triangle of a square block as row bands: per band
+    of rows, a copy of its small diagonal triangle and a view of the rest."""
+    pieces = []
+    for lo in range(0, len(d), _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, len(d))
+        pieces.append(d[lo:hi, lo:hi][np.triu_indices(hi - lo, k=1)])
+        pieces.append(d[lo:hi, hi:])
+    return pieces
 
 
 def _median(pieces) -> np.float64:
-    """np.median of the concatenated 1-D pieces, which are left unchanged.
+    """np.median of all values of the pieces (arrays of any shape, views
+    included), which are left unchanged.
 
-    A fixed-stride subsample brackets the middle order statistics, so
-    only the values inside the bracket are partitioned.  When the counts
-    show the bracket missed them, or some value (NaN) fell in no part of
-    it, np.median on a copy decides.
+    A fixed-stride subsample of each piece (in C order) brackets the
+    middle order statistics, so only the values inside the bracket are
+    partitioned.  When the counts show the bracket missed them, or some
+    value (NaN) fell in no part of it, np.median on a copy decides.
     """
     total = sum(v.size for v in pieces)
     ks = [total // 2] if total % 2 else [total // 2 - 1, total // 2]
     step = max(1, total // _MEDIAN_SAMPLE)
-    sub = np.sort(np.concatenate([v[::step] for v in pieces]))
+    sub = np.sort(np.concatenate([v.flat[::step] for v in pieces]))
     at = ks[0] * sub.size // total
     half = int(_MEDIAN_WIDTH * np.sqrt(sub.size))
     lo = sub[max(at - half, 0)]
@@ -77,7 +77,7 @@ def _median(pieces) -> np.float64:
         ks = [k - below for k in ks]
         inside.partition(ks)
         return np.mean(inside[ks])
-    return np.median(np.concatenate(pieces), overwrite_input=True)
+    return np.median(np.concatenate([v.ravel() for v in pieces]), overwrite_input=True)
 
 
 def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: Union[float, str] = "median") -> float:
@@ -101,7 +101,8 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: Union[float, str] = "median
     k_xy = _sq_dists(x, y)
     if bandwidth == "median":
         # pooled pairs: upper(xx), all of xy, upper(yy)
-        bw = float(np.sqrt(_median([_upper_triangles((k_xx, k_yy)), k_xy.ravel()])))
+        pieces = _upper_triangle_bands(k_xx) + _upper_triangle_bands(k_yy) + [k_xy]
+        bw = float(np.sqrt(_median(pieces)))
     else:
         bw = float(bandwidth)
     if bw <= 0:

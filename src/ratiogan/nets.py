@@ -3,8 +3,10 @@
 Covers exactly what adversarial training here needs: affine-activation
 chains, gradients with respect to parameters and inputs, bias-corrected
 Adam, and an exact second-order pass (forward-over-reverse) for the
-parameter gradient of input-gradient-norm penalties.  Summation order is
-fixed (layer-major, then sample-major) so runs are reproducible.
+parameter gradient of input-gradient-norm penalties.  A net's weights
+and biases are views into one flat vector; gradients and Adam moments
+are flat vectors in the same layout.  Summation order is fixed
+(layer-major, then sample-major) so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,10 +29,9 @@ __all__ = [
     "forward",
     "backward",
     "adam_step",
-    "input_gradients",
     "penalty_from_norms",
     "penalty_coefficients",
-    "input_grad_norm_and_hvp",
+    "weighted_norm_param_grads",
     "net_to_json",
     "net_from_json",
 ]
@@ -40,26 +41,40 @@ SMOOTH_LEAKY_SLOPE = 0.2
 ACTIVATION_NAMES = ("smooth_leaky", "tanh", "relu")
 
 
-def _act_eval(name: str, z: np.ndarray, want_second: bool = False):
-    """Activation value and derivatives in one pass.
+def _act_eval(name: str, z: np.ndarray, second_from: Optional[int] = None):
+    """Activation value, slope, and (``second_from`` given) the second
+    derivative of the rows from ``second_from`` on, in one pass.
 
     The smooth-leaky unit is slope*z + (1-slope)*softplus(z); softplus,
     its sigmoid derivative, and the second derivative all share one
-    exponential evaluation.
+    exponential evaluation.  t = 1/(1+e^-|z|) lies in [0.5, 1], so
+    t - 0.5 and 1 - t are exact and 0.5 + copysign(t - 0.5, z) is the
+    sigmoid bit for bit, without a data-dependent branch per element.
     """
     if name == "smooth_leaky":
-        s = np.exp(-np.abs(z))
-        t = 1.0 / (1.0 + s)
-        sig = np.where(z >= 0.0, t, 1.0 - t)
-        softplus = np.maximum(z, 0.0) + np.log1p(s)
-        a = SMOOTH_LEAKY_SLOPE * z + (1.0 - SMOOTH_LEAKY_SLOPE) * softplus
-        d1 = SMOOTH_LEAKY_SLOPE + (1.0 - SMOOTH_LEAKY_SLOPE) * sig
-        d2 = (1.0 - SMOOTH_LEAKY_SLOPE) * sig * (1.0 - sig) if want_second else None
+        s = np.abs(z)
+        np.exp(np.negative(s, out=s), out=s)
+        sig = s + 1.0
+        np.divide(1.0, sig, out=sig)  # t
+        sig -= 0.5
+        np.copysign(sig, z, out=sig)
+        sig += 0.5
+        a = np.maximum(z, 0.0)
+        a += np.log1p(s, out=s)  # softplus
+        a *= 1.0 - SMOOTH_LEAKY_SLOPE
+        a += np.multiply(z, SMOOTH_LEAKY_SLOPE, out=s)
+        d1 = sig * (1.0 - SMOOTH_LEAKY_SLOPE)
+        d2 = None if second_from is None else d1[second_from:] * (1.0 - sig[second_from:])
+        d1 += SMOOTH_LEAKY_SLOPE
         return a, d1, d2
     if name == "tanh":
         a = np.tanh(z)
-        d1 = 1.0 - a * a
-        d2 = -2.0 * a * d1 if want_second else None
+        d1 = a * a
+        np.subtract(1.0, d1, out=d1)
+        if second_from is None:
+            return a, d1, None
+        d2 = a[second_from:] * -2.0
+        d2 *= d1[second_from:]
         return a, d1, d2
     if name == "relu":
         a = np.maximum(z, 0.0)
@@ -84,92 +99,117 @@ class NetSpec:
             raise ValueError(f"unknown activation {self.hidden!r}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
+    @property
+    def n_params(self) -> int:
+        return sum((i + 1) * o for i, o in zip(self.widths[:-1], self.widths[1:]))
 
-@dataclass
+
 class DenseNet:
-    weights: List[np.ndarray]
-    biases: List[np.ndarray]
-    spec: NetSpec
+    """Parameters in one flat vector: each layer's row-major weight
+    matrix, then its bias, layer after layer.  ``weights`` and
+    ``biases`` are views into ``params``.
+    """
+
+    def __init__(self, spec: NetSpec, params: Optional[np.ndarray] = None):
+        self.spec = spec
+        self.params = np.zeros(spec.n_params) if params is None else params
+        if self.params.shape != (spec.n_params,):
+            raise ValueError(f"need {spec.n_params} parameters, got shape {self.params.shape}")
+        layers = self.layers(self.params)
+        self.weights = [w for w, _ in layers]
+        self.biases = [b for _, b in layers]
 
     @property
     def n_layers(self):
         return len(self.weights)
 
+    def layers(self, flat: np.ndarray) -> list:
+        """(weight, bias) views of a flat vector in this net's layout."""
+        out, pos = [], 0
+        for fan_in, fan_out in zip(self.spec.widths[:-1], self.spec.widths[1:]):
+            w = flat[pos : pos + fan_out * fan_in].reshape(fan_out, fan_in)
+            pos += fan_out * fan_in
+            out.append((w, flat[pos : pos + fan_out]))
+            pos += fan_out
+        return out
+
 
 def init_net(spec: NetSpec) -> DenseNet:
     """Zero-mean normal weights scaled by 1/sqrt(fan_in); zero biases."""
     rng = np.random.default_rng(spec.seed)
-    weights, biases = [], []
-    for fan_in, fan_out in zip(spec.widths[:-1], spec.widths[1:]):
-        weights.append(rng.standard_normal((fan_out, fan_in)) / math.sqrt(fan_in))
-        biases.append(np.zeros(fan_out))
-    return DenseNet(weights=weights, biases=biases, spec=spec)
+    net = DenseNet(spec)
+    for w in net.weights:
+        w[:] = rng.standard_normal(w.shape) / math.sqrt(w.shape[1])
+    return net
 
 
-def _squash_eval(net: DenseNet, z: np.ndarray, want_second: bool = False):
+def _squash_eval(net: DenseNet, z: np.ndarray, second_from: Optional[int] = None):
     squash = net.spec.squash
     if squash is None:
-        d2 = np.zeros_like(z) if want_second else None
+        d2 = None if second_from is None else np.zeros_like(z[second_from:])
         return z, np.ones_like(z), d2
-    d2 = squash.second_deriv(z) if want_second else None
+    d2 = None if second_from is None else squash.second_deriv(z[second_from:])
     return squash.fn(z), squash.deriv(z), d2
 
 
-def _layer_eval(net: DenseNet, layer: int, z: np.ndarray, want_second: bool = False):
+def _layer_eval(net: DenseNet, layer: int, z: np.ndarray, second_from: Optional[int] = None):
     if layer < net.n_layers - 1:
-        return _act_eval(net.spec.hidden, z, want_second)
-    return _squash_eval(net, z, want_second)
+        return _act_eval(net.spec.hidden, z, second_from)
+    return _squash_eval(net, z, second_from)
 
 
-def forward(net: DenseNet, batch: np.ndarray, with_derivs: bool = False):
-    """Affine-activation chain; the cache holds what backward needs.
-
-    ``with_derivs`` also caches activation slopes so a following backward
-    pass skips recomputing them.
+def forward(net: DenseNet, batch: np.ndarray, second_from: Optional[int] = None):
+    """Affine-activation chain; the cache holds what backward needs: layer
+    inputs and activation slopes.  ``second_from`` also caches the second
+    derivatives of the rows from that index on, the rows a penalty pass
+    differentiates twice.
     """
     a = np.asarray(batch, dtype=float)
     if a.ndim != 2 or a.shape[1] != net.spec.widths[0]:
         raise ValueError(
             f"batch shape {a.shape} does not match input width {net.spec.widths[0]}"
         )
-    inputs, pre, d1s = [], [], []
+    inputs, d1s, d2s = [], [], []
     for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
+        z = a @ w.T
+        z += b
         inputs.append(a)
-        pre.append(z)
-        if with_derivs:
-            a, d1, _ = _layer_eval(net, layer, z)
-            d1s.append(d1)
-        else:
-            a = _layer_eval(net, layer, z)[0]
-    cache = {"inputs": inputs, "pre": pre}
-    if with_derivs:
-        cache["d1"] = d1s
+        a, d1, d2 = _layer_eval(net, layer, z, second_from)
+        d1s.append(d1)
+        d2s.append(d2)
+    cache = {"inputs": inputs, "d1": d1s}
+    if second_from is not None:
+        cache["second_from"] = second_from
+        cache["d2"] = d2s
     return a, cache
 
 
-def backward(net: DenseNet, cache: dict, output_grads: np.ndarray):
+def backward(net: DenseNet, cache: dict, output_grads: np.ndarray, param_rows: Optional[int] = None):
     """Exact reverse-mode gradients for the scalar whose output grads are given.
 
-    Returns ([(dW, db)] per layer, d loss / d batch).
+    Returns (flat parameter gradient, d loss / d batch).  ``param_rows``
+    restricts the parameter sums to the first rows of the batch; the
+    batch gradient always covers every row.
     """
     g = np.asarray(output_grads, dtype=float)
-    if g.shape != cache["pre"][-1].shape:
+    if g.shape != cache["d1"][-1].shape:
         raise ValueError(f"output_grads shape {g.shape} does not match cached forward")
-    d1s = cache.get("d1")
-    grads = [None] * net.n_layers
+    n = len(g) if param_rows is None else param_rows
+    grads = np.empty_like(net.params)
+    views = net.layers(grads)
     for layer in range(net.n_layers - 1, -1, -1):
-        d1 = d1s[layer] if d1s is not None else _layer_eval(net, layer, cache["pre"][layer])[1]
-        delta = g * d1
-        grads[layer] = (delta.T @ cache["inputs"][layer], delta.sum(axis=0))
+        delta = g * cache["d1"][layer]
+        gw, gb = views[layer]
+        np.matmul(delta[:n].T, cache["inputs"][layer][:n], out=gw)
+        np.sum(delta[:n], axis=0, out=gb)
         g = delta @ net.weights[layer]
     return grads, g
 
 
 @dataclass
 class AdamState:
-    m: list
-    v: list
+    m: np.ndarray  # first moments, in the net's flat parameter layout
+    v: np.ndarray  # second moments, same layout
     step_count: int
     learning_rate: float
     beta1: float
@@ -178,47 +218,35 @@ class AdamState:
 
 
 def init_adam(net: DenseNet, learning_rate: float = 1e-4, beta1: float = 0.5, beta2: float = 0.9, eps: float = 1e-8) -> AdamState:
-    zeros = lambda: [
-        (np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)
-    ]
     return AdamState(
-        m=zeros(), v=zeros(), step_count=0,
+        m=np.zeros_like(net.params), v=np.zeros_like(net.params), step_count=0,
         learning_rate=learning_rate, beta1=beta1, beta2=beta2, eps=eps,
     )
 
 
-def adam_step(state: AdamState, net: DenseNet, grads: list) -> None:
+def adam_step(state: AdamState, net: DenseNet, grads: np.ndarray) -> None:
     """Bias-corrected Adam update, in place on the net and state."""
-    for layer, (gw, gb) in enumerate(grads):
-        if not (np.all(np.isfinite(gw)) and np.all(np.isfinite(gb))):
-            raise ValueError(f"non-finite gradient in layer {layer}")
+    finite = np.isfinite(grads)
+    if not finite.all():
+        first_bad = int(np.argmin(finite))
+        ends = np.cumsum([w.size + b.size for w, b in net.layers(grads)])
+        layer = int(np.searchsorted(ends, first_bad, side="right"))
+        raise ValueError(f"non-finite gradient in layer {layer}")
     state.step_count += 1
     t = state.step_count
     b1, b2 = state.beta1, state.beta2
     corr1 = 1.0 - b1**t
     inv_sqrt_corr2 = 1.0 / math.sqrt(1.0 - b2**t)
     lr_eff = state.learning_rate / corr1
-    for layer, (gw, gb) in enumerate(grads):
-        for slot, g, param in ((0, gw, net.weights[layer]), (1, gb, net.biases[layer])):
-            m = state.m[layer][slot]
-            v = state.v[layer][slot]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * g * g
-            denom = np.sqrt(v)
-            denom *= inv_sqrt_corr2
-            denom += state.eps
-            param -= lr_eff * m / denom
-
-
-def input_gradients(net: DenseNet, batch: np.ndarray):
-    """Discriminator outputs and per-sample input gradients (scalar output)."""
-    out, cache = forward(net, batch, with_derivs=True)
-    if out.shape[1] != 1:
-        raise ValueError("input gradients are defined for scalar-output nets")
-    _, input_grads = backward(net, cache, np.ones_like(out))
-    return out, input_grads
+    m, v = state.m, state.v
+    m *= b1
+    m += (1.0 - b1) * grads
+    v *= b2
+    v += (1.0 - b2) * grads * grads
+    denom = np.sqrt(v)
+    denom *= inv_sqrt_corr2
+    denom += state.eps
+    net.params -= lr_eff * m / denom
 
 
 def penalty_from_norms(norms: np.ndarray, lam: float, variant: str) -> float:
@@ -245,10 +273,13 @@ def penalty_coefficients(norms: np.ndarray, lam: float, variant: str) -> np.ndar
     return coeffs
 
 
-def weighted_norm_param_grads(net: DenseNet, batch: np.ndarray, coeffs_fn):
+def weighted_norm_param_grads(net: DenseNet, cache: dict, input_grads: np.ndarray, coeffs_fn):
     """Per-sample input-gradient norms and exact parameter gradients of
     sum_i coeffs_i * ||grad_x D(x_i)|| for coeffs = coeffs_fn(norms).
 
+    The rows are those a ``forward(..., second_from=s)`` cache holds
+    second derivatives for; ``input_grads`` are their gradients of D
+    (a ``backward`` with unit output grads on those rows).
     Forward-over-reverse: the per-sample input-gradient direction is
     frozen (the chain rule for a vector norm needs only its value), a
     tangent forward pass propagates it, and one reverse pass over the
@@ -260,20 +291,10 @@ def weighted_norm_param_grads(net: DenseNet, batch: np.ndarray, coeffs_fn):
             "exact penalty pass needs a twice-differentiable hidden activation; "
             "use smooth_leaky (or tanh)"
         )
-    x = np.asarray(batch, dtype=float)
-    a = x
-    inputs, d1s, d2s = [], [], []
-    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
-        z = a @ w.T + b
-        inputs.append(a)
-        a, d1, d2 = _layer_eval(net, layer, z, want_second=True)
-        d1s.append(d1)
-        d2s.append(d2)
-
-    # reverse pass for the per-sample input gradients
-    g = np.ones((len(x), 1))
-    for layer in range(net.n_layers - 1, -1, -1):
-        g = (g * d1s[layer]) @ net.weights[layer]
+    s = cache["second_from"]
+    d1s = [d1[s:] for d1 in cache["d1"]]
+    d2s = cache["d2"]
+    g = input_grads
     norms = np.sqrt((g**2).sum(axis=1))
     coeffs = np.asarray(coeffs_fn(norms), dtype=float)
     safe = np.where(norms > 0.0, norms, 1.0)
@@ -289,69 +310,26 @@ def weighted_norm_param_grads(net: DenseNet, batch: np.ndarray, coeffs_fn):
         act_dot.append(a_dot)
 
     # reverse over primal + tangent variables
-    grads = [None] * net.n_layers
-    a_bar = np.zeros((len(x), 1))
-    a_dot_bar = np.ones((len(x), 1))
+    grads = np.empty_like(net.params)
+    views = net.layers(grads)
+    a_bar = np.zeros((len(g), 1))
+    a_dot_bar = np.ones((len(g), 1))
     for layer in range(net.n_layers - 1, -1, -1):
         z_dot_bar = a_dot_bar * d1s[layer]
-        z_bar = a_bar * d1s[layer] + a_dot_bar * pre_dot[layer] * d2s[layer]
-        a_in = inputs[layer]
+        z_bar = a_bar * d1s[layer]
+        curv = a_dot_bar * pre_dot[layer]
+        curv *= d2s[layer]
+        z_bar += curv
+        a_in = cache["inputs"][layer][s:]
         a_in_dot = u if layer == 0 else act_dot[layer - 1]
-        dw = z_dot_bar.T @ a_in_dot + z_bar.T @ a_in
-        db = z_bar.sum(axis=0)
-        grads[layer] = (dw, db)
-        a_bar = z_bar @ net.weights[layer]
-        a_dot_bar = z_dot_bar @ net.weights[layer]
+        gw, gb = views[layer]
+        np.matmul(z_dot_bar.T, a_in_dot, out=gw)
+        gw += z_bar.T @ a_in
+        np.sum(z_bar, axis=0, out=gb)
+        if layer > 0:
+            a_bar = z_bar @ net.weights[layer]
+            a_dot_bar = z_dot_bar @ net.weights[layer]
     return norms, grads
-
-
-def _penalty_param_grads_fd(net: DenseNet, batch: np.ndarray, lam: float, variant: str, h: float = 1e-5):
-    """Finite-difference fallback: central differences over every parameter."""
-
-    def penalty_value():
-        _, gx = input_gradients(net, batch)
-        return penalty_from_norms(np.sqrt((gx**2).sum(axis=1)), lam, variant)
-
-    grads = []
-    for w, b in zip(net.weights, net.biases):
-        gw = np.zeros_like(w)
-        gb = np.zeros_like(b)
-        for arr, out in ((w, gw), (b, gb)):
-            flat = arr.ravel()
-            gout = out.ravel()
-            for k in range(flat.size):
-                orig = flat[k]
-                flat[k] = orig + h
-                hi = penalty_value()
-                flat[k] = orig - h
-                lo = penalty_value()
-                flat[k] = orig
-                gout[k] = (hi - lo) / (2.0 * h)
-        grads.append((gw, gb))
-    return grads
-
-
-def input_grad_norm_and_hvp(
-    net: DenseNet,
-    batch: np.ndarray,
-    lam: float = 10.0,
-    variant: str = "max",
-    mode: str = "exact",
-):
-    """Per-sample input-gradient norms and the penalty's parameter gradient.
-
-    ``mode='exact'`` runs the forward-over-reverse pass; ``mode='fd'``
-    cross-checks with central finite differences over the parameters.
-    """
-    if mode == "exact":
-        return weighted_norm_param_grads(
-            net, batch, lambda norms: penalty_coefficients(norms, lam, variant)
-        )
-    if mode == "fd":
-        _, gx = input_gradients(net, batch)
-        norms = np.sqrt((gx**2).sum(axis=1))
-        return norms, _penalty_param_grads_fd(net, batch, lam, variant)
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -368,10 +346,7 @@ def net_to_json(net: DenseNet, adam: Optional[AdamState] = None) -> str:
             "squash": None if net.spec.squash is None else net.spec.squash.range.label,
             "seed": net.spec.seed,
         },
-        "layers": [
-            {"w": w.ravel().tolist(), "b": b.tolist()}
-            for w, b in zip(net.weights, net.biases)
-        ],
+        "layers": [{"w": w.ravel().tolist(), "b": b.tolist()} for w, b in net.layers(net.params)],
     }
     if adam is not None:
         doc["adam"] = {
@@ -380,8 +355,8 @@ def net_to_json(net: DenseNet, adam: Optional[AdamState] = None) -> str:
             "beta1": adam.beta1,
             "beta2": adam.beta2,
             "eps": adam.eps,
-            "m": [[mw.ravel().tolist(), mb.tolist()] for mw, mb in adam.m],
-            "v": [[vw.ravel().tolist(), vb.tolist()] for vw, vb in adam.v],
+            "m": [[w.ravel().tolist(), b.tolist()] for w, b in net.layers(adam.m)],
+            "v": [[w.ravel().tolist(), b.tolist()] for w, b in net.layers(adam.v)],
         }
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -400,24 +375,15 @@ def net_from_json(text: str):
         squash=squash,
         seed=spec_doc["seed"],
     )
-    shapes = list(zip(spec.widths[1:], spec.widths[:-1]))
-    weights = [
-        np.asarray(layer["w"], dtype=float).reshape(shape)
-        for layer, shape in zip(doc["layers"], shapes)
-    ]
-    biases = [np.asarray(layer["b"], dtype=float) for layer in doc["layers"]]
-    net = DenseNet(weights=weights, biases=biases, spec=spec)
+    flat = lambda pairs: np.asarray([v for w, b in pairs for v in (*w, *b)], dtype=float)
+    net = DenseNet(spec, flat((layer["w"], layer["b"]) for layer in doc["layers"]))
 
     adam = None
     if "adam" in doc:
         a = doc["adam"]
-        unpack = lambda entry, shape: (
-            np.asarray(entry[0], dtype=float).reshape(shape),
-            np.asarray(entry[1], dtype=float),
-        )
         adam = AdamState(
-            m=[unpack(entry, shape) for entry, shape in zip(a["m"], shapes)],
-            v=[unpack(entry, shape) for entry, shape in zip(a["v"], shapes)],
+            m=flat(a["m"]),
+            v=flat(a["v"]),
             step_count=a["step_count"],
             learning_rate=a["learning_rate"],
             beta1=a["beta1"],

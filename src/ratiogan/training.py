@@ -12,9 +12,8 @@ two-sample distances between generated and target samples.
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Union
 
 import numpy as np
@@ -43,6 +42,8 @@ __all__ = [
     "MetricRecord",
     "TrainResult",
     "train",
+    "critic_batches",
+    "critic_grads",
     "gradient_penalty",
     "likelihood_ratio_metric",
     "metrics_to_text",
@@ -138,57 +139,68 @@ class TrainResult:
     checkpoints: list = None  # (iteration, gen_json, disc_json) when requested
 
 
-def gradient_penalty(
+def gradient_penalty(disc: DenseNet, cache: dict, input_grads: np.ndarray, variant: str, lam: float):
+    """One-sided unit-gradient penalty on the rows a fused critic pass holds
+    second derivatives for: its value and exact flat parameter gradient."""
+    norms, grads = weighted_norm_param_grads(
+        disc, cache, input_grads, lambda n: penalty_coefficients(n, lam, variant)
+    )
+    return penalty_from_norms(norms, lam, variant), grads
+
+
+def critic_grads(
     disc: DenseNet,
+    loss: LossPair,
     real_batch: np.ndarray,
     fake_batch: np.ndarray,
+    u: Optional[np.ndarray],
     variant: str,
     lam: float,
-    rng: np.random.Generator,
 ):
-    """One-sided unit-gradient penalty on per-pair uniform interpolates.
+    """One critic step from one discriminator pass over [x; y; interp],
+    interp = u*x + (1-u)*y, with second derivatives on the interp rows only.
 
-    Returns the penalty value and its exact parameter gradients.  A zero
-    lambda short-circuits without consuming randomness, so disabled runs
-    match a build with the penalty path removed bit for bit.
+    One reverse pass gives the gradient of the negated phi/psi terms (summed
+    over the x and y rows) and the interp rows' input gradients, which the
+    penalty pass reuses.  A zero lambda skips the interp rows and the penalty
+    path (u may be None).  Returns (D(x), D(y), penalty, flat gradient to descend).
     """
     if real_batch.shape != fake_batch.shape:
         raise ValueError("real and fake batches must have identical shapes")
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    if lam == 0.0:
-        zeros = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(disc.weights, disc.biases)]
-        return 0.0, zeros
-    u = rng.random((len(real_batch), 1))
-    interp = u * real_batch + (1.0 - u) * fake_batch
-    norms, grads = weighted_norm_param_grads(
-        disc, interp, lambda n: penalty_coefficients(n, lam, variant)
-    )
-    return penalty_from_norms(norms, lam, variant), grads
+    b = len(real_batch)
+    rows, second_from = [real_batch, fake_batch], None
+    if lam > 0.0:
+        rows.append(u * real_batch + (1.0 - u) * fake_batch)
+        second_from = 2 * b
+    d, cache = forward(disc, np.vstack(rows), second_from)
+    d_real, d_fake = d[:b], d[b : 2 * b]
+    out_grads = np.ones_like(d)  # unit grads on the interp rows: their input gradients
+    out_grads[:b] = -loss.phi_prime(d_real) / b  # ascend: gradients of the negative
+    out_grads[b : 2 * b] = -loss.psi_prime(d_fake) / b
+    grads, input_grads = backward(disc, cache, out_grads, param_rows=2 * b)
+    if second_from is None:
+        return d_real, d_fake, 0.0, grads
+    penalty_value, p_grads = gradient_penalty(disc, cache, input_grads[second_from:], variant, lam)
+    grads += p_grads
+    return d_real, d_fake, penalty_value, grads
 
 
 def likelihood_ratio_metric(loss: LossPair, disc: DenseNet, real_batch, fake_batch):
     """Mean/std of the discriminator-implied ratio on both batches."""
     d_real, _ = forward(disc, np.asarray(real_batch, dtype=float))
     d_fake, _ = forward(disc, np.asarray(fake_batch, dtype=float))
+    return _ratio_stats(loss, d_real, d_fake)
+
+
+def _ratio_stats(loss: LossPair, d_real: np.ndarray, d_fake: np.ndarray) -> tuple:
     r_real = ratio_from_discriminator(loss, d_real[:, 0])
     r_fake = ratio_from_discriminator(loss, d_fake[:, 0])
-    return (
-        float(r_real.mean()),
-        float(r_real.std()),
-        float(r_fake.mean()),
-        float(r_fake.std()),
-    )
+    return float(r_real.mean()), float(r_real.std()), float(r_fake.mean()), float(r_fake.std())
 
 
-def _accumulate(target: list, extra: list, scale: float = 1.0) -> None:
-    for (tw, tb), (ew, eb) in zip(target, extra):
-        tw += scale * ew
-        tb += scale * eb
-
-
-def _zeros_like_params(net: DenseNet):
-    return [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
+def _snapshot(net: DenseNet, state: AdamState):
+    """Independent copies of a net and its optimizer state, taken together."""
+    return DenseNet(net.spec, net.params.copy()), replace(state, m=state.m.copy(), v=state.v.copy())
 
 
 def _dims(config: TrainConfig):
@@ -203,6 +215,19 @@ def _draw_real(config: TrainConfig, data, n: int, rng: np.random.Generator) -> n
         idx = rng.integers(0, len(data), size=n)
         return data[idx]
     return sample(config.f_spec, n, rng)
+
+
+def critic_batches(config: TrainConfig, data, rng: np.random.Generator) -> list:
+    """One generator iteration's critic batches (x, z, u), drawn in stream
+    order: per step the real batch, the generator input, then the
+    interpolation weights, which a zero lambda does not draw (u is None)."""
+    b = config.batch_size
+    batches = []
+    for _ in range(config.critic_iters):
+        x = _draw_real(config, data, b, rng)
+        z = sample(config.h_spec, b, rng)
+        batches.append((x, z, rng.random((b, 1)) if config.lam > 0.0 else None))
+    return batches
 
 
 def build_networks(config: TrainConfig, loss: LossPair):
@@ -243,9 +268,16 @@ def train(config: TrainConfig, loss: Optional[LossPair] = None) -> TrainResult:
     eval_rng = np.random.default_rng(eval_seed)
     swd_seed = eval_seed  # fixed directions: snapshots stay comparable
 
+    # A critic step frees about 1 MB of arrays at once, and glibc's malloc
+    # returns a freed heap top above its trim threshold to the OS: 128 KiB
+    # until a larger mmap-served block is freed, then twice that block
+    # (mallopt(3)).  Freeing one 2 MiB block here spares each step the page
+    # faults of taking its memory back; other allocators are unaffected.
+    np.empty(1 << 18)
+
     records: List[MetricRecord] = []
     checkpoints: list = []
-    last_good = (copy.deepcopy(generator), copy.deepcopy(discriminator))
+    last_good = (_snapshot(generator, gen_state), _snapshot(discriminator, disc_state))
     last_penalty = 0.0
     last_train_lr = (None, None)
     b = config.batch_size
@@ -258,17 +290,7 @@ def train(config: TrainConfig, loss: Optional[LossPair] = None) -> TrainResult:
         d_fake, _ = forward(discriminator, y_eval)
         disc_obj = float(np.mean(phi_v(d_real[:, 0])) + np.mean(psi_v(d_fake[:, 0])))
         gen_obj = float(np.mean(psi_v(d_fake[:, 0])))
-        if loss.ratio_invertible:
-            r_real = ratio_from_discriminator(loss, d_real[:, 0])
-            r_fake = ratio_from_discriminator(loss, d_fake[:, 0])
-            lr_fields = (
-                float(r_real.mean()),
-                float(r_real.std()),
-                float(r_fake.mean()),
-                float(r_fake.std()),
-            )
-        else:
-            lr_fields = (None, None, None, None)
+        lr_fields = _ratio_stats(loss, d_real, d_fake) if loss.ratio_invertible else (None,) * 4
         return MetricRecord(
             generator_iteration=iteration,
             disc_objective=disc_obj,
@@ -284,46 +306,38 @@ def train(config: TrainConfig, loss: Optional[LossPair] = None) -> TrainResult:
             swd=sliced_wasserstein(y_eval, x_eval, 64, seed=swd_seed),
         )
 
-    def aborted(player: str, iteration: int) -> TrainResult:
-        """Stop on a non-finite objective and hand back the last-good nets."""
-        gen_ckpt, disc_ckpt = last_good
+    def aborted(quantity: str, iteration: int) -> TrainResult:
+        """Stop on a non-finite objective or gradient and hand back the nets
+        and optimizer states of the last eval, snapshotted together."""
+        (gen_ckpt, gen_ckpt_state), (disc_ckpt, disc_ckpt_state) = last_good
         return TrainResult(
             generator=gen_ckpt,
             discriminator=disc_ckpt,
             records=records,
-            gen_state=gen_state,
-            disc_state=disc_state,
+            gen_state=gen_ckpt_state,
+            disc_state=disc_ckpt_state,
             aborted=True,
-            abort_reason=f"non-finite {player} objective at iteration {iteration}",
+            abort_reason=f"non-finite {quantity} at iteration {iteration}",
             checkpoints=checkpoints,
         )
 
     for iteration in range(1, config.total_generator_iters + 1):
         # -- critic phase -------------------------------------------------
-        for _ in range(config.critic_iters):
-            x = _draw_real(config, data, b, train_rng)
-            z = sample(config.h_spec, b, train_rng)
-            y, _ = forward(generator, z)
-
-            # one stacked pass over real and generated rows
-            d_both, cache = forward(discriminator, np.vstack([x, y]), with_derivs=True)
-            d_real, d_fake = d_both[:b], d_both[b:]
-            # ascend phi/psi terms: gradients of the negative
-            out_grads = np.vstack([-loss.phi_prime(d_real) / b, -loss.psi_prime(d_fake) / b])
-            grads, _ = backward(discriminator, cache, out_grads)
-
-            penalty_value = 0.0
-            if config.lam > 0.0:
-                penalty_value, p_grads = gradient_penalty(
-                    discriminator, x, y, config.penalty_variant, config.lam, train_rng
-                )
-                _accumulate(grads, p_grads)
-
+        batches = critic_batches(config, data, train_rng)
+        # the generator is fixed during the critic phase: one pass for all steps
+        ys, _ = forward(generator, np.vstack([z for _, z, _ in batches]))
+        for step, (x, _, u) in enumerate(batches):
+            y = ys[step * b : (step + 1) * b]
+            d_real, d_fake, penalty_value, grads = critic_grads(
+                discriminator, loss, x, y, u, config.penalty_variant, config.lam
+            )
             disc_obj = float(
                 np.mean(phi_v(d_real[:, 0])) + np.mean(psi_v(d_fake[:, 0])) - penalty_value
             )
             if not math.isfinite(disc_obj):
-                return aborted("discriminator", iteration)
+                return aborted("discriminator objective", iteration)
+            if not np.isfinite(grads).all():
+                return aborted("discriminator gradient", iteration)
             adam_step(disc_state, discriminator, grads)
             last_penalty = penalty_value
 
@@ -338,18 +352,21 @@ def train(config: TrainConfig, loss: Optional[LossPair] = None) -> TrainResult:
 
         # -- generator phase ----------------------------------------------
         z = sample(config.h_spec, b, train_rng)
-        y, gen_cache = forward(generator, z, with_derivs=True)
-        d_fake, disc_cache = forward(discriminator, y, with_derivs=True)
+        y, gen_cache = forward(generator, z)
+        d_fake, disc_cache = forward(discriminator, y)
         gen_obj = float(np.mean(psi_v(d_fake[:, 0])))
         if not math.isfinite(gen_obj):
-            return aborted("generator", iteration)
-        _, input_grads = backward(discriminator, disc_cache, loss.psi_prime(d_fake) / b)
+            return aborted("generator objective", iteration)
+        # only the input gradient is needed: no parameter sums
+        _, input_grads = backward(discriminator, disc_cache, loss.psi_prime(d_fake) / b, param_rows=0)
         gen_grads, _ = backward(generator, gen_cache, input_grads)
+        if not np.isfinite(gen_grads).all():
+            return aborted("generator gradient", iteration)
         adam_step(gen_state, generator, gen_grads)
 
         if will_evaluate:
             records.append(evaluate(iteration))
-            last_good = (copy.deepcopy(generator), copy.deepcopy(discriminator))
+            last_good = (_snapshot(generator, gen_state), _snapshot(discriminator, disc_state))
         if config.checkpoint_every > 0 and iteration % config.checkpoint_every == 0:
             checkpoints.append(
                 (iteration, net_to_json(generator, gen_state), net_to_json(discriminator, disc_state))

@@ -7,7 +7,8 @@ import pytest
 
 from helpers import pooled_mmd_rbf
 from ratiogan.densities import gaussian, ring, sample
-from ratiogan.metrics import _median, mmd_rbf, sliced_wasserstein
+from ratiogan import metrics
+from ratiogan.metrics import _MEDIAN_SAMPLE, _median, mmd_rbf, sliced_wasserstein
 
 
 class TestMmd:
@@ -114,11 +115,26 @@ class TestMedianSelection:
         v = np.random.default_rng(2).integers(0, 5, 100_000).astype(float)
         assert _median([v]) == np.median(v)
 
-    def test_biased_subsample_falls_back(self):
+    def test_biased_subsample_falls_back(self, monkeypatch):
         """Every strided sample is 0, so the bracket misses the middle."""
-        v = np.random.default_rng(3).uniform(1.0, 2.0, 100_000)
-        v[:: max(1, v.size // 8192)] = 0.0
-        assert _median([v]) == np.median(v)
+        v = np.random.default_rng(3).uniform(1.0, 2.0, 20 * _MEDIAN_SAMPLE)
+        v[:: v.size // _MEDIAN_SAMPLE] = 0.0
+        want = np.median(v)
+        fallbacks = []
+        monkeypatch.setattr(
+            metrics.np, "median", lambda a, **kw: fallbacks.append(a.size) or want
+        )
+        assert _median([v]) == want
+        assert fallbacks == [v.size]
+
+    def test_band_views_equal_numpy_median(self):
+        """2-D, non-contiguous pieces (row bands of a block) are read in place."""
+        d = np.random.default_rng(4).random((600, 600))
+        before = d.copy()
+        pieces = [d[:256, 256:], d[256:512, 512:], d[:256, :256][np.triu_indices(256, 1)]]
+        want = np.median(np.concatenate([p.ravel() for p in pieces]))
+        assert _median(pieces) == want
+        assert np.array_equal(d, before)
 
     def test_nan_falls_back(self):
         v = np.random.default_rng(5).random(100_000)

@@ -9,20 +9,25 @@ from ratiogan.losses import NONNEGATIVE, SYMMETRIC_UNIT, UNIT, output_squashing_
 from ratiogan.nets import (
     AdamState,
     NetSpec,
+    _act_eval,
     adam_step,
     backward,
     forward,
     init_adam,
     init_net,
-    input_grad_norm_and_hvp,
-    input_gradients,
     net_from_json,
     net_to_json,
     penalty_from_norms,
-    weighted_norm_param_grads,
 )
 
-from helpers import quasi_linear_net
+from helpers import (
+    exact_penalty_grads,
+    input_gradients,
+    old_sigmoid_terms,
+    penalty_param_grads_fd,
+    penalty_pass,
+    quasi_linear_net,
+)
 
 SQUASHES = [None, output_squashing_for(NONNEGATIVE), output_squashing_for(UNIT), output_squashing_for(SYMMETRIC_UNIT)]
 
@@ -121,7 +126,7 @@ class TestBackward:
         out, cache = forward(net, x)
         grads, _ = backward(net, cache, c)
         fd = fd_param_grads(net, x, scalar_fn)
-        for (gw, gb), (fw, fb) in zip(grads, fd):
+        for (gw, gb), (fw, fb) in zip(net.layers(grads), fd):
             for got, want in ((gw, fw), (gb, fb)):
                 rel = np.abs(got - want) / np.maximum(np.abs(want), 1e-8)
                 assert rel.max() < 1e-4
@@ -152,8 +157,24 @@ class TestBackward:
         x = np.random.default_rng(3).standard_normal((4, 2))
         out, cache = forward(net, x)
         grads, gin = backward(net, cache, np.zeros_like(out))
-        assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
+        assert np.all(grads == 0)
         assert np.all(gin == 0)
+
+    def test_param_rows_match_a_pass_over_those_rows(self):
+        """Parameter sums over the first rows of a stacked batch equal a
+        separate pass over those rows bit for bit; input gradients cover all."""
+        rng = np.random.default_rng(5)
+        net = init_net(NetSpec(widths=(2, 64, 64, 1), squash=SQUASHES[2], seed=6))
+        x = rng.standard_normal((192, 2))
+        c = rng.standard_normal((192, 1))
+        _, cache = forward(net, x)
+        grads, gin = backward(net, cache, c, param_rows=128)
+        _, head_cache = forward(net, x[:128])
+        head_grads, head_gin = backward(net, head_cache, c[:128])
+        _, tail_cache = forward(net, x[128:])
+        _, tail_gin = backward(net, tail_cache, c[128:])
+        np.testing.assert_array_equal(grads, head_grads)
+        np.testing.assert_array_equal(gin, np.vstack([head_gin, tail_gin]))
 
     def test_stale_cache_rejected(self):
         net = init_net(NetSpec(widths=(2, 4, 1), seed=2))
@@ -162,18 +183,35 @@ class TestBackward:
             backward(net, cache, np.ones((3, 1)))
 
     def test_deriv_cache_matches_plain_backward(self):
+        """Caching second derivatives for some rows leaves first-order results alone."""
         net = init_net(NetSpec(widths=(2, 8, 1), seed=4))
         x = np.random.default_rng(0).standard_normal((6, 2))
         c = np.random.default_rng(1).standard_normal((6, 1))
         out1, cache1 = forward(net, x)
-        out2, cache2 = forward(net, x, with_derivs=True)
+        out2, cache2 = forward(net, x, second_from=3)
         np.testing.assert_array_equal(out1, out2)
         g1, i1 = backward(net, cache1, c)
         g2, i2 = backward(net, cache2, c)
         np.testing.assert_array_equal(i1, i2)
-        for (a, ab), (b, bb) in zip(g1, g2):
-            np.testing.assert_array_equal(a, b)
-            np.testing.assert_array_equal(ab, bb)
+        np.testing.assert_array_equal(g1, g2)
+
+
+class TestSmoothLeakyUnit:
+    def test_copysign_sigmoid_matches_branch_form_bitwise(self):
+        """0.5 + copysign(t - 0.5, z) is np.where(z >= 0, t, 1 - t) bit for bit:
+        edge values and random bit patterns, through value, slope and curvature."""
+        edges = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308,
+                          1e-300, -1e-300, 0.5, -0.5, 36.7, -36.7, 745.2, -745.2, 1e308, -1e308])
+        bits = np.random.default_rng(0).integers(0, 2**64, size=1 << 18, dtype=np.uint64)
+        z = np.concatenate([edges, bits.view(np.float64)])
+        with np.errstate(all="ignore"):  # signalling NaNs among the bit patterns
+            got = _act_eval("smooth_leaky", z[None, :], second_from=0)
+            want = old_sigmoid_terms(z[None, :])
+        nan = np.isnan(z)
+        for g, w in zip(got, want):
+            g, w = g[0], w[0]
+            np.testing.assert_array_equal(g[~nan].view(np.int64), w[~nan].view(np.int64))
+            assert np.isnan(g[nan]).all() and np.isnan(w[nan]).all()
 
 
 class TestAdam:
@@ -181,8 +219,7 @@ class TestAdam:
         net = init_net(NetSpec(widths=(2, 4, 1), seed=0))
         state = init_adam(net)
         before = [w.copy() for w in net.weights]
-        zeros = [(np.zeros_like(w), np.zeros_like(b)) for w, b in zip(net.weights, net.biases)]
-        adam_step(state, net, zeros)
+        adam_step(state, net, np.zeros_like(net.params))
         assert state.step_count == 1
         for w, prev in zip(net.weights, before):
             np.testing.assert_array_equal(w, prev)
@@ -192,7 +229,8 @@ class TestAdam:
         net = init_net(NetSpec(widths=(1, 1, 1), hidden="tanh", seed=0))
         state = init_adam(net, learning_rate=0.1, beta1=0.5, beta2=0.9)
         w0 = net.weights[0].copy()
-        grads = [(np.ones((1, 1)), np.zeros(1)), (np.zeros((1, 1)), np.zeros(1))]
+        grads = np.zeros_like(net.params)
+        net.layers(grads)[0][0][:] = 1.0
         adam_step(state, net, grads)
         delta = float(net.weights[0][0, 0] - w0[0, 0])
         assert delta == pytest.approx(-0.1, rel=1e-6)
@@ -200,7 +238,8 @@ class TestAdam:
     def test_constant_gradient_monotone_drift(self):
         net = init_net(NetSpec(widths=(1, 1, 1), hidden="tanh", seed=0))
         state = init_adam(net, learning_rate=1e-3)
-        grads = [(np.full((1, 1), 2.5), np.zeros(1)), (np.zeros((1, 1)), np.zeros(1))]
+        grads = np.zeros_like(net.params)
+        net.layers(grads)[0][0][:] = 2.5
         prev = float(net.weights[0][0, 0])
         for _ in range(1000):
             adam_step(state, net, grads)
@@ -214,14 +253,16 @@ class TestAdam:
             net = init_net(NetSpec(widths=(1, 1, 1), hidden="tanh", seed=0))
             state = init_adam(net, learning_rate=0.1, beta1=0.5, beta2=0.9)
             w0 = float(net.weights[0][0, 0])
-            grads = [(np.full((1, 1), scale), np.zeros(1)), (np.zeros((1, 1)), np.zeros(1))]
+            grads = np.zeros_like(net.params)
+            net.layers(grads)[0][0][:] = scale
             adam_step(state, net, grads)
             assert float(net.weights[0][0, 0]) - w0 == pytest.approx(-0.1, rel=1e-5)
 
     def test_non_finite_gradient_names_layer(self):
         net = init_net(NetSpec(widths=(2, 4, 1), seed=0))
         state = init_adam(net)
-        grads = [(np.zeros((4, 2)), np.zeros(4)), (np.full((1, 4), np.nan), np.zeros(1))]
+        grads = np.zeros_like(net.params)
+        net.layers(grads)[1][0][:] = np.nan
         with pytest.raises(ValueError, match="layer 1"):
             adam_step(state, net, grads)
 
@@ -243,9 +284,9 @@ class TestPenaltyPass:
         net = init_net(NetSpec(widths=(2, 8, 1), seed=1))
         for w in net.weights:
             w[:] = 0.0
-        norms, grads = input_grad_norm_and_hvp(net, np.ones((4, 2)), lam=10.0, variant="max")
+        norms, grads = exact_penalty_grads(net, np.ones((4, 2)), lam=10.0, variant="max")
         np.testing.assert_array_equal(norms, np.zeros(4))
-        assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
+        assert np.all(grads == 0)
 
     @pytest.mark.parametrize("variant", ["max", "mean"])
     def test_exact_matches_fd_fallback(self, variant):
@@ -254,9 +295,9 @@ class TestPenaltyPass:
         for w in net.weights:
             w *= 3.0  # push gradient norms above 1 so the hinge is active
         x = rng.standard_normal((6, 2))
-        _, exact = input_grad_norm_and_hvp(net, x, 10.0, variant, mode="exact")
-        _, fallback = input_grad_norm_and_hvp(net, x, 10.0, variant, mode="fd")
-        for (ew, eb), (fw, fb) in zip(exact, fallback):
+        _, exact = exact_penalty_grads(net, x, 10.0, variant)
+        fallback = penalty_param_grads_fd(net, x, 10.0, variant)
+        for (ew, eb), (fw, fb) in zip(net.layers(exact), net.layers(fallback)):
             for got, want in ((ew, fw), (eb, fb)):
                 rel = np.abs(got - want) / max(np.abs(want).max(), 1e-10)
                 assert rel.max() < 1e-3
@@ -267,16 +308,16 @@ class TestPenaltyPass:
         for w in net.weights:
             w *= 4.0
         x = rng.standard_normal((5, 2))
-        _, exact = input_grad_norm_and_hvp(net, x, 1.0, "mean", mode="exact")
-        _, fallback = input_grad_norm_and_hvp(net, x, 1.0, "mean", mode="fd")
-        for (ew, eb), (fw, fb) in zip(exact, fallback):
+        _, exact = exact_penalty_grads(net, x, 1.0, "mean")
+        fallback = penalty_param_grads_fd(net, x, 1.0, "mean")
+        for (ew, eb), (fw, fb) in zip(net.layers(exact), net.layers(fallback)):
             rel = np.abs(ew - fw) / max(np.abs(fw).max(), 1e-10)
             assert rel.max() < 1e-3
 
     def test_rectifier_refused_in_exact_mode(self):
         net = init_net(NetSpec(widths=(2, 4, 1), hidden="relu", seed=0))
         with pytest.raises(ValueError, match="smooth_leaky"):
-            input_grad_norm_and_hvp(net, np.ones((3, 2)), mode="exact")
+            exact_penalty_grads(net, np.ones((3, 2)), 10.0, "max")
 
     def test_weighted_norm_grads_match_fd_for_arbitrary_coeffs(self):
         """The forward-over-reverse pass is exact for any fixed coefficient vector."""
@@ -289,9 +330,9 @@ class TestPenaltyPass:
             _, gx = input_gradients(net, x)
             return float(coeffs @ np.sqrt((gx**2).sum(axis=1)))
 
-        _, grads = weighted_norm_param_grads(net, x, lambda n: coeffs)
+        _, grads = penalty_pass(net, x, lambda n: coeffs)
         fd = fd_param_grads(net, x, scalar_fn, h=1e-6)
-        for (gw, gb), (fw, fb) in zip(grads, fd):
+        for (gw, gb), (fw, fb) in zip(net.layers(grads), fd):
             for got, want in ((gw, fw), (gb, fb)):
                 rel = np.abs(got - want) / max(np.abs(want).max(), 1e-9)
                 assert rel.max() < 1e-5

@@ -1,27 +1,31 @@
 """The adversarial loop: accounting, penalty, metrics, determinism, aborts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 import ratiogan.training as training
 from ratiogan.catalogue import catalogue_lookup
-from ratiogan.densities import gaussian
+from ratiogan.densities import gaussian, ring, sample
 from ratiogan.losses import (
     LossPair,
     NONNEGATIVE,
+    SYMMETRIC_UNIT,
     OmegaTransform,
     RatioNotRecoverableError,
 )
-from ratiogan.nets import NetSpec, forward, init_net
+from ratiogan.nets import NetSpec, backward, forward, init_net
 from ratiogan.training import (
     TrainConfig,
-    gradient_penalty,
+    critic_batches,
+    critic_grads,
     likelihood_ratio_metric,
     metrics_from_text,
     metrics_to_text,
     train,
 )
-from helpers import quasi_linear_net
+from helpers import quasi_linear_net, unfused_train
 
 
 def shift_config(**overrides):
@@ -76,14 +80,31 @@ class TestLoopAccounting:
 
 
 class TestGradientPenalty:
-    def test_lambda_zero_short_circuits(self):
-        net = init_net(NetSpec(widths=(1, 4, 1), seed=0))
+    MSE = catalogue_lookup("MSE").loss
+
+    def test_lambda_zero_short_circuits(self, monkeypatch):
+        """No interpolation weights are drawn and the penalty path is never entered."""
+        cfg = shift_config(lam=0.0, critic_iters=3, batch_size=4)
         rng = np.random.default_rng(0)
-        before = rng.bit_generator.state
-        value, grads = gradient_penalty(net, np.ones((4, 1)), np.zeros((4, 1)), "max", 0.0, rng)
+        batches = critic_batches(cfg, None, rng)
+        plain = np.random.default_rng(0)
+        for _ in range(3):
+            sample(cfg.f_spec, 4, plain)
+            sample(cfg.h_spec, 4, plain)
+        assert rng.bit_generator.state == plain.bit_generator.state  # no randomness for u
+        assert all(u is None for _, _, u in batches)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("penalty path entered with lambda = 0")
+
+        monkeypatch.setattr(training, "gradient_penalty", forbidden)
+        net = init_net(NetSpec(widths=(1, 4, 1), seed=0))
+        x, y = np.ones((4, 1)), np.zeros((4, 1))
+        _, _, value, grads = critic_grads(net, self.MSE, x, y, None, "max", 0.0)
         assert value == 0.0
-        assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
-        assert rng.bit_generator.state == before  # no randomness consumed
+        d, cache = forward(net, np.vstack([x, y]))
+        out_grads = np.vstack([-self.MSE.phi_prime(d[:4]) / 4, -self.MSE.psi_prime(d[4:]) / 4])
+        np.testing.assert_array_equal(grads, backward(net, cache, out_grads)[0])
 
     def test_linear_discriminator_known_value(self):
         """A (quasi-)linear discriminator with ||w|| = 3 pays 10 (3-1)^2 = 40."""
@@ -93,8 +114,9 @@ class TestGradientPenalty:
         rng = np.random.default_rng(1)
         x = rng.standard_normal((8, 2)) * 0.1
         y = rng.standard_normal((8, 2)) * 0.1
+        u = np.random.default_rng(2).random((8, 1))
         for variant in ("max", "mean"):
-            value, _ = gradient_penalty(net, x, y, variant, 10.0, np.random.default_rng(2))
+            _, _, value, _ = critic_grads(net, self.MSE, x, y, u, variant, 10.0)
             assert value == pytest.approx(40.0, rel=1e-8), variant
 
     def test_small_weight_discriminator_pays_nothing(self):
@@ -104,15 +126,69 @@ class TestGradientPenalty:
         rng = np.random.default_rng(3)
         x = rng.standard_normal((8, 2)) * 0.1
         y = rng.standard_normal((8, 2)) * 0.1
+        u = np.random.default_rng(4).random((8, 1))
+        _, _, _, unpenalized = critic_grads(net, self.MSE, x, y, None, "max", 0.0)
         for variant in ("max", "mean"):
-            value, grads = gradient_penalty(net, x, y, variant, 10.0, np.random.default_rng(4))
+            _, _, value, grads = critic_grads(net, self.MSE, x, y, u, variant, 10.0)
             assert value == 0.0
-            assert all(np.all(gw == 0) and np.all(gb == 0) for gw, gb in grads)
+            np.testing.assert_array_equal(grads, unpenalized)  # penalty gradient is zero
 
     def test_shape_mismatch(self):
         net = init_net(NetSpec(widths=(2, 4, 1), seed=0))
         with pytest.raises(ValueError, match="identical shapes"):
-            gradient_penalty(net, np.ones((4, 2)), np.ones((3, 2)), "max", 1.0, np.random.default_rng(0))
+            critic_grads(net, self.MSE, np.ones((4, 2)), np.ones((3, 2)), np.ones((4, 1)), "max", 1.0)
+
+
+class TestFusedMatchesUnfused:
+    """train's fused critic pass, flat parameters and flat Adam reproduce the
+    unfused per-layer loop (tests/helpers.unfused_train) bit for bit."""
+
+    # one loss per discriminator squash: softplus, logistic, identity, tanh
+    SQUASH_LOSSES = {
+        "softplus": catalogue_lookup("MSE").loss,
+        "logistic": catalogue_lookup("C2").loss,
+        "identity": catalogue_lookup("B2").loss,
+        "tanh": dataclasses.replace(catalogue_lookup("Wasserstein").loss, range=SYMMETRIC_UNIT),
+    }
+
+    def assert_matches(self, cfg, loss, monkeypatch):
+        build = training.build_networks
+
+        def steep_critic(config, loss):
+            # input-gradient norms above 1, so the penalty binds from the first step
+            gen, disc, train_seed, eval_seed = build(config, loss)
+            disc.params *= 3.0
+            return gen, disc, train_seed, eval_seed
+
+        monkeypatch.setattr(training, "build_networks", steep_critic)
+        result = train(cfg, loss=loss)
+        assert not result.aborted
+        assert (result.records[-1].penalty > 0.0) == (cfg.lam > 0.0)
+        gen, disc = unfused_train(cfg, loss)
+        for net, state, (params, m, v, steps) in (
+            (result.generator, result.gen_state, gen),
+            (result.discriminator, result.disc_state, disc),
+        ):
+            np.testing.assert_array_equal(net.params, params)
+            np.testing.assert_array_equal(state.m, m)
+            np.testing.assert_array_equal(state.v, v)
+            assert state.step_count == steps
+
+    @pytest.mark.parametrize("squash", sorted(SQUASH_LOSSES))
+    @pytest.mark.parametrize("hidden", ["smooth_leaky", "tanh"])
+    @pytest.mark.parametrize("lam,variant", [(0.0, "max"), (10.0, "max"), (10.0, "mean")])
+    def test_shift1d(self, squash, hidden, lam, variant, monkeypatch):
+        cfg = shift_config(
+            total_generator_iters=3, eval_every=100, lam=lam, penalty_variant=variant, disc_hidden=hidden
+        )
+        self.assert_matches(cfg, self.SQUASH_LOSSES[squash], monkeypatch)
+
+    def test_ring2d_with_penalty(self, monkeypatch):
+        cfg = shift_config(
+            f_spec=ring(8, 2.0, 0.02), h_spec=gaussian([0.0, 0.0], np.eye(2)),
+            total_generator_iters=3, eval_every=100, critic_iters=3,
+        )
+        self.assert_matches(cfg, self.SQUASH_LOSSES["logistic"], monkeypatch)
 
 
 class TestLikelihoodRatioMetric:
@@ -190,6 +266,11 @@ class TestLimitLossRuns:
             assert rec.lr_real_mean_train is None
 
 
+def _mse_with(phi_prime, phi=None):
+    mse = catalogue_lookup("MSE").loss
+    return dataclasses.replace(mse, phi_prime=phi_prime, phi=phi or mse.phi)
+
+
 class TestAbort:
     def test_non_finite_objective_keeps_last_good_checkpoint(self):
         omega = OmegaTransform(
@@ -217,6 +298,51 @@ class TestAbort:
         init_gen, _, _, _ = training.build_networks(cfg, poisoned)
         for wa, wb in zip(result.generator.weights, init_gen.weights):
             np.testing.assert_array_equal(wa, wb)
+
+    def test_diverging_run_returns_initial_optimizer_state(self):
+        """A step that blows the weights up aborts before any eval: the saved
+        nets and Adam states are the initial ones, not weights from one step
+        paired with moments from another."""
+        cfg = shift_config(loss_name="B1a", learning_rate=10.0)
+        with np.errstate(all="ignore"):
+            result = train(cfg)
+        assert result.aborted and "iteration 1" in result.abort_reason
+        init_gen, init_disc, _, _ = training.build_networks(cfg, catalogue_lookup("B1a").loss)
+        for net, state, init in (
+            (result.generator, result.gen_state, init_gen),
+            (result.discriminator, result.disc_state, init_disc),
+        ):
+            np.testing.assert_array_equal(net.params, init.params)
+            assert state.step_count == 0
+            assert not state.m.any() and not state.v.any()
+
+    def test_non_finite_gradient_aborts_with_state_of_last_eval(self):
+        """A finite objective with an infinite phi' aborts cleanly, and the
+        nets and Adam states come from the same (last-eval) step."""
+        calls = []
+        mse_phi_prime = catalogue_lookup("MSE").loss.phi_prime
+
+        def phi_prime(z):
+            calls.append(None)
+            out = mse_phi_prime(z)
+            return np.full_like(out, np.inf) if len(calls) > 15 else out
+
+        cfg = shift_config(total_generator_iters=10, eval_every=2, critic_iters=5)
+        with np.errstate(all="ignore"):
+            result = train(cfg, loss=_mse_with(phi_prime))
+        assert result.aborted
+        # 15 clean critic steps = 3 iterations; the last eval was at iteration 2
+        assert result.abort_reason == "non-finite discriminator gradient at iteration 4"
+        clean = train(dataclasses.replace(cfg, total_generator_iters=2))
+        assert result.records == clean.records
+        for got, want in (
+            ((result.generator, result.gen_state), (clean.generator, clean.gen_state)),
+            ((result.discriminator, result.disc_state), (clean.discriminator, clean.disc_state)),
+        ):
+            np.testing.assert_array_equal(got[0].params, want[0].params)
+            np.testing.assert_array_equal(got[1].m, want[1].m)
+            np.testing.assert_array_equal(got[1].v, want[1].v)
+            assert got[1].step_count == want[1].step_count
 
 
 class TestMetricsIO:
