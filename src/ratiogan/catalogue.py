@@ -1,10 +1,15 @@
 """The audited catalogue of named loss pairs.
 
-Thirteen rows, each reconstructed from its generating (omega, rho) pair
-and checked against the derivative rule phi' = -omega_inverse * psi'.
-Three widely circulated rows fail that rule as printed; the corrected,
-self-consistent forms are shipped and the applied correction is recorded
-in the entry's derivation note.
+Thirteen rows.  Each of the eleven invertible rows gives its generating
+(omega, rho) pair, the closed forms phi and psi, and phi' by hand;
+``LossPair`` derives psi' = rho (on the clamped interior) and the range
+from omega.  phi' is written out as the numerically stable closed form of
+-omega_inverse * rho: the product itself loses last bits on most rows and
+fails for large |z| (for B2, -e^z * sigmoid(-z) is -0 from z = 38 and NaN
+from z = 710, where phi' is -1).  The two sign-limit rows have no rho and
+give both derivatives.  Three widely circulated rows fail the derivative
+rule as printed; the corrected, self-consistent forms are shipped and the
+applied correction is recorded in the entry's derivation note.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from .losses import (
     UNIT,
     LossPair,
     OmegaTransform,
-    RangeInterval,
+    _sigmoid,
 )
 
 __all__ = ["CatalogueEntry", "catalogue_lookup", "catalogue_names", "iter_catalogue"]
@@ -33,16 +38,8 @@ class CatalogueEntry:
     derivation_note: str
 
 
-def _interior(rng: RangeInterval):
-    return rng.clamp_interior
-
-
-_in_pos = _interior(NONNEGATIVE)
-_in_unit = _interior(UNIT)
-
-
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=float)))
+_in_pos = NONNEGATIVE.clamp_interior
+_in_unit = UNIT.clamp_interior
 
 
 def _omega_identity():
@@ -116,11 +113,8 @@ def _build_catalogue() -> dict:
             phi=lambda z: -np.asarray(z, dtype=float),
             phi_prime=lambda z: -np.ones_like(np.asarray(z, dtype=float)),
             psi=lambda z: np.log(_in_pos(z)),
-            psi_prime=lambda z: 1.0 / _in_pos(z),
             rho=lambda z: 1.0 / _in_pos(z),
             omega=_omega_identity(),
-            range=NONNEGATIVE,
-            ratio_invertible=True,
         ),
         "phi = -z, psi = log z, J = [0,inf)",
         "omega(r) = r, rho(z) = 1/z (power-weight exponent -1).",
@@ -133,11 +127,8 @@ def _build_catalogue() -> dict:
             phi=lambda z: -np.log(_in_pos(z)),
             phi_prime=lambda z: -1.0 / _in_pos(z),
             psi=lambda z: -1.0 / _in_pos(z),
-            psi_prime=lambda z: _in_pos(z) ** -2,
             rho=lambda z: _in_pos(z) ** -2,
             omega=_omega_identity(),
-            range=NONNEGATIVE,
-            ratio_invertible=True,
         ),
         "phi = -log z, psi = -1/z, J = [0,inf)",
         "omega(r) = r, rho(z) = z^-2 (power-weight exponent -2).",
@@ -150,11 +141,8 @@ def _build_catalogue() -> dict:
             phi=lambda z: -(1.0 + np.asarray(z, dtype=float)),
             phi_prime=lambda z: -np.ones_like(np.asarray(z, dtype=float)),
             psi=lambda z: -(1.0 + 1.0 / _in_pos(z)),
-            psi_prime=lambda z: _in_pos(z) ** -2,
             rho=lambda z: _in_pos(z) ** -2,
             omega=_omega_sqrt(),
-            range=NONNEGATIVE,
-            ratio_invertible=True,
         ),
         "phi = -(1+z), psi = -(1+1/z), J = [0,inf)",
         "omega(r) = sqrt(r), rho(z) = z^-2; these forms satisfy the "
@@ -170,11 +158,8 @@ def _build_catalogue() -> dict:
             phi=lambda z: -np.log1p(np.asarray(z, dtype=float)),
             phi_prime=lambda z: -1.0 / (1.0 + np.asarray(z, dtype=float)),
             psi=lambda z: np.log(_in_pos(z)) - np.log1p(_in_pos(z)),
-            psi_prime=lambda z: 1.0 / (_in_pos(z) * (1.0 + _in_pos(z))),
             rho=lambda z: 1.0 / (_in_pos(z) * (1.0 + _in_pos(z))),
             omega=_omega_identity(),
-            range=NONNEGATIVE,
-            ratio_invertible=True,
         ),
         "phi = -log(1+z), psi = -log(1+1/z), J = [0,inf)",
         "omega(r) = r, rho(z) = 1/(z(1+z)).",
@@ -187,11 +172,8 @@ def _build_catalogue() -> dict:
             phi=lambda z: -0.5 * np.asarray(z, dtype=float) ** 2,
             phi_prime=lambda z: -np.asarray(z, dtype=float),
             psi=lambda z: np.asarray(z, dtype=float),
-            psi_prime=lambda z: np.ones_like(np.asarray(z, dtype=float)),
             rho=lambda z: np.ones_like(np.asarray(z, dtype=float)),
             omega=_omega_identity(),
-            range=NONNEGATIVE,
-            ratio_invertible=True,
         ),
         "phi = -z^2/2, psi = z, J = [0,inf)",
         "omega(r) = r, rho(z) = 1; the discriminator estimates the ratio itself.",
@@ -206,11 +188,8 @@ def _build_catalogue() -> dict:
             phi=lambda z: -np.exp(np.asarray(z, dtype=float)),
             phi_prime=lambda z: -np.exp(np.asarray(z, dtype=float)),
             psi=lambda z: np.asarray(z, dtype=float),
-            psi_prime=lambda z: np.ones_like(np.asarray(z, dtype=float)),
             rho=lambda z: np.ones_like(np.asarray(z, dtype=float)),
             omega=_omega_log(),
-            range=REALS,
-            ratio_invertible=True,
         ),
         "phi = -e^z, psi = z, J = R",
         "omega(r) = log r, rho(z) = 1 (exponential weight at decay 0). "
@@ -225,11 +204,8 @@ def _build_catalogue() -> dict:
             phi=lambda z: -np.asarray(z, dtype=float),
             phi_prime=lambda z: -np.ones_like(np.asarray(z, dtype=float)),
             psi=lambda z: -np.exp(-np.asarray(z, dtype=float)),
-            psi_prime=lambda z: np.exp(-np.asarray(z, dtype=float)),
             rho=lambda z: np.exp(-np.asarray(z, dtype=float)),
             omega=_omega_log(),
-            range=REALS,
-            ratio_invertible=True,
         ),
         "phi = -z, psi = -e^-z, J = R",
         "omega(r) = log r, rho(z) = e^-z (exponential weight at decay 1).",
@@ -242,11 +218,8 @@ def _build_catalogue() -> dict:
             phi=lambda z: -np.exp(0.5 * np.asarray(z, dtype=float)),
             phi_prime=lambda z: -0.5 * np.exp(0.5 * np.asarray(z, dtype=float)),
             psi=lambda z: -np.exp(-0.5 * np.asarray(z, dtype=float)),
-            psi_prime=lambda z: 0.5 * np.exp(-0.5 * np.asarray(z, dtype=float)),
             rho=lambda z: 0.5 * np.exp(-0.5 * np.asarray(z, dtype=float)),
             omega=_omega_log(),
-            range=REALS,
-            ratio_invertible=True,
         ),
         "phi = -e^(z/2), psi = -e^(-z/2), J = R",
         "omega(r) = log r, rho(z) = e^(-z/2)/2: the decay-1/2 exponential "
@@ -261,11 +234,8 @@ def _build_catalogue() -> dict:
             phi=lambda z: -np.logaddexp(0.0, np.asarray(z, dtype=float)),
             phi_prime=lambda z: -_sigmoid(z),
             psi=lambda z: -np.logaddexp(0.0, -np.asarray(z, dtype=float)),
-            psi_prime=lambda z: _sigmoid(-np.asarray(z, dtype=float)),
             rho=lambda z: _sigmoid(-np.asarray(z, dtype=float)),
             omega=_omega_log(),
-            range=REALS,
-            ratio_invertible=True,
         ),
         "phi = -log(1+e^z), psi = -log(1+e^-z), J = R",
         "omega(r) = log r, rho(z) = 1/(1+e^z).",
@@ -280,11 +250,8 @@ def _build_catalogue() -> dict:
             phi=lambda z: np.log1p(-_in_unit(z)),
             phi_prime=lambda z: -1.0 / (1.0 - _in_unit(z)),
             psi=lambda z: np.log(_in_unit(z)),
-            psi_prime=lambda z: 1.0 / _in_unit(z),
             rho=lambda z: 1.0 / _in_unit(z),
             omega=_omega_posterior(),
-            range=UNIT,
-            ratio_invertible=True,
         ),
         "phi = log(1-z), psi = log z, J = [0,1]",
         "omega(r) = r/(1+r), rho(z) = 1/z; the discriminator estimates the "
@@ -298,11 +265,8 @@ def _build_catalogue() -> dict:
             phi=lambda z: _in_unit(z) + np.log1p(-_in_unit(z)),
             phi_prime=lambda z: -_in_unit(z) / (1.0 - _in_unit(z)),
             psi=lambda z: np.asarray(z, dtype=float),
-            psi_prime=lambda z: np.ones_like(np.asarray(z, dtype=float)),
             rho=lambda z: np.ones_like(np.asarray(z, dtype=float)),
             omega=_omega_posterior(),
-            range=UNIT,
-            ratio_invertible=True,
         ),
         "phi = z + log(1-z), psi = z, J = [0,1]",
         "omega(r) = r/(1+r), rho(z) = 1 (the exponent-0 member of the "
@@ -321,9 +285,6 @@ def _build_catalogue() -> dict:
             psi=lambda z: -np.maximum(1.0 - np.asarray(z, dtype=float), 0.0),
             psi_prime=lambda z: np.where(np.asarray(z, dtype=float) <= 1.0, 1.0, 0.0),
             omega=_omega_sign_limit(),
-            range=REALS,
-            ratio_invertible=False,
-            is_limit=True,
         ),
         "phi = -max(1+z, 0), psi = -max(1-z, 0), J = R",
         "limit of omega(r) = sign(log r)|log r|^(1/c) as c grows; the "
@@ -340,9 +301,6 @@ def _build_catalogue() -> dict:
             psi=lambda z: -np.asarray(z, dtype=float),
             psi_prime=lambda z: -np.ones_like(np.asarray(z, dtype=float)),
             omega=_omega_sign_limit(),
-            range=REALS,
-            ratio_invertible=False,
-            is_limit=True,
         ),
         "phi = z, psi = -z, J = R",
         "limit of the smooth sign approximation (r^c-1)/(r^c+1); shipped in "

@@ -5,11 +5,12 @@ sweep), ``solve-grid`` (ideal min-max on a discrete support), ``train``
 (adversarial run with metrics, checkpoints, samples, and SVG plots),
 ``report`` (re-render plots from an existing metrics file).
 
-Exit codes: 0 success, 1 check or run failure, 2 usage error.  Output
-files are staged with an ``.incomplete`` suffix and renamed only when
-the command finishes, so a failed run never leaves files that look
-complete.  The output root comes from ``--out`` or the RATIOGAN_OUT
-environment variable (default ``./out``).
+Exit codes: 0 success, 1 check or run failure (including a solve that
+stops short of its tolerance), 2 usage error.  Output files are staged
+with an ``.incomplete`` suffix and renamed only when the command
+finishes, so a failed run never leaves files that look complete.  The
+output root comes from ``--out`` or the RATIOGAN_OUT environment
+variable (default ``./out``).
 """
 
 from __future__ import annotations
@@ -30,8 +31,16 @@ from .config import (
     train_config_from_text,
     train_config_to_text,
 )
-from .densities import gaussian, sample
-from .grid_solver import discretize, feasible_from, minmax_value, solve_minmax_grid, trace_to_text, field_to_text
+from .densities import gaussian, load_samples, sample
+from .grid_solver import (
+    SolverDiverged,
+    discretize,
+    feasible_from,
+    field_to_text,
+    minmax_value,
+    solve_minmax_grid,
+    trace_to_text,
+)
 from .nets import forward, net_to_json
 from .svgplot import emit_svg_lineplot
 from .training import TrainConfig, metrics_from_text, metrics_to_text, train
@@ -207,9 +216,13 @@ def cmd_solve_grid(args) -> int:
     else:
         r0 = feasible_from(np.abs(rng.standard_normal(len(f))), f)
 
-    r_star, trace = solve_minmax_grid(
-        loss, f, r0, max_iters=args.max_iters, tol=args.tol, log_every=args.log_every
-    )
+    try:
+        r_star, trace = solve_minmax_grid(
+            loss, f, r0, max_iters=args.max_iters, tol=args.tol, log_every=args.log_every
+        )
+    except SolverDiverged as exc:
+        print(f"solve-grid: {exc}", file=sys.stderr)
+        return 1
     linf = float(np.abs(r_star.values - 1.0).max())
     objective = minmax_value(loss, r_star, f)
 
@@ -220,7 +233,8 @@ def cmd_solve_grid(args) -> int:
     print(f"loss={loss.name} n={len(f)} iterations={trace.iterations[-1]}")
     print(f"linf(r - 1) = {linf:.3e}")
     print(f"objective   = {objective!r}")
-    return 0
+    print(f"converged   = {'yes' if trace.converged else f'no (tol {args.tol:g} not met)'}")
+    return 0 if trace.converged else 1
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +351,9 @@ def _run_one_training(run_name: str, text: str, root: Path) -> int:
     try:
         config = train_config_from_text(text)
         config.validate()
-    except (ValueError, KeyError) as exc:
+        if isinstance(config.f_spec, str):
+            load_samples(config.f_spec)  # a bad sample file fails before staging
+    except (ValueError, KeyError, OSError) as exc:
         print(f"{run_name}: {exc}", file=sys.stderr)
         return 2
 

@@ -9,6 +9,7 @@ the constant field r = 1 for every invertible pair.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
@@ -16,7 +17,6 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .losses import LossPair, normalize_psi
-from .verify import _phi_values, _psi_values
 
 __all__ = [
     "DiscreteDensity",
@@ -71,12 +71,18 @@ class RatioField:
 
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=float))
+        self._check_values()
+
+    def _check_values(self):
+        if not np.all(np.isfinite(self.values)):
+            raise ValueError("ratio values must be finite")
         if np.any(self.values < 0):
             raise ValueError("ratio values must be nonnegative")
 
     def validate_against(self, density: DiscreteDensity) -> None:
         if len(self.values) != len(density):
             raise ValueError("ratio field and density lengths differ")
+        self._check_values()
         resid = abs(float(self.values @ density.mass) - 1.0)
         if resid > CONSTRAINT_TOL:
             raise ValueError(f"mean-one constraint residual {resid:.3e} > {CONSTRAINT_TOL}")
@@ -87,12 +93,14 @@ class RatioField:
 
 @dataclass
 class SolveTrace:
-    """Per-logged-step solver history."""
+    """Per-logged-step solver history; ``converged`` is set when the solve
+    stopped because an accepted step moved r by less than the tolerance."""
 
     iterations: list = field(default_factory=list)
     objectives: list = field(default_factory=list)
     linf_to_one: list = field(default_factory=list)
     constraint_residuals: list = field(default_factory=list)
+    converged: bool = False
 
     def log(self, iteration, objective, linf, residual):
         self.iterations.append(int(iteration))
@@ -215,7 +223,8 @@ def solve_minmax_grid(
     Alternates the exact inner maximizer D = omega(r) with a projected
     step along the per-point gradient f_i * psi_tilde(omega(r_i)),
     backtracking on objective increase (factor 0.5, at most 30 halvings
-    per iteration).  Fifty consecutive non-improving iterations raise
+    per iteration).  A candidate whose objective is still non-finite is
+    not taken.  Fifty consecutive non-improving iterations raise
     ``SolverDiverged`` with the trace attached.
     """
     if not loss.ratio_invertible:
@@ -223,8 +232,7 @@ def solve_minmax_grid(
     r_init.validate_against(f)
 
     normalized = normalize_psi(loss)
-    phi_v = _phi_values(normalized)
-    psi_tilde = normalized.psi
+    phi_v, psi_tilde = normalized.values()
     omega_fwd = normalized.omega.forward
     clamp = normalized.range.clamp_interior
     mass = f.mass
@@ -251,13 +259,14 @@ def solve_minmax_grid(
         candidate = project_feasible(r - s * grad, mass)
         cand_obj, cand_grad = objective_and_grad(candidate)
         halvings = 0
-        while cand_obj > obj and halvings < 30:
+        # a non-finite objective counts as an increase
+        while not (cand_obj <= obj and math.isfinite(cand_obj)) and halvings < 30:
             s *= 0.5
             halvings += 1
             candidate = project_feasible(r - s * grad, mass)
             cand_obj, cand_grad = objective_and_grad(candidate)
 
-        if cand_obj > obj:
+        if not (cand_obj <= obj and math.isfinite(cand_obj)):
             consecutive_increases += 1
             if consecutive_increases >= 50:
                 raise SolverDiverged(
@@ -268,12 +277,16 @@ def solve_minmax_grid(
         else:
             consecutive_increases = 0
 
-        delta = np.abs(candidate - r).max()
-        r, obj, grad = candidate, cand_obj, cand_grad
+        if math.isfinite(cand_obj):
+            delta = np.abs(candidate - r).max()
+            r, obj, grad = candidate, cand_obj, cand_grad
+        else:
+            delta = math.inf  # a non-finite candidate is never taken: keep r
         if it % log_every == 0 or delta < tol or it == max_iters:
             residual = abs(float(mass @ r) - 1.0)
             trace.log(it, obj, np.abs(r - 1.0).max(), residual)
         if delta < tol:
+            trace.converged = True
             break
 
     result = RatioField(r)
@@ -286,8 +299,7 @@ def minmax_value(loss: LossPair, r: Union[RatioField, np.ndarray], f: DiscreteDe
     values = r.values if isinstance(r, RatioField) else np.asarray(r, dtype=float)
     if len(values) != len(f):
         raise ValueError("ratio field and density lengths differ")
-    phi_v = _phi_values(loss)
-    psi_v = _psi_values(loss)
+    phi_v, psi_v = loss.values()
     z = loss.range.clamp_interior(loss.omega.forward(values))
     return float(
         f.mass @ (np.asarray(phi_v(z), dtype=float) + values * np.asarray(psi_v(z), dtype=float))

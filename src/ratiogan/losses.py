@@ -6,6 +6,7 @@ omega's range J:
 
     phi'(z) = -omega_inverse(z) * rho(z),      psi'(z) = rho(z)
 
+``LossPair`` derives both from (omega, rho) unless they are given.
 Gradient-based training only ever needs these derivatives; closed forms
 for phi and psi are optional and carried when known.  The discriminator
 that maximizes phi(D) + r*psi(D) pointwise is D = omega(r), so an
@@ -210,28 +211,60 @@ class RatioNotRecoverableError(ValueError):
 class LossPair:
     """A (phi, psi) pair, represented primarily by its derivatives.
 
-    ``phi``/``psi``/``rho`` are optional: constructed pairs are
-    derivative-only, catalogue entries carry the known closed forms.
-    ``is_limit`` marks the sign-limit losses (Hinge, Wasserstein) whose
-    psi' is allowed to vanish or, for the shipped Wasserstein
-    orientation, flip sign.
+    The range and the ratio readback follow omega.  Given rho, a missing
+    psi' is rho on the clamped interior of the range and a missing phi'
+    is -omega_inverse * rho there; the sign-limit losses (Hinge,
+    Wasserstein) have no rho and pass both derivatives, and their psi'
+    may vanish or, for the shipped Wasserstein orientation, flip sign.
+    ``phi``/``psi`` are optional: constructed pairs are derivative-only,
+    catalogue entries carry the known closed forms.
     """
 
     name: str
-    phi_prime: Callable
-    psi_prime: Callable
     omega: OmegaTransform
-    range: RangeInterval
-    ratio_invertible: bool
+    phi_prime: Optional[Callable] = None
+    psi_prime: Optional[Callable] = None
     phi: Optional[Callable] = None
     psi: Optional[Callable] = None
     rho: Optional[Callable] = None
-    is_limit: bool = False
+
+    def __post_init__(self):
+        rho, clamp = self.rho, self.omega.range.clamp_interior
+        if self.psi_prime is None:
+            if rho is None:
+                raise ValueError(f"{self.name}: psi' needs rho")
+            object.__setattr__(self, "psi_prime", lambda z: rho(clamp(z)))
+        if self.phi_prime is None:
+            if rho is None or self.omega.inverse is None:
+                raise ValueError(f"{self.name}: phi' needs rho and an inverse omega")
+            inverse = self.omega.inverse
+
+            def phi_prime(z):
+                zc = clamp(z)
+                return -inverse(zc) * rho(zc)
+
+            object.__setattr__(self, "phi_prime", phi_prime)
+
+    @property
+    def range(self) -> RangeInterval:
+        return self.omega.range
+
+    @property
+    def ratio_invertible(self) -> bool:
+        return self.omega.invertible
 
     @property
     def omega_at_one(self) -> float:
         """Discriminator value at the matched-density solution r = 1."""
         return float(self.omega.forward(1.0))
+
+    def values(self) -> tuple:
+        """(phi, psi) as callables: the closed forms, or for a missing one
+        the quadrature surrogate of its derivative anchored at omega(1)."""
+        z1 = self.omega_at_one
+        phi = self.phi if self.phi is not None else antiderivative_from(self.phi_prime, z1)
+        psi = self.psi if self.psi is not None else antiderivative_from(self.psi_prime, z1)
+        return phi, psi
 
     def squashing(self) -> SquashDescriptor:
         return output_squashing_for(self.range)
@@ -313,8 +346,7 @@ def make_loss_pair(omega: OmegaTransform, rho: Callable, name: str = "custom") -
             "limit losses are constructed separately"
         )
 
-    rng = omega.range
-    z_probe = rng.clamp_interior(
+    z_probe = omega.range.clamp_interior(
         np.asarray([float(omega.forward(r)) for r in OMEGA_PROBE])
     )
     rho_vals = np.asarray([float(rho(z)) for z in z_probe])
@@ -322,24 +354,7 @@ def make_loss_pair(omega: OmegaTransform, rho: Callable, name: str = "custom") -
         bad = z_probe[~(np.isfinite(rho_vals) & (rho_vals > 0.0))][0]
         raise ValueError(f"rho must be strictly positive on the range; rho({bad}) <= 0")
 
-    inverse = omega.inverse
-
-    def psi_prime(z):
-        return rho(rng.clamp_interior(z))
-
-    def phi_prime(z):
-        zc = rng.clamp_interior(z)
-        return -inverse(zc) * rho(zc)
-
-    return LossPair(
-        name=name,
-        phi_prime=phi_prime,
-        psi_prime=psi_prime,
-        omega=omega,
-        range=rng,
-        ratio_invertible=True,
-        rho=rho,
-    )
+    return LossPair(name=name, omega=omega, rho=rho)
 
 
 def make_monotone_loss(c: float, rho: Callable, name: Optional[str] = None) -> LossPair:
@@ -370,23 +385,19 @@ def make_monotone_loss(c: float, rho: Callable, name: Optional[str] = None) -> L
     return make_loss_pair(omega, rho, name=name or f"monotone(c={c:g})")
 
 
-def normalize_psi(loss: LossPair, tol: float = 1e-8) -> LossPair:
+def normalize_psi(loss: LossPair) -> LossPair:
     """Shift psi so the normalized copy vanishes at omega(1).
 
-    Derivatives are untouched.  Pairs without a closed-form psi get a
-    quadrature surrogate anchored at omega(1), which is the normalized
-    psi directly.
+    Derivatives are untouched.  Pairs without a closed-form psi get the
+    quadrature surrogate of ``LossPair.values``, which is anchored at
+    omega(1) and so is the normalized psi directly.
     """
-    z1 = loss.omega_at_one
-    if loss.psi is not None:
-        base = loss.psi
-        shift = float(base(z1))
-        if shift == 0.0:
-            return loss
-        psi_tilde = lambda z, _b=base, _s=shift: _b(z) - _s
-    else:
-        psi_tilde = antiderivative_from(loss.psi_prime, z1, tol=tol)
-    return replace(loss, psi=psi_tilde)
+    if loss.psi is None:
+        return replace(loss, psi=loss.values()[1])
+    shift = float(loss.psi(loss.omega_at_one))
+    if shift == 0.0:
+        return loss
+    return replace(loss, psi=lambda z, _b=loss.psi, _s=shift: _b(z) - _s)
 
 
 def ratio_from_discriminator(loss: LossPair, d):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .catalogue import catalogue_lookup
 from .densities import DensitySpec, load_samples, sample
-from .losses import LossPair, antiderivative_from, ratio_from_discriminator
+from .losses import LossPair, ratio_from_discriminator
 from .metrics import mmd_rbf, sliced_wasserstein
 from .nets import (
     AdamState,
@@ -255,10 +255,7 @@ def train(config: TrainConfig, loss: Optional[LossPair] = None) -> TrainResult:
     config.validate()
     if loss is None:
         loss = catalogue_lookup(config.loss_name).loss
-    # objective records need phi/psi values; derivative-only pairs get the
-    # quadrature surrogate (gradients never need it)
-    phi_v = loss.phi if loss.phi is not None else antiderivative_from(loss.phi_prime, loss.omega_at_one)
-    psi_v = loss.psi if loss.psi is not None else antiderivative_from(loss.psi_prime, loss.omega_at_one)
+    phi_v, psi_v = loss.values()
 
     d_x, data = _dims(config)
     generator, discriminator, train_seed, eval_seed = build_networks(config, loss)

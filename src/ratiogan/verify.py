@@ -15,11 +15,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .losses import LossPair, RangeInterval, antiderivative_from, normalize_psi, probe_points
+from .losses import LossPair, normalize_psi, probe_points
 
 __all__ = [
     "CheckRow",
@@ -81,25 +81,6 @@ class InnerMax:
     direction: int = 0
 
 
-def _phi_values(loss: LossPair) -> Callable:
-    """Closed-form phi, or a quadrature surrogate anchored at omega(1)."""
-    if loss.phi is not None:
-        return loss.phi
-    return antiderivative_from(loss.phi_prime, loss.omega_at_one)
-
-
-def _psi_values(loss: LossPair) -> Callable:
-    if loss.psi is not None:
-        return loss.psi
-    return antiderivative_from(loss.psi_prime, loss.omega_at_one)
-
-
-def _search_window(rng: RangeInterval, eps: float = 1e-6):
-    lo = rng.lower + eps if math.isfinite(rng.lower) else -UNBOUNDED_PROBE
-    hi = rng.upper - eps if math.isfinite(rng.upper) else UNBOUNDED_PROBE
-    return lo, hi
-
-
 def _golden_max(f, a: float, b: float, width: float = 1e-8) -> float:
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
@@ -126,9 +107,8 @@ def inner_argmax(loss: LossPair, r: float, n_grid: int = 1024, width: float = 1e
     """
     if r < 0:
         raise ValueError(f"ratio value must be nonnegative, got {r}")
-    phi_v = _phi_values(loss)
-    psi_v = _psi_values(loss)
-    lo, hi = _search_window(loss.range)
+    phi_v, psi_v = loss.values()
+    lo, hi = loss.range.clamp_interior(np.array([-UNBOUNDED_PROBE, UNBOUNDED_PROBE]))
     grid = np.linspace(lo, hi, n_grid)
     vals = np.asarray(phi_v(grid), dtype=float) + r * np.asarray(psi_v(grid), dtype=float)
     k = int(np.argmax(vals))
@@ -159,9 +139,9 @@ def concentrated_objective(loss: LossPair, r) -> float:
     if np.any(r_arr < 0):
         raise ValueError("ratio values must be nonnegative")
     normalized = normalize_psi(loss)
-    phi_v = _phi_values(normalized)
+    phi_v, psi_tilde = normalized.values()
     z = normalized.range.clamp_interior(normalized.omega.forward(r_arr))
-    out = np.asarray(phi_v(z), dtype=float) + r_arr * np.asarray(normalized.psi(z), dtype=float)
+    out = np.asarray(phi_v(z), dtype=float) + r_arr * np.asarray(psi_tilde(z), dtype=float)
     return float(out) if np.ndim(r) == 0 else out
 
 
@@ -213,7 +193,7 @@ def check_theorem1(
     r_star = 10.0 ** _quadratic_vertex(u, c, j)
     report.add("outer_minimizer", 1.0, 1.0, r_star, minimizer_tol)
 
-    value_ref = float(_phi_values(loss)(loss.omega_at_one))
+    value_ref = float(loss.values()[0](loss.omega_at_one))
     min_observed = min(float(c[j]), concentrated_objective(loss, r_star))
     report.add("min_value", 1.0, value_ref, min_observed, value_tol)
 
@@ -239,8 +219,7 @@ def check_corollary_value(loss: LossPair, tol: float = 1e-6) -> VerificationRepo
     problem at unit ratio, raw psi), so the check is not circular.
     """
     report = VerificationReport(loss_name=loss.name)
-    phi_v = _phi_values(loss)
-    psi_v = _psi_values(loss)
+    phi_v, psi_v = loss.values()
     z1 = loss.omega_at_one
     expected = float(phi_v(z1) + psi_v(z1))
     result = inner_argmax(loss, 1.0)
@@ -254,10 +233,9 @@ def check_derivatives(
 ) -> VerificationReport:
     """Central finite differences of phi and psi against the recipe derivatives."""
     report = VerificationReport(loss_name=loss.name)
-    phi_v = _phi_values(loss)
-    psi_v = _psi_values(loss)
+    phi_v, psi_v = loss.values()
     z_pts = probe_points(loss, n_points)
-    if loss.is_limit:
+    if not loss.ratio_invertible:
         # Piecewise-linear losses: skip the kink neighbourhoods.
         z_pts = z_pts[np.minimum(np.abs(z_pts - 1.0), np.abs(z_pts + 1.0)) > 1e-3]
 

@@ -1,12 +1,13 @@
 """The audited thirteen-entry catalogue."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from ratiogan.catalogue import catalogue_lookup, catalogue_names, iter_catalogue
-from ratiogan.losses import probe_points
+from ratiogan.losses import SYMMETRIC_UNIT, probe_points
 
 ALL_NAMES = [
     "A1a", "A1b", "A2", "A3", "MSE",
@@ -122,10 +123,30 @@ class TestRecipeConsistency:
             assert np.max(np.abs(lhs - rhs) / scale) < 1e-9, name
 
     def test_rho_equals_psi_prime(self):
+        """psi' is rho, bit for bit, at interior points, the range endpoints,
+        beyond them, at the float extremes and at NaN."""
         for name in INVERTIBLE:
             loss = catalogue_lookup(name).loss
-            z = probe_points(loss, 50)
-            np.testing.assert_allclose(loss.rho(z), loss.psi_prime(z), rtol=1e-12, err_msg=name)
+            rng = loss.range
+            edges = [rng.lower, rng.upper, rng.lower - 1.0, rng.upper + 1.0]
+            extremes = [0.0, -0.0, 1e-300, -1e300, 1e300, -np.inf, np.inf, np.nan]
+            z = np.concatenate([probe_points(loss, 50), edges, extremes])
+            with np.errstate(all="ignore"):
+                assert np.array_equal(loss.rho(z), loss.psi_prime(z), equal_nan=True), name
+
+    def test_range_and_invertibility_follow_omega(self):
+        for entry in iter_catalogue():
+            loss = entry.loss
+            assert loss.range is loss.omega.range, loss.name
+            assert loss.ratio_invertible is loss.omega.invertible, loss.name
+        wass = catalogue_lookup("Wasserstein").loss
+        tanh_wass = dataclasses.replace(wass, omega=dataclasses.replace(wass.omega, range=SYMMETRIC_UNIT))
+        assert tanh_wass.range is SYMMETRIC_UNIT and tanh_wass.squashing().name == "tanh"
+
+    def test_values_are_the_closed_forms(self):
+        for entry in iter_catalogue():
+            phi, psi = entry.loss.values()
+            assert phi is entry.loss.phi and psi is entry.loss.psi, entry.loss.name
 
     def test_psi_prime_positive_inside_range(self):
         """Strict positivity for the regular entries; the sign-limit pair is exempt."""
@@ -142,7 +163,7 @@ class TestRecipeConsistency:
         for entry in iter_catalogue():
             loss = entry.loss
             z = probe_points(loss, 100)
-            if loss.is_limit:
+            if not loss.ratio_invertible:
                 z = z[np.minimum(np.abs(z - 1.0), np.abs(z + 1.0)) > 1e-3]
             for fn, deriv in ((loss.phi, loss.phi_prime), (loss.psi, loss.psi_prime)):
                 h = 1e-6 * np.maximum(1.0, np.abs(z))

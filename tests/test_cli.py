@@ -86,6 +86,28 @@ class TestSolveGridCommand:
         trace = (tmp_path / "out" / "solve_trace.tsv").read_text()
         assert trace.splitlines()[0].startswith("iteration\t")
 
+    def test_unconverged_solve_exits_one_with_files(self, tmp_path, capsys):
+        rc = run_cli(tmp_path, "solve-grid", "--loss", "MSE", "--uniform", "--max-iters", "5")
+        assert rc == 1
+        assert "converged   = no" in capsys.readouterr().out
+        trace = (tmp_path / "out" / "solve_trace.tsv").read_text().splitlines()
+        assert trace[-1].split("\t")[0] == "5"
+        assert (tmp_path / "out" / "solve_field.tsv").exists()
+        assert not list((tmp_path / "out").glob("*.incomplete"))
+
+    def test_diverged_solve_is_one_line(self, tmp_path, capsys, monkeypatch):
+        import ratiogan.cli as cli
+        from ratiogan.grid_solver import SolverDiverged, SolveTrace
+
+        def diverge(*args, **kwargs):
+            raise SolverDiverged("objective increased for 50 consecutive iterations", SolveTrace())
+
+        monkeypatch.setattr(cli, "solve_minmax_grid", diverge)
+        assert run_cli(tmp_path, "solve-grid", "--loss", "MSE", "--uniform") == 1
+        err = capsys.readouterr().err
+        assert err == "solve-grid: objective increased for 50 consecutive iterations\n"
+        assert not (tmp_path / "out").exists()
+
     def test_limit_loss_rejected(self, tmp_path, capsys):
         assert run_cli(tmp_path, "solve-grid", "--loss", "Wasserstein", "--uniform") == 2
         assert "invertible" in capsys.readouterr().err
@@ -148,6 +170,21 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "gradient penalty" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "relu").exists()
+
+    @pytest.mark.parametrize("content", ["x\n1.0\n2.0\n", None])
+    def test_bad_sample_file_refused_before_staging(self, tmp_path, capsys, content):
+        """A header line or a missing path fails with exit 2 and stages nothing."""
+        data = tmp_path / "target.csv"
+        if content is not None:
+            data.write_text(content)
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(TINY_TRAIN.format(loss="MSE"))
+        overrides = ["--set", "density.target.kind=file", "--set", f"density.target.path={data}"]
+        assert run_cli(tmp_path, "train", "--config", str(cfg), *overrides) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("non-numeric field at line 1" if content else "No such file") in err
+        assert not (tmp_path / "out" / "csv").exists()
 
     def test_rectifier_without_penalty_runs(self, tmp_path):
         cfg = tmp_path / "relu.cfg"

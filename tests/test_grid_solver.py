@@ -47,6 +47,16 @@ class TestRatioField:
         with pytest.raises(ValueError):
             RatioField(np.array([1.0, -0.1]))
 
+    def test_non_finite_values_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                RatioField(np.array([1.0, bad]))
+        # an array changed in place is caught on validation
+        field = RatioField(np.ones(4))
+        field.values[:] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            field.validate_against(uniform_density(4))
+
     def test_constraint_validation(self):
         f = uniform_density(4)
         RatioField(np.array([1.0, 1.0, 1.0, 1.0])).validate_against(f)
@@ -220,14 +230,33 @@ class TestSolver:
             psi=lambda z: 1.0 - np.asarray(z, dtype=float),
             psi_prime=lambda z: -np.ones_like(np.asarray(z, dtype=float)),
             omega=omega,
-            range=NONNEGATIVE,
-            ratio_invertible=True,
         )
         f = uniform_density(16)
         r0 = feasible_from(1.0 + np.abs(np.random.default_rng(1).standard_normal(16)), f)
         with pytest.raises(SolverDiverged) as exc_info:
             solve_minmax_grid(broken, f, r0, max_iters=200, tol=0.0)
         assert len(exc_info.value.trace.objectives) >= 1
+
+    def test_non_finite_candidate_never_taken(self):
+        """B1b on the CLI default problem at init seed 4 proposes a step to
+        r = 0, where the objective is NaN; the solve backtracks and stays finite."""
+        loss = catalogue_lookup("B1b").loss
+        f = discretize(gaussian([0.0], [[1.0]]), 64, (-4.0, 4.0))
+        r0 = feasible_from(np.abs(np.random.default_rng(4).standard_normal(64)), f)
+        with np.errstate(all="ignore"):
+            r, trace = solve_minmax_grid(loss, f, r0, max_iters=60)
+        assert np.all(np.isfinite(trace.objectives))
+        assert np.all(np.isfinite(r.values))
+        assert np.all(np.diff(trace.objectives) <= 0.0)
+
+    def test_converged_flag(self):
+        loss = catalogue_lookup("MSE").loss
+        f = uniform_density()
+        r0 = feasible_from(np.abs(np.random.default_rng(3).standard_normal(64)), f)
+        _, trace = solve_minmax_grid(loss, f, r0, max_iters=5)
+        assert not trace.converged and trace.iterations[-1] == 5
+        _, trace = solve_minmax_grid(loss, f, r0, max_iters=50000, tol=1e-10)
+        assert trace.converged and trace.iterations[-1] < 50000
 
     def test_limit_loss_rejected(self):
         f = uniform_density(8)

@@ -11,6 +11,7 @@ from ratiogan.losses import (
     REALS,
     SYMMETRIC_UNIT,
     UNIT,
+    LossPair,
     OmegaTransform,
     RangeInterval,
     RatioNotRecoverableError,
@@ -163,6 +164,36 @@ class TestMakeLossPair:
             resid = pair.phi_prime(z) + pair.omega.inverse(z) * pair.psi_prime(z)
             scale = np.maximum(np.abs(pair.phi_prime(z)), 1e-12)
             assert np.max(np.abs(resid) / scale) < 1e-9
+
+    def test_constructor_derives_the_derivatives_from_rho(self):
+        """Given rho, psi' = rho and phi' = -omega_inverse * rho on the clamped interior."""
+        omega = identity_omega()
+        rho = lambda z: 1.0 / (1.0 + np.asarray(z, dtype=float))
+        pair = LossPair(name="derived", omega=omega, rho=rho)
+        z = np.array([-1.0, 0.0, 1e-9, 0.5, 3.0, 1e6])
+        zc = NONNEGATIVE.clamp_interior(z)
+        assert np.array_equal(pair.psi_prime(z), rho(zc))
+        assert np.array_equal(pair.phi_prime(z), -zc * rho(zc))
+        assert pair.range is NONNEGATIVE and pair.ratio_invertible
+
+    def test_constructor_needs_rho_or_derivatives(self):
+        with pytest.raises(ValueError, match="rho"):
+            LossPair(name="bare", omega=identity_omega())
+        with pytest.raises(ValueError, match="inverse"):
+            LossPair(
+                name="no-inverse",
+                omega=OmegaTransform(np.tanh, None, SYMMETRIC_UNIT, False),
+                rho=lambda z: np.ones_like(np.asarray(z, dtype=float)),
+            )
+
+    def test_values_fall_back_to_quadrature(self):
+        """A derivative-only pair's (phi, psi) are antiderivatives anchored at omega(1)."""
+        pair = make_loss_pair(log_omega(), lambda z: np.exp(-np.asarray(z, dtype=float)))
+        phi, psi = pair.values()
+        assert float(phi(0.0)) == 0.0 and float(psi(0.0)) == 0.0
+        z = np.array([-2.0, -0.5, 1.0, 3.0])
+        np.testing.assert_allclose(phi(z), -z, rtol=1e-8)  # phi' = -e^z * e^-z = -1
+        np.testing.assert_allclose(psi(z), 1.0 - np.exp(-z), rtol=1e-8)
 
 
 class TestMonotoneLoss:

@@ -148,7 +148,10 @@ class TestFusedMatchesUnfused:
         "softplus": catalogue_lookup("MSE").loss,
         "logistic": catalogue_lookup("C2").loss,
         "identity": catalogue_lookup("B2").loss,
-        "tanh": dataclasses.replace(catalogue_lookup("Wasserstein").loss, range=SYMMETRIC_UNIT),
+        "tanh": dataclasses.replace(
+            catalogue_lookup("Wasserstein").loss,
+            omega=dataclasses.replace(catalogue_lookup("Wasserstein").loss.omega, range=SYMMETRIC_UNIT),
+        ),
     }
 
     def assert_matches(self, cfg, loss, monkeypatch):
@@ -287,8 +290,6 @@ class TestAbort:
             psi=lambda z: np.asarray(z, dtype=float),
             psi_prime=lambda z: np.ones_like(np.asarray(z, dtype=float)),
             omega=omega,
-            range=NONNEGATIVE,
-            ratio_invertible=True,
         )
         cfg = shift_config(total_generator_iters=5, eval_every=2)
         result = train(cfg, loss=poisoned)
