@@ -1,5 +1,12 @@
 """Likelihood-ratio GAN toolkit: loss construction, certification, solving, training."""
 
+import os
+
+# Before numpy loads: one BLAS thread unless the caller chose a count.  Small
+# network products gain nothing from a second one; the eval thread uses that core.
+if not (os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
 from .losses import (
     LossPair,
     OmegaTransform,

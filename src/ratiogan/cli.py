@@ -11,6 +11,10 @@ with an ``.incomplete`` suffix and renamed only when the command
 finishes, so a failed run never leaves files that look complete.  The
 output root comes from ``--out`` or the RATIOGAN_OUT environment
 variable (default ``./out``).
+
+A training run uses up to two Python threads (trainer and eval) and one
+BLAS thread: ``import ratiogan`` sets OPENBLAS_NUM_THREADS=1 unless it or
+OMP_NUM_THREADS is set already; set either to choose another count.
 """
 
 from __future__ import annotations
@@ -185,8 +189,7 @@ def cmd_solve_grid(args) -> int:
         return 2
 
     if args.config:
-        parser = parse_config_text(Path(args.config).read_text())
-        density = density_from_section(parser["density.target"])
+        density = density_from_section(parse_config_text(args.config_text)["density.target"])
     else:
         density = gaussian([0.0], [[1.0]])
     if isinstance(density, str):
@@ -402,7 +405,7 @@ def cmd_train(args) -> int:
             print(exc.args[0], file=sys.stderr)
             return 2
     elif args.config:
-        runs = [(Path(args.config).stem, Path(args.config).read_text())]
+        runs = [(Path(args.config).stem, args.config_text)]
     else:
         print("train needs --config or --preset", file=sys.stderr)
         return 2
@@ -488,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--preset", help="shift1d-<loss>, ring2d-<loss>, lambda-sweep")
     p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE", help="override a config value")
     p.add_argument("--echo-config", metavar="PATH", help="write the effective config and exit")
-    p.add_argument("--jobs", type=int, default=1, help="concurrent runs for sweeps")
+    p.add_argument("--jobs", type=int, default=1, help="concurrent runs for sweeps, one process each; a run "
+                   "uses up to two Python threads and one BLAS thread (set OPENBLAS_NUM_THREADS to change)")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("report", help="re-render plots from a metrics file")
@@ -500,6 +504,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if getattr(args, "config", None):
+        try:
+            args.config_text = Path(args.config).read_text()
+        except OSError as exc:
+            print(f"{args.command}: {exc}", file=sys.stderr)
+            return 2
     try:
         return args.fn(args)
     except BrokenPipeError:

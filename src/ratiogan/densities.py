@@ -191,7 +191,8 @@ def _gaussian_logpdf(spec: DensitySpec, x: np.ndarray) -> np.ndarray:
     diff = x - mean
     inv = np.linalg.inv(cov)
     det = np.linalg.det(cov)
-    quad = np.einsum("...i,ij,...j->...", diff, inv, diff)
+    # summed over j, then i, per row: a batch gives each point its one-point value
+    quad = ((diff[:, :, None] * inv) * diff[:, None, :]).sum(axis=2).sum(axis=1)
     return -0.5 * (quad + spec.dim * math.log(2.0 * math.pi) + math.log(det))
 
 

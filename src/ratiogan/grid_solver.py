@@ -122,10 +122,10 @@ def discretize(
 ) -> DiscreteDensity:
     """Evaluate a density on a regular grid and renormalize to unit mass.
 
-    ``density`` is either a pdf callable or anything with a matching
-    ``pdf(x)`` evaluation through ``ratiogan.densities.pdf``.  ``window``
-    is (lo, hi) in 1D or ((xlo, xhi), (ylo, yhi)) in 2D; ``n_points``
-    counts grid nodes per axis.
+    ``density`` is a pdf callable or a spec for ``ratiogan.densities.pdf``,
+    called once on the whole grid: (n,) points in 1D, (n*n, 2) in 2D.
+    ``window`` is (lo, hi) in 1D or ((xlo, xhi), (ylo, yhi)) in 2D;
+    ``n_points`` counts grid nodes per axis.
     """
     if n_points < 2:
         raise ValueError("need at least 2 grid points")
@@ -143,7 +143,6 @@ def discretize(
             raise ValueError("window must have positive length")
         support = np.linspace(lo, hi, n_points)
         cell = (hi - lo) / (n_points - 1)
-        raw = np.asarray([float(pdf_fn(x)) for x in support])
     elif window.shape == (2, 2):
         (xlo, xhi), (ylo, yhi) = window
         if not (xhi > xlo and yhi > ylo):
@@ -153,11 +152,10 @@ def discretize(
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         support = np.column_stack([gx.ravel(), gy.ravel()])
         cell = (xhi - xlo) / (n_points - 1) * (yhi - ylo) / (n_points - 1)
-        raw = np.asarray([float(pdf_fn(p)) for p in support])
     else:
         raise ValueError("window must be (lo, hi) or ((xlo, xhi), (ylo, yhi))")
 
-    masses = raw * cell
+    masses = np.asarray(pdf_fn(support), dtype=float) * cell
     coverage = float(masses.sum())
     if coverage < 0.5:
         raise ValueError(f"window captures only {coverage:.3f} of the density mass")
@@ -238,10 +236,11 @@ def solve_minmax_grid(
     mass = f.mass
 
     def objective_and_grad(r):
-        z = clamp(omega_fwd(r))
-        psi_t = np.asarray(psi_tilde(z), dtype=float)
-        obj = float(mass @ (np.asarray(phi_v(z), dtype=float) + r * psi_t))
-        return obj, mass * psi_t
+        with np.errstate(all="ignore"):  # r may hold zeros: an inf or NaN candidate is rejected
+            z = clamp(omega_fwd(r))
+            psi_t = np.asarray(psi_tilde(z), dtype=float)
+            obj = float(mass @ (np.asarray(phi_v(z), dtype=float) + r * psi_t))
+            return obj, mass * psi_t
 
     base_step = step if step is not None else 0.1 / float(mass.max())
     if base_step <= 0:

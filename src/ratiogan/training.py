@@ -8,11 +8,18 @@ a snapshot is taken on fresh evaluation batches: objectives, the
 discriminator-implied likelihood-ratio statistics (for invertible
 losses; both fresh-batch and training-batch variants are recorded), and
 two-sample distances between generated and target samples.
+
+Each snapshot runs on one eval thread while training goes on, on copies
+of the nets and with its own random generator, so records are as if run
+inline.  At most one is in flight: the next eval, an abort and the return
+wait for it and append its record; an exception in it is raised from train.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import List, Optional, Union
 
@@ -252,6 +259,11 @@ def build_networks(config: TrainConfig, loss: LossPair):
 
 def train(config: TrainConfig, loss: Optional[LossPair] = None) -> TrainResult:
     """Run the adversarial loop; deterministic given the config seed."""
+    with ThreadPoolExecutor(max_workers=1) as evaluator:
+        return _train(config, loss, evaluator)
+
+
+def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolExecutor) -> TrainResult:
     config.validate()
     if loss is None:
         loss = catalogue_lookup(config.loss_name).loss
@@ -277,9 +289,10 @@ def train(config: TrainConfig, loss: Optional[LossPair] = None) -> TrainResult:
     last_good = (_snapshot(generator, gen_state), _snapshot(discriminator, disc_state))
     last_penalty = 0.0
     last_train_lr = (None, None)
+    pending = None  # the eval in flight: at most one
     b = config.batch_size
 
-    def evaluate(iteration: int) -> MetricRecord:
+    def evaluate(iteration: int, generator, discriminator, penalty, train_lr) -> MetricRecord:
         x_eval = _draw_real(config, data, config.eval_batch, eval_rng)
         z_eval = sample(config.h_spec, config.eval_batch, eval_rng)
         y_eval, _ = forward(generator, z_eval)
@@ -292,20 +305,28 @@ def train(config: TrainConfig, loss: Optional[LossPair] = None) -> TrainResult:
             generator_iteration=iteration,
             disc_objective=disc_obj,
             gen_objective=gen_obj,
-            penalty=last_penalty,
+            penalty=penalty,
             lr_real_mean=lr_fields[0],
             lr_real_std=lr_fields[1],
             lr_gen_mean=lr_fields[2],
             lr_gen_std=lr_fields[3],
-            lr_real_mean_train=last_train_lr[0],
-            lr_gen_mean_train=last_train_lr[1],
+            lr_real_mean_train=train_lr[0],
+            lr_gen_mean_train=train_lr[1],
             mmd=mmd_rbf(y_eval, x_eval, "median"),
             swd=sliced_wasserstein(y_eval, x_eval, 64, seed=swd_seed),
         )
 
+    def collect():
+        """Wait for the eval in flight, if any, and append its record."""
+        nonlocal pending
+        if pending is not None:
+            future, pending = pending, None
+            records.append(future.result())
+
     def aborted(quantity: str, iteration: int) -> TrainResult:
         """Stop on a non-finite objective or gradient and hand back the nets
         and optimizer states of the last eval, snapshotted together."""
+        collect()
         (gen_ckpt, gen_ckpt_state), (disc_ckpt, disc_ckpt_state) = last_good
         return TrainResult(
             generator=gen_ckpt,
@@ -362,12 +383,16 @@ def train(config: TrainConfig, loss: Optional[LossPair] = None) -> TrainResult:
         adam_step(gen_state, generator, gen_grads)
 
         if will_evaluate:
-            records.append(evaluate(iteration))
+            collect()
             last_good = (_snapshot(generator, gen_state), _snapshot(discriminator, disc_state))
+            # copy_context: the eval runs under the caller's numpy error state
+            pending = evaluator.submit(contextvars.copy_context().run, evaluate, iteration,
+                                       last_good[0][0], last_good[1][0], last_penalty, last_train_lr)
         if config.checkpoint_every > 0 and iteration % config.checkpoint_every == 0:
             checkpoints.append(
                 (iteration, net_to_json(generator, gen_state), net_to_json(discriminator, disc_state))
             )
+    collect()
 
     return TrainResult(
         generator=generator,

@@ -1,5 +1,6 @@
 """Shared test helpers and oracles."""
 
+import concurrent.futures
 import math
 
 import numpy as np
@@ -260,3 +261,36 @@ def unfused_train(config, loss):
         (flatten_layers(layers), flatten_layers(adam.m), flatten_layers(adam.v), adam.step_count)
         for layers, adam in ((gen, gen_adam), (disc, disc_adam))
     )
+
+
+class _InlineExecutor:
+    """Stands in for training's eval executor: each submitted eval runs at
+    once on the calling thread and its future is already done."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def serial_train(config, loss=None):
+    """training.train with every eval run inline, where the loop stops for
+    it: the serial loop the eval thread must reproduce."""
+    threaded = training.ThreadPoolExecutor
+    training.ThreadPoolExecutor = _InlineExecutor
+    try:
+        return training.train(config, loss)
+    finally:
+        training.ThreadPoolExecutor = threaded

@@ -1,10 +1,14 @@
 """CLI behaviors: subcommands, exit codes, file outputs, SVG plots."""
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ratiogan
 from ratiogan.cli import main
 from ratiogan.svgplot import emit_svg_lineplot
 
@@ -33,6 +37,29 @@ cov = 1.0
 
 def run_cli(tmp_path, *args):
     return main(["--out", str(tmp_path / "out"), *args])
+
+
+def blas_threads_after_import(**env):
+    """OPENBLAS_NUM_THREADS in a fresh interpreter after ``import ratiogan``,
+    started with the BLAS thread variables given and no others."""
+    clean = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    clean["PYTHONPATH"] = str(Path(ratiogan.__file__).parents[1])
+    code = "import os, ratiogan; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**clean, **env}, capture_output=True, text=True, check=True, timeout=60
+    )
+    return done.stdout.strip()
+
+
+class TestBlasThreadDefault:
+    def test_one_thread_when_unset(self):
+        assert blas_threads_after_import() == "1"
+
+    def test_caller_count_kept(self):
+        assert blas_threads_after_import(OPENBLAS_NUM_THREADS="2") == "2"
+
+    def test_openmp_count_respected(self):
+        assert blas_threads_after_import(OMP_NUM_THREADS="2") == "None"
 
 
 class TestLossesCommand:
@@ -112,6 +139,12 @@ class TestSolveGridCommand:
         assert run_cli(tmp_path, "solve-grid", "--loss", "Wasserstein", "--uniform") == 2
         assert "invertible" in capsys.readouterr().err
 
+    def test_missing_config_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.cfg"
+        assert run_cli(tmp_path, "solve-grid", "--loss", "MSE", "--config", str(missing)) == 2
+        assert capsys.readouterr().err == f"solve-grid: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not (tmp_path / "out").exists()
+
     def test_narrow_density_is_usage_error(self, tmp_path, capsys):
         """A ring too thin for the 64-point grid is reported, not raised."""
         cfg = tmp_path / "ring.cfg"
@@ -185,6 +218,12 @@ class TestTrainCommand:
         assert "Traceback" not in err
         assert ("non-numeric field at line 1" if content else "No such file") in err
         assert not (tmp_path / "out" / "csv").exists()
+
+    def test_missing_config_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "nope.cfg"
+        assert run_cli(tmp_path, "train", "--config", str(missing)) == 2
+        assert capsys.readouterr().err == f"train: [Errno 2] No such file or directory: '{missing}'\n"
+        assert not (tmp_path / "out").exists()
 
     def test_rectifier_without_penalty_runs(self, tmp_path):
         cfg = tmp_path / "relu.cfg"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ratiogan.catalogue import catalogue_lookup, iter_catalogue
-from ratiogan.densities import gaussian, mixture, pdf
+from ratiogan.densities import gaussian, mixture, pdf, ring
 from ratiogan.grid_solver import (
     DiscreteDensity,
     RatioField,
@@ -89,6 +89,23 @@ class TestDiscretize:
     def test_very_low_coverage_errors(self):
         with pytest.raises(ValueError, match="captures"):
             discretize(gaussian([0.0], [[1.0]]), 64, (4.0, 5.0))
+
+    @pytest.mark.parametrize(
+        "spec,window",
+        [
+            (gaussian([0.5], [[2.0]]), (-6.0, 7.0)),
+            (gaussian([0.0, 1.0], [[1.0, 0.3], [0.3, 2.0]]), ((-6.0, 6.0), (-5.0, 7.0))),
+            (ring(8, 2.0, 0.2), ((-4.0, 4.0), (-4.0, 4.0))),
+            (mixture([(0.3, gaussian([-1.0], [[0.5]])), (0.7, gaussian([2.0], [[1.5]]))]), (-6.0, 8.0)),
+        ],
+        ids=["gaussian", "gaussian2d", "ring", "mixture"],
+    )
+    def test_batched_masses_equal_per_point_loop(self, spec, window):
+        """One pdf call on the grid gives the masses of one call per point."""
+        batched = discretize(spec, 64, window)
+        looped = discretize(lambda pts: np.asarray([float(pdf(spec, p)) for p in pts]), 64, window)
+        assert np.array_equal(batched.mass, looped.mass)
+        assert batched.coverage == looped.coverage
 
     def test_2d_grid(self):
         with warnings.catch_warnings():
@@ -248,6 +265,18 @@ class TestSolver:
         assert np.all(np.isfinite(trace.objectives))
         assert np.all(np.isfinite(r.values))
         assert np.all(np.diff(trace.objectives) <= 0.0)
+
+    def test_rejected_candidates_raise_no_warnings(self):
+        """The same solve under warnings-as-errors: the NaN and inf objectives
+        of the candidates it rejects are not reported as numpy warnings."""
+        loss = catalogue_lookup("B1b").loss
+        f = discretize(gaussian([0.0], [[1.0]]), 64, (-4.0, 4.0))
+        r0 = feasible_from(np.abs(np.random.default_rng(4).standard_normal(64)), f)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r, trace = solve_minmax_grid(loss, f, r0, max_iters=60)
+        assert np.all(np.isfinite(trace.objectives))
+        assert np.all(np.isfinite(r.values))
 
     def test_converged_flag(self):
         loss = catalogue_lookup("MSE").loss

@@ -1,6 +1,7 @@
 """The adversarial loop: accounting, penalty, metrics, determinism, aborts."""
 
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from ratiogan.training import (
     metrics_to_text,
     train,
 )
-from helpers import quasi_linear_net, unfused_train
+from helpers import quasi_linear_net, serial_train, unfused_train
 
 
 def shift_config(**overrides):
@@ -344,6 +345,85 @@ class TestAbort:
             np.testing.assert_array_equal(got[1].m, want[1].m)
             np.testing.assert_array_equal(got[1].v, want[1].v)
             assert got[1].step_count == want[1].step_count
+
+
+def assert_same_run(got, want):
+    assert got.records == want.records
+    assert (got.aborted, got.abort_reason) == (want.aborted, want.abort_reason)
+    assert got.checkpoints == want.checkpoints
+    for net, state, want_net, want_state in (
+        (got.generator, got.gen_state, want.generator, want.gen_state),
+        (got.discriminator, got.disc_state, want.discriminator, want.disc_state),
+    ):
+        np.testing.assert_array_equal(net.params, want_net.params)
+        np.testing.assert_array_equal(state.m, want_state.m)
+        np.testing.assert_array_equal(state.v, want_state.v)
+        assert state.step_count == want_state.step_count
+
+
+class TestEvalThread:
+    """Evals run on one worker thread, at most one at a time, and the run
+    equals the serial loop (tests/helpers.serial_train) bit for bit."""
+
+    def test_matches_serial_loop(self):
+        cfg = shift_config(total_generator_iters=12, eval_every=1, eval_batch=256, checkpoint_every=5)
+        assert_same_run(train(cfg), serial_train(cfg))
+
+    def test_ring_with_penalty_matches_serial_loop(self):
+        cfg = shift_config(
+            loss_name="C2", f_spec=ring(8, 2.0, 0.02), h_spec=gaussian([0.0, 0.0], np.eye(2)),
+            total_generator_iters=6, eval_every=2, eval_batch=512, critic_iters=3,
+        )
+        assert_same_run(train(cfg), serial_train(cfg))
+
+    def test_aborting_run_matches_serial_loop(self):
+        cfg = shift_config(loss_name="B1a", learning_rate=10.0, eval_every=1)
+        with np.errstate(all="ignore"):
+            got, want = train(cfg), serial_train(cfg)
+        assert got.aborted
+        assert_same_run(got, want)
+
+    def test_abort_waits_for_the_eval_in_flight(self):
+        """An abort right after an eval returns that eval's record."""
+        calls = []
+        mse_phi_prime = catalogue_lookup("MSE").loss.phi_prime
+
+        def phi_prime(z):
+            calls.append(None)
+            out = mse_phi_prime(z)
+            return np.full_like(out, np.inf) if len(calls) > 15 else out
+
+        cfg = shift_config(total_generator_iters=10, eval_every=3, critic_iters=5, eval_batch=1024)
+        with np.errstate(all="ignore"):
+            got = train(cfg, loss=_mse_with(phi_prime))
+            calls.clear()
+            want = serial_train(cfg, loss=_mse_with(phi_prime))
+        assert got.abort_reason == "non-finite discriminator gradient at iteration 4"
+        assert [r.generator_iteration for r in got.records] == [3]
+        assert_same_run(got, want)
+
+    def test_evals_run_off_the_training_thread_under_its_error_state(self, monkeypatch):
+        seen = []
+        mmd = training.mmd_rbf
+
+        def spy(*args, **kwargs):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["divide"]))
+            return mmd(*args, **kwargs)
+
+        monkeypatch.setattr(training, "mmd_rbf", spy)
+        with np.errstate(divide="ignore"):
+            train(shift_config())
+        assert seen == [(False, "ignore")] * 2
+
+    def test_eval_exception_propagates_and_leaves_no_thread(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RuntimeError("mmd failed")
+
+        monkeypatch.setattr(training, "mmd_rbf", broken)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="mmd failed"):
+            train(shift_config())
+        assert threading.active_count() == before
 
 
 class TestMetricsIO:
