@@ -12,11 +12,9 @@ from .losses import (
     OmegaTransform,
     RangeInterval,
     RatioNotRecoverableError,
-    SquashDescriptor,
     make_loss_pair,
     make_monotone_loss,
     normalize_psi,
-    output_squashing_for,
     ratio_from_discriminator,
 )
 from .catalogue import CatalogueEntry, catalogue_lookup, catalogue_names, iter_catalogue
@@ -28,11 +26,9 @@ __all__ = [
     "OmegaTransform",
     "RangeInterval",
     "RatioNotRecoverableError",
-    "SquashDescriptor",
     "make_loss_pair",
     "make_monotone_loss",
     "normalize_psi",
-    "output_squashing_for",
     "ratio_from_discriminator",
     "CatalogueEntry",
     "catalogue_lookup",

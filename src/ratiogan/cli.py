@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import configparser
 import os
 import sys
 from pathlib import Path
@@ -57,6 +58,15 @@ from .verify import (
 )
 
 ENV_OUT = "RATIOGAN_OUT"
+
+# What a bad config file, override, sample file or loss name raises.
+CONFIG_ERRORS = (ValueError, KeyError, OSError, configparser.Error)
+
+
+def _usage_error(prefix: str, exc: Exception) -> int:
+    """Print a rejected input as one line on stderr; the usage-error exit code."""
+    print(f"{prefix}: {' '.join(str(exc).split())}", file=sys.stderr)
+    return 2
 
 
 class OutputStager:
@@ -99,7 +109,6 @@ def cmd_losses(args) -> int:
             {
                 "name": loss.name,
                 "subclass": entry.subclass,
-                "phi": entry.table_row.split(",")[0].replace("phi = ", ""),
                 "row": entry.table_row,
                 "range": loss.range.label,
                 "omega": loss.omega.description,
@@ -189,7 +198,13 @@ def cmd_solve_grid(args) -> int:
         return 2
 
     if args.config:
-        density = density_from_section(parse_config_text(args.config_text)["density.target"])
+        try:
+            parser = parse_config_text(args.config_text)
+            if not parser.has_section("density.target"):
+                raise ValueError("missing [density.target] section")
+            density = density_from_section(parser["density.target"])
+        except CONFIG_ERRORS as exc:
+            return _usage_error("solve-grid", exc)
     else:
         density = gaussian([0.0], [[1.0]])
     if isinstance(density, str):
@@ -350,16 +365,21 @@ def _plot_metrics(records, outdir_stager, prefix="plots/"):
     )
 
 
-def _run_one_training(run_name: str, text: str, root: Path) -> int:
+def _checked_config(text: str, overrides) -> TrainConfig:
+    """One run's config with the overrides applied, checked as far as
+    possible without training: raises CONFIG_ERRORS."""
+    config = train_config_from_text(apply_overrides(text, overrides))
+    config.validate()
     try:
-        config = train_config_from_text(text)
-        config.validate()
-        if isinstance(config.f_spec, str):
-            load_samples(config.f_spec)  # a bad sample file fails before staging
-    except (ValueError, KeyError, OSError) as exc:
-        print(f"{run_name}: {exc}", file=sys.stderr)
-        return 2
+        catalogue_lookup(config.loss_name)
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from None
+    if isinstance(config.f_spec, str):
+        load_samples(config.f_spec)
+    return config
 
+
+def _run_one_training(run_name: str, config: TrainConfig, root: Path) -> int:
     stager = OutputStager(root / run_name)
     stager.stage("config.cfg").write_text(train_config_to_text(config))
     result = train(config)
@@ -410,26 +430,28 @@ def cmd_train(args) -> int:
         print("train needs --config or --preset", file=sys.stderr)
         return 2
 
-    runs = [(name, apply_overrides(text, args.set or [])) for name, text in runs]
+    if args.echo_config and len(runs) > 1:
+        print(f"--echo-config takes one run; {args.preset} has {len(runs)}", file=sys.stderr)
+        return 2
+
+    # every run is checked before anything is echoed, staged or trained
+    names, configs = [name for name, _ in runs], []
+    for name, text in runs:
+        try:
+            configs.append(_checked_config(text, args.set or []))
+        except CONFIG_ERRORS as exc:
+            return _usage_error(name, exc)
 
     if args.echo_config:
-        for name, text in runs:
-            config = train_config_from_text(text)
-            Path(args.echo_config).write_text(train_config_to_text(config))
-            print(f"effective config for {name} written to {args.echo_config}")
+        Path(args.echo_config).write_text(train_config_to_text(configs[0]))
+        print(f"effective config for {names[0]} written to {args.echo_config}")
         return 0
 
-    root = _output_root(args)
-    if args.jobs > 1 and len(runs) > 1:
+    roots = [_output_root(args)] * len(configs)
+    if args.jobs > 1 and len(configs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            codes = list(pool.map(_run_one_training_star, [(n, t, root) for n, t in runs]))
-    else:
-        codes = [_run_one_training(name, text, root) for name, text in runs]
-    return max(codes) if codes else 0
-
-
-def _run_one_training_star(item):
-    return _run_one_training(*item)
+            return max(pool.map(_run_one_training, names, configs, roots))
+    return max(map(_run_one_training, names, configs, roots))
 
 
 # ---------------------------------------------------------------------------

@@ -190,7 +190,7 @@ def train_config_from_text(text: str) -> TrainConfig:
             problems.append("[density.origin] must be an analytic density, not a sample file")
 
     if problems:
-        raise ValueError("invalid configuration:\n  " + "\n  ".join(problems))
+        raise ValueError("invalid configuration: " + "; ".join(problems))
 
     return TrainConfig(
         loss_name=parser.get("loss", "name").strip(),
@@ -204,20 +204,7 @@ def train_config_to_text(config: TrainConfig) -> str:
     """Echo mode: canonical text that re-parses to an equal configuration."""
     parser = configparser.ConfigParser()
     parser["loss"] = {"name": config.loss_name}
-    parser["train"] = {
-        "lambda": repr(config.lam),
-        "penalty_variant": config.penalty_variant,
-        "critic_iters": str(config.critic_iters),
-        "batch_size": str(config.batch_size),
-        "learning_rate": repr(config.learning_rate),
-        "beta1": repr(config.beta1),
-        "beta2": repr(config.beta2),
-        "total_generator_iters": str(config.total_generator_iters),
-        "eval_every": str(config.eval_every),
-        "eval_batch": str(config.eval_batch),
-        "seed": str(config.seed),
-        "checkpoint_every": str(config.checkpoint_every),
-    }
+    parser["train"] = {key: str(getattr(config, attr)) for key, (attr, _) in _TRAIN_FIELDS.items()}
     parser["generator"] = {
         "hidden_widths": " ".join(str(w) for w in config.gen_hidden_widths),
         "hidden": config.gen_hidden,

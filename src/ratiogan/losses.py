@@ -29,8 +29,6 @@ __all__ = [
     "REALS",
     "SYMMETRIC_UNIT",
     "CANONICAL_RANGES",
-    "SquashDescriptor",
-    "output_squashing_for",
     "OmegaTransform",
     "LossPair",
     "RatioNotRecoverableError",
@@ -87,72 +85,8 @@ SYMMETRIC_UNIT = RangeInterval(-1.0, 1.0, False, False, "[-1,1]")
 CANONICAL_RANGES = (NONNEGATIVE, UNIT, REALS, SYMMETRIC_UNIT)
 
 
-@dataclass(frozen=True)
-class SquashDescriptor:
-    """Final-layer nonlinearity keeping discriminator outputs inside a range.
-
-    ``second_deriv`` is needed by the exact gradient-penalty pass, which
-    differentiates through the input-gradient computation.
-    """
-
-    name: str
-    range: RangeInterval
-    fn: Callable
-    deriv: Callable
-    second_deriv: Callable
-
-
 def _sigmoid(u):
     return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(u, dtype=float)))
-
-
-def _softplus(u):
-    return np.logaddexp(0.0, np.asarray(u, dtype=float))
-
-
-_SQUASHES = {
-    NONNEGATIVE.label: SquashDescriptor(
-        name="softplus",
-        range=NONNEGATIVE,
-        fn=_softplus,
-        deriv=_sigmoid,
-        second_deriv=lambda u: _sigmoid(u) * (1.0 - _sigmoid(u)),
-    ),
-    UNIT.label: SquashDescriptor(
-        name="logistic",
-        range=UNIT,
-        fn=_sigmoid,
-        deriv=lambda u: _sigmoid(u) * (1.0 - _sigmoid(u)),
-        second_deriv=lambda u: _sigmoid(u)
-        * (1.0 - _sigmoid(u))
-        * (1.0 - 2.0 * _sigmoid(u)),
-    ),
-    REALS.label: SquashDescriptor(
-        name="identity",
-        range=REALS,
-        fn=lambda u: np.asarray(u, dtype=float),
-        deriv=lambda u: np.ones_like(np.asarray(u, dtype=float)),
-        second_deriv=lambda u: np.zeros_like(np.asarray(u, dtype=float)),
-    ),
-    SYMMETRIC_UNIT.label: SquashDescriptor(
-        name="tanh",
-        range=SYMMETRIC_UNIT,
-        fn=lambda u: np.tanh(np.asarray(u, dtype=float)),
-        deriv=lambda u: 1.0 - np.tanh(u) ** 2,
-        second_deriv=lambda u: -2.0 * np.tanh(u) * (1.0 - np.tanh(u) ** 2),
-    ),
-}
-
-
-def output_squashing_for(rng: RangeInterval) -> SquashDescriptor:
-    """Return the discriminator output nonlinearity for a canonical range."""
-    try:
-        return _SQUASHES[rng.label]
-    except KeyError:
-        raise ValueError(
-            f"no output squashing for non-canonical range {rng.label!r}; "
-            f"canonical ranges are {[r.label for r in CANONICAL_RANGES]}"
-        ) from None
 
 
 @dataclass(frozen=True)
@@ -265,9 +199,6 @@ class LossPair:
         phi = self.phi if self.phi is not None else antiderivative_from(self.phi_prime, z1)
         psi = self.psi if self.psi is not None else antiderivative_from(self.psi_prime, z1)
         return phi, psi
-
-    def squashing(self) -> SquashDescriptor:
-        return output_squashing_for(self.range)
 
 
 def probe_points(loss: LossPair, n: int = 200) -> np.ndarray:

@@ -3,10 +3,13 @@
 Covers exactly what adversarial training here needs: affine-activation
 chains, gradients with respect to parameters and inputs, bias-corrected
 Adam, and an exact second-order pass (forward-over-reverse) for the
-parameter gradient of input-gradient-norm penalties.  A net's weights
-and biases are views into one flat vector; gradients and Adam moments
-are flat vectors in the same layout.  Summation order is fixed
-(layer-major, then sample-major) so runs are reproducible.
+parameter gradient of input-gradient-norm penalties.  This module owns
+every elementwise unit: the hidden activations, and the output unit
+that keeps a discriminator inside its loss's range J, chosen by J's
+label.  A net's weights and biases are views into one flat vector;
+gradients and Adam moments are flat vectors in the same layout.
+Summation order is fixed (layer-major, then sample-major) so runs are
+reproducible.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .losses import CANONICAL_RANGES, SquashDescriptor, output_squashing_for
+from .losses import CANONICAL_RANGES, NONNEGATIVE, REALS, SYMMETRIC_UNIT, UNIT
 
 __all__ = [
     "NetSpec",
@@ -40,9 +43,18 @@ SMOOTH_LEAKY_SLOPE = 0.2
 
 ACTIVATION_NAMES = ("smooth_leaky", "tanh", "relu")
 
+# Output unit per discriminator range label; a generator (label None) is linear.
+OUTPUT_UNITS = {
+    None: "identity",
+    NONNEGATIVE.label: "softplus",
+    UNIT.label: "logistic",
+    REALS.label: "identity",
+    SYMMETRIC_UNIT.label: "tanh",
+}
+
 
 def _act_eval(name: str, z: np.ndarray, second_from: Optional[int] = None):
-    """Activation value, slope, and (``second_from`` given) the second
+    """Unit value, slope, and (``second_from`` given) the second
     derivative of the rows from ``second_from`` on, in one pass.
 
     The smooth-leaky unit is slope*z + (1-slope)*softplus(z); softplus,
@@ -80,6 +92,20 @@ def _act_eval(name: str, z: np.ndarray, second_from: Optional[int] = None):
         a = np.maximum(z, 0.0)
         d1 = (z > 0.0).astype(float)
         return a, d1, None  # second derivative vanishes a.e.
+    if name in ("softplus", "logistic"):
+        # the sigmoid in tanh form, once; not the copysign form above,
+        # which can differ from it in the last bit
+        sig = 0.5 * (1.0 + np.tanh(0.5 * z))
+        if name == "softplus":
+            a, d1 = np.logaddexp(0.0, z), sig
+            d2 = None if second_from is None else d1[second_from:] * (1.0 - d1[second_from:])
+        else:
+            a, d1 = sig, sig * (1.0 - sig)
+            d2 = None if second_from is None else d1[second_from:] * (1.0 - 2.0 * sig[second_from:])
+        return a, d1, d2
+    if name == "identity":
+        d2 = None if second_from is None else np.zeros_like(z[second_from:])
+        return z, np.ones_like(z), d2
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -87,7 +113,7 @@ def _act_eval(name: str, z: np.ndarray, second_from: Optional[int] = None):
 class NetSpec:
     widths: tuple
     hidden: str = "smooth_leaky"
-    squash: Optional[SquashDescriptor] = None  # None = identity output
+    squash: Optional[str] = None  # discriminator range label; None = generator
     seed: int = 0
 
     def __post_init__(self):
@@ -97,6 +123,11 @@ class NetSpec:
             raise ValueError("layer widths must be >= 1")
         if self.hidden not in ACTIVATION_NAMES:
             raise ValueError(f"unknown activation {self.hidden!r}")
+        if self.squash not in OUTPUT_UNITS:
+            raise ValueError(
+                f"no output squashing for non-canonical range {self.squash!r}; "
+                f"canonical ranges are {[r.label for r in CANONICAL_RANGES]}"
+            )
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
     @property
@@ -143,21 +174,6 @@ def init_net(spec: NetSpec) -> DenseNet:
     return net
 
 
-def _squash_eval(net: DenseNet, z: np.ndarray, second_from: Optional[int] = None):
-    squash = net.spec.squash
-    if squash is None:
-        d2 = None if second_from is None else np.zeros_like(z[second_from:])
-        return z, np.ones_like(z), d2
-    d2 = None if second_from is None else squash.second_deriv(z[second_from:])
-    return squash.fn(z), squash.deriv(z), d2
-
-
-def _layer_eval(net: DenseNet, layer: int, z: np.ndarray, second_from: Optional[int] = None):
-    if layer < net.n_layers - 1:
-        return _act_eval(net.spec.hidden, z, second_from)
-    return _squash_eval(net, z, second_from)
-
-
 def forward(net: DenseNet, batch: np.ndarray, second_from: Optional[int] = None):
     """Affine-activation chain; the cache holds what backward needs: layer
     inputs and activation slopes.  ``second_from`` also caches the second
@@ -169,12 +185,13 @@ def forward(net: DenseNet, batch: np.ndarray, second_from: Optional[int] = None)
         raise ValueError(
             f"batch shape {a.shape} does not match input width {net.spec.widths[0]}"
         )
+    units = [net.spec.hidden] * (net.n_layers - 1) + [OUTPUT_UNITS[net.spec.squash]]
     inputs, d1s, d2s = [], [], []
-    for layer, (w, b) in enumerate(zip(net.weights, net.biases)):
+    for w, b, unit in zip(net.weights, net.biases, units):
         z = a @ w.T
         z += b
         inputs.append(a)
-        a, d1, d2 = _layer_eval(net, layer, z, second_from)
+        a, d1, d2 = _act_eval(unit, z, second_from)
         d1s.append(d1)
         d2s.append(d2)
     cache = {"inputs": inputs, "d1": d1s}
@@ -335,15 +352,13 @@ def weighted_norm_param_grads(net: DenseNet, cache: dict, input_grads: np.ndarra
 # ---------------------------------------------------------------------------
 # Checkpoints: structured text, byte-stable for identical state.
 
-_RANGE_BY_LABEL = {r.label: r for r in CANONICAL_RANGES}
-
 
 def net_to_json(net: DenseNet, adam: Optional[AdamState] = None) -> str:
     doc = {
         "spec": {
             "widths": list(net.spec.widths),
             "hidden": net.spec.hidden,
-            "squash": None if net.spec.squash is None else net.spec.squash.range.label,
+            "squash": net.spec.squash,
             "seed": net.spec.seed,
         },
         "layers": [{"w": w.ravel().tolist(), "b": b.tolist()} for w, b in net.layers(net.params)],
@@ -364,15 +379,10 @@ def net_to_json(net: DenseNet, adam: Optional[AdamState] = None) -> str:
 def net_from_json(text: str):
     doc = json.loads(text)
     spec_doc = doc["spec"]
-    squash = (
-        None
-        if spec_doc["squash"] is None
-        else output_squashing_for(_RANGE_BY_LABEL[spec_doc["squash"]])
-    )
     spec = NetSpec(
         widths=tuple(spec_doc["widths"]),
         hidden=spec_doc["hidden"],
-        squash=squash,
+        squash=spec_doc["squash"],
         seed=spec_doc["seed"],
     )
     flat = lambda pairs: np.asarray([v for w, b in pairs for v in (*w, *b)], dtype=float)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import List, Optional, Union
 
 import numpy as np
@@ -118,20 +118,7 @@ class MetricRecord:
     swd: float
 
 
-METRIC_COLUMNS = (
-    "generator_iteration",
-    "disc_objective",
-    "gen_objective",
-    "penalty",
-    "lr_real_mean",
-    "lr_real_std",
-    "lr_gen_mean",
-    "lr_gen_std",
-    "lr_real_mean_train",
-    "lr_gen_mean_train",
-    "mmd",
-    "swd",
-)
+METRIC_COLUMNS = tuple(f.name for f in fields(MetricRecord))
 
 
 @dataclass
@@ -251,7 +238,7 @@ def build_networks(config: TrainConfig, loss: LossPair):
     disc_spec = NetSpec(
         widths=(d_x, *config.disc_hidden_widths, 1),
         hidden=config.disc_hidden,
-        squash=loss.squashing(),
+        squash=loss.range.label,
         seed=int(seeds[1]),
     )
     return init_net(gen_spec), init_net(disc_spec), int(seeds[2]), int(seeds[3])

@@ -129,6 +129,25 @@ def old_sigmoid_terms(z):
     return a, slope + (1.0 - slope) * sig, (1.0 - slope) * sig * (1.0 - sig)
 
 
+def _old_tanh_sigmoid(u):
+    return 0.5 * (1.0 + np.tanh(0.5 * u))
+
+
+def old_squash_terms(label, u):
+    """The discriminator output unit for a range label (None: the
+    generator's linear output) as first written: value, slope, curvature."""
+    s = _old_tanh_sigmoid
+    if label in (None, "R"):
+        return u, np.ones_like(u), np.zeros_like(u)
+    if label == "[0,inf)":
+        return np.logaddexp(0.0, u), s(u), s(u) * (1.0 - s(u))
+    if label == "[0,1]":
+        return s(u), s(u) * (1.0 - s(u)), s(u) * (1.0 - s(u)) * (1.0 - 2.0 * s(u))
+    if label == "[-1,1]":
+        return np.tanh(u), 1.0 - np.tanh(u) ** 2, -2.0 * np.tanh(u) * (1.0 - np.tanh(u) ** 2)
+    raise ValueError(f"no output unit for {label!r}")
+
+
 def _old_layer(spec, layer, n_layers, z):
     if layer < n_layers - 1:
         if spec.hidden == "smooth_leaky":
@@ -136,9 +155,7 @@ def _old_layer(spec, layer, n_layers, z):
         a = np.tanh(z)
         d1 = 1.0 - a * a
         return a, d1, -2.0 * a * d1
-    if spec.squash is None:
-        return z, np.ones_like(z), np.zeros_like(z)
-    return spec.squash.fn(z), spec.squash.deriv(z), spec.squash.second_deriv(z)
+    return old_squash_terms(spec.squash, z)
 
 
 def _old_forward(layers, spec, batch):

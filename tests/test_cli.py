@@ -279,6 +279,45 @@ class TestTrainCommand:
         assert train_config_from_text(text).loss_name == "MSE"
 
 
+class TestConfigErrors:
+    NO_TARGET = "[loss]\nname = MSE\n"
+    NEGATIVE_COV = "[density.target]\nkind = gaussian\nmean = 0.0\ncov = -1.0\n"
+    NO_HEADER = "kind = gaussian\n"
+
+    @pytest.mark.parametrize(
+        "config,args",
+        [
+            (NO_TARGET, ["solve-grid", "--loss", "MSE"]),
+            (NEGATIVE_COV, ["solve-grid", "--loss", "MSE"]),
+            (NO_HEADER, ["solve-grid", "--loss", "MSE"]),
+            (NO_HEADER, ["train"]),
+            (TINY_TRAIN.format(loss="Nope"), ["train"]),
+            (None, ["train", "--preset", "shift1d-MSE", "--set", "foo"]),
+            (None, ["train", "--preset", "shift1d-MSE", "--set", "train.foo=1", "--echo-config", "ECHO"]),
+        ],
+        ids=["solve-no-target", "solve-negative-cov", "solve-no-header", "train-no-header",
+             "train-unknown-loss", "train-bad-override", "echo-unknown-key"],
+    )
+    def test_one_line_usage_error_and_nothing_written(self, tmp_path, capsys, config, args):
+        echo = tmp_path / "echo.cfg"
+        args = [str(echo) if a == "ECHO" else a for a in args]
+        if config is not None:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config)
+            args += ["--config", str(cfg)]
+        assert run_cli(tmp_path, *args) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+        assert not echo.exists()
+
+    def test_echo_config_refuses_a_multi_run_preset(self, tmp_path, capsys):
+        echo = tmp_path / "echo.cfg"
+        assert run_cli(tmp_path, "train", "--preset", "lambda-sweep", "--echo-config", str(echo)) == 2
+        assert capsys.readouterr().err == "--echo-config takes one run; lambda-sweep has 4\n"
+        assert not echo.exists()
+
+
 class TestReportCommand:
     def test_rerenders_plots_identically(self, tmp_path):
         cfg = tmp_path / "tiny.cfg"

@@ -1,4 +1,5 @@
-"""Loss-pair construction, ranges, squashing, and ratio readback."""
+"""Loss-pair construction, ranges and the output unit that keeps a
+discriminator in each, and ratio readback."""
 
 import math
 
@@ -19,11 +20,11 @@ from ratiogan.losses import (
     make_loss_pair,
     make_monotone_loss,
     normalize_psi,
-    output_squashing_for,
     probe_points,
     ratio_from_discriminator,
 )
 from ratiogan.catalogue import catalogue_lookup
+from ratiogan.nets import OUTPUT_UNITS, NetSpec, _act_eval
 
 
 def log_omega():
@@ -61,27 +62,30 @@ class TestRangeInterval:
             assert interval.contains(clamped)
 
 
+def output_unit(interval, z):
+    """Value, slope and curvature of the discriminator output unit that
+    nets assigns to a range."""
+    return _act_eval(OUTPUT_UNITS[interval.label], np.atleast_1d(np.asarray(z, dtype=float)), 0)
+
+
 class TestOutputSquashing:
     def test_identity_for_reals(self):
-        sq = output_squashing_for(REALS)
         x = np.linspace(-50, 50, 101)
-        np.testing.assert_array_equal(sq.fn(x), x)
-        np.testing.assert_array_equal(sq.deriv(x), np.ones_like(x))
+        value, slope, _ = output_unit(REALS, x)
+        np.testing.assert_array_equal(value, x)
+        np.testing.assert_array_equal(slope, np.ones_like(x))
 
     def test_logistic_midpoint(self):
-        sq = output_squashing_for(UNIT)
-        assert sq.fn(0.0) == pytest.approx(0.5)
+        assert output_unit(UNIT, 0.0)[0][0] == pytest.approx(0.5)
 
     def test_containment_over_preactivation_window(self):
         """Squashed values stay inside the range for pre-activations in [-50, 50]."""
         x = np.linspace(-50.0, 50.0, 2001)
         for interval in CANONICAL_RANGES:
-            sq = output_squashing_for(interval)
-            assert interval.contains(sq.fn(x)), interval.label
+            assert interval.contains(output_unit(interval, x)[0]), interval.label
 
     def test_softplus_tail_stays_positive(self):
-        sq = output_squashing_for(NONNEGATIVE)
-        low, high = sq.fn(-10.0), sq.fn(10.0)
+        low, high = output_unit(NONNEGATIVE, [-10.0, 10.0])[0]
         assert 0.0 < low < 1e-4
         assert NONNEGATIVE.contains(low) and NONNEGATIVE.contains(high)
 
@@ -89,15 +93,15 @@ class TestOutputSquashing:
         x = np.linspace(-8, 8, 201)
         h = 1e-6
         for interval in CANONICAL_RANGES:
-            sq = output_squashing_for(interval)
-            fd1 = (sq.fn(x + h) - sq.fn(x - h)) / (2 * h)
-            fd2 = (sq.deriv(x + h) - sq.deriv(x - h)) / (2 * h)
-            np.testing.assert_allclose(sq.deriv(x), fd1, atol=1e-8)
-            np.testing.assert_allclose(sq.second_deriv(x), fd2, atol=1e-8)
+            value_hi, slope_hi, _ = output_unit(interval, x + h)
+            value_lo, slope_lo, _ = output_unit(interval, x - h)
+            _, slope, curvature = output_unit(interval, x)
+            np.testing.assert_allclose(slope, (value_hi - value_lo) / (2 * h), atol=1e-8)
+            np.testing.assert_allclose(curvature, (slope_hi - slope_lo) / (2 * h), atol=1e-8)
 
     def test_non_canonical_range_rejected(self):
         with pytest.raises(ValueError, match="canonical"):
-            output_squashing_for(RangeInterval(0.0, 2.0, False, False, "[0,2]"))
+            NetSpec(widths=(1, 2, 1), squash=RangeInterval(0.0, 2.0, False, False, "[0,2]").label)
 
 
 class TestOmegaTransform:

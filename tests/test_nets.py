@@ -1,12 +1,14 @@
-"""Dense nets: exact gradients, Adam, the second-order penalty pass, checkpoints."""
+"""Dense nets: units, exact gradients, Adam, the second-order penalty pass, checkpoints."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ratiogan.losses import NONNEGATIVE, SYMMETRIC_UNIT, UNIT, output_squashing_for
+from ratiogan.losses import CANONICAL_RANGES, NONNEGATIVE, SYMMETRIC_UNIT, UNIT
 from ratiogan.nets import (
+    OUTPUT_UNITS,
     AdamState,
     NetSpec,
     _act_eval,
@@ -24,12 +26,13 @@ from helpers import (
     exact_penalty_grads,
     input_gradients,
     old_sigmoid_terms,
+    old_squash_terms,
     penalty_param_grads_fd,
     penalty_pass,
     quasi_linear_net,
 )
 
-SQUASHES = [None, output_squashing_for(NONNEGATIVE), output_squashing_for(UNIT), output_squashing_for(SYMMETRIC_UNIT)]
+SQUASHES = [None, NONNEGATIVE.label, UNIT.label, SYMMETRIC_UNIT.label]
 
 
 def fd_param_grads(net, x, scalar_fn, h=1e-6):
@@ -97,7 +100,7 @@ class TestForward:
         assert out[0, 0] == pytest.approx(expected, abs=1e-15)
 
     def test_logistic_squash_containment(self):
-        spec = NetSpec(widths=(2, 8, 1), squash=output_squashing_for(UNIT), seed=3)
+        spec = NetSpec(widths=(2, 8, 1), squash=UNIT.label, seed=3)
         net = init_net(spec)
         out, _ = forward(net, np.random.default_rng(0).standard_normal((100, 2)) * 10)
         assert np.all((out > 0.0) & (out < 1.0))
@@ -212,6 +215,26 @@ class TestSmoothLeakyUnit:
             g, w = g[0], w[0]
             np.testing.assert_array_equal(g[~nan].view(np.int64), w[~nan].view(np.int64))
             assert np.isnan(g[nan]).all() and np.isnan(w[nan]).all()
+
+
+class TestOutputUnits:
+    @pytest.mark.parametrize("label", [None, *(r.label for r in CANONICAL_RANGES)])
+    def test_match_first_written_squashes_bitwise(self, label):
+        """Each output unit equals its squash formula as first written, bit
+        for bit; for [-1,1] that means the tanh hidden unit's 1 - a*a form
+        equals 1 - tanh(z)**2.  Edge values and random bit patterns, through
+        value, slope and curvature."""
+        edges = np.array([0.0, -0.0, 709.0, -709.0, 709.8, -709.8, 745.0, -745.0, 745.2, -745.2,
+                          np.inf, -np.inf, 5e-324, -5e-324, 1e-300, -1e-300, 36.7, -36.7, 1e308, -1e308])
+        bits = np.random.default_rng(1).integers(0, 2**64, size=1 << 16, dtype=np.uint64)
+        z = np.concatenate([edges, bits.view(np.float64)])[None, :]
+        with np.errstate(all="ignore"):  # signalling NaNs among the bit patterns
+            got = _act_eval(OUTPUT_UNITS[label], z, second_from=0)
+            want = old_squash_terms(label, z)
+        for g, w in zip(got, want):
+            nan = np.isnan(w)
+            np.testing.assert_array_equal(np.isnan(g), nan)
+            np.testing.assert_array_equal(g[~nan].view(np.int64), w[~nan].view(np.int64))
 
 
 class TestAdam:
@@ -346,7 +369,7 @@ class TestPenaltyPass:
 
 class TestCheckpoints:
     def test_round_trip_bytes(self):
-        spec = NetSpec(widths=(2, 4, 1), squash=output_squashing_for(UNIT), seed=5)
+        spec = NetSpec(widths=(2, 4, 1), squash=UNIT.label, seed=5)
         net = init_net(spec)
         state = init_adam(net)
         blob = net_to_json(net, state)
@@ -360,6 +383,26 @@ class TestCheckpoints:
         assert net2.spec == net.spec
         for a, b in zip(net.weights, net2.weights):
             np.testing.assert_array_equal(a, b)
+
+    # forward outputs at x = -2, 0.5, 3 of each file in tests/data, recorded
+    # when the file was written, while the squash units lived in losses
+    WRITTEN_OUTPUTS = {
+        "generator": [0.5895102343396209, 0.13259772208409573, -0.23814485017897163],
+        "nonnegative": [1.0307277521933071, 0.7616422083265768, 0.5811472008026692],
+        "unit": [0.6432527621458322, 0.5331009466583528, 0.44074357583318624],
+        "reals": [0.5895102343396209, 0.13259772208409573, -0.23814485017897163],
+        "symmetric_unit": [0.529543271684716, 0.13182603066136137, -0.23374271990568954],
+    }
+
+    @pytest.mark.parametrize("name", sorted(WRITTEN_OUTPUTS))
+    def test_earlier_checkpoints_reload_unchanged(self, name):
+        """A checkpoint per squash label, written by an earlier version,
+        re-serialises byte for byte and reloads to the same outputs."""
+        blob = (Path(__file__).parent / "data" / f"checkpoint_{name}.json").read_text()
+        net, state = net_from_json(blob)
+        assert net_to_json(net, state) == blob
+        out, _ = forward(net, np.array([[-2.0], [0.5], [3.0]]))
+        assert out.ravel().tolist() == self.WRITTEN_OUTPUTS[name]
 
     def test_byte_stable_across_runs(self):
         spec = NetSpec(widths=(2, 8, 1), seed=13)

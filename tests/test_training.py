@@ -199,7 +199,7 @@ class TestLikelihoodRatioMetric:
     def test_constant_output_at_matched_level(self):
         """A discriminator stuck at omega(1) reports ratio exactly 1."""
         loss = catalogue_lookup("CrossEntropy").loss
-        net = init_net(NetSpec(widths=(1, 4, 1), squash=loss.squashing(), seed=0))
+        net = init_net(NetSpec(widths=(1, 4, 1), squash=loss.range.label, seed=0))
         for w in net.weights:
             w[:] = 0.0  # logistic(0) = 0.5 = omega(1)
         x = np.random.default_rng(0).standard_normal((32, 1))
@@ -209,7 +209,7 @@ class TestLikelihoodRatioMetric:
 
     def test_cross_entropy_at_08(self):
         loss = catalogue_lookup("CrossEntropy").loss
-        net = init_net(NetSpec(widths=(1, 1, 1), hidden="tanh", squash=loss.squashing(), seed=0))
+        net = init_net(NetSpec(widths=(1, 1, 1), hidden="tanh", squash=loss.range.label, seed=0))
         net.weights[0][:] = 0.0
         net.weights[1][:] = 0.0
         # logistic(b) = 0.8  =>  b = log 4
