@@ -96,8 +96,8 @@ def _omega_sign_limit():
 def _build_catalogue() -> dict:
     entries = {}
 
-    def add(name, subclass, loss, table_row, note):
-        entries[name.lower()] = CatalogueEntry(
+    def add(subclass, loss, table_row, note):
+        entries[loss.name.lower()] = CatalogueEntry(
             loss=loss, subclass=subclass, table_row=table_row, derivation_note=note
         )
 
@@ -106,7 +106,6 @@ def _build_catalogue() -> dict:
     # r = D^(-alpha) circulates but contradicts omega itself and is
     # treated as a sign typo.
     add(
-        "A1a",
         "A",
         LossPair(
             name="A1a",
@@ -120,7 +119,6 @@ def _build_catalogue() -> dict:
         "omega(r) = r, rho(z) = 1/z (power-weight exponent -1).",
     )
     add(
-        "A1b",
         "A",
         LossPair(
             name="A1b",
@@ -134,7 +132,6 @@ def _build_catalogue() -> dict:
         "omega(r) = r, rho(z) = z^-2 (power-weight exponent -2).",
     )
     add(
-        "A2",
         "A",
         LossPair(
             name="A2",
@@ -151,7 +148,6 @@ def _build_catalogue() -> dict:
         "different closed forms), so the ratio readback is r = D^2.",
     )
     add(
-        "A3",
         "A",
         LossPair(
             name="A3",
@@ -165,7 +161,6 @@ def _build_catalogue() -> dict:
         "omega(r) = r, rho(z) = 1/(z(1+z)).",
     )
     add(
-        "MSE",
         "A",
         LossPair(
             name="MSE",
@@ -181,7 +176,6 @@ def _build_catalogue() -> dict:
 
     # ---- Subclass B: omega(r) = log(r)/alpha, ratio readback r = e^(alpha D)
     add(
-        "B1a",
         "B",
         LossPair(
             name="B1a",
@@ -197,7 +191,6 @@ def _build_catalogue() -> dict:
         "rule for every log base; the self-consistent decay-0 member is shipped.",
     )
     add(
-        "B1b",
         "B",
         LossPair(
             name="B1b",
@@ -211,7 +204,6 @@ def _build_catalogue() -> dict:
         "omega(r) = log r, rho(z) = e^-z (exponential weight at decay 1).",
     )
     add(
-        "Exponential",
         "B",
         LossPair(
             name="Exponential",
@@ -227,7 +219,6 @@ def _build_catalogue() -> dict:
         "matching the catalogued closed forms.",
     )
     add(
-        "B2",
         "B",
         LossPair(
             name="B2",
@@ -243,7 +234,6 @@ def _build_catalogue() -> dict:
 
     # ---- Subclass C: omega(r) = r/(1+r), ratio readback r = D/(1-D) ----
     add(
-        "CrossEntropy",
         "C",
         LossPair(
             name="CrossEntropy",
@@ -258,7 +248,6 @@ def _build_catalogue() -> dict:
         "posterior probability of the generated class.",
     )
     add(
-        "C2",
         "C",
         LossPair(
             name="C2",
@@ -275,7 +264,6 @@ def _build_catalogue() -> dict:
 
     # ---- Sign-limit losses: omega -> sign(log r), ratio not recoverable
     add(
-        "Hinge",
         "D",
         LossPair(
             name="Hinge",
@@ -292,7 +280,6 @@ def _build_catalogue() -> dict:
         "is lost, so no ratio readback exists.",
     )
     add(
-        "Wasserstein",
         "D",
         LossPair(
             name="Wasserstein",
@@ -314,26 +301,11 @@ def _build_catalogue() -> dict:
 
 
 _CATALOGUE = _build_catalogue()
-_CANONICAL_ORDER = [
-    "A1a",
-    "A1b",
-    "A2",
-    "A3",
-    "MSE",
-    "B1a",
-    "B1b",
-    "Exponential",
-    "B2",
-    "CrossEntropy",
-    "C2",
-    "Hinge",
-    "Wasserstein",
-]
 
 
 def catalogue_names() -> list:
     """The thirteen catalogue names in canonical order."""
-    return list(_CANONICAL_ORDER)
+    return [entry.loss.name for entry in _CATALOGUE.values()]
 
 
 def catalogue_lookup(name: str) -> CatalogueEntry:
@@ -342,11 +314,10 @@ def catalogue_lookup(name: str) -> CatalogueEntry:
         return _CATALOGUE[name.lower()]
     except KeyError:
         raise KeyError(
-            f"unknown loss {name!r}; valid names: {', '.join(_CANONICAL_ORDER)}"
+            f"unknown loss {name!r}; valid names: {', '.join(catalogue_names())}"
         ) from None
 
 
 def iter_catalogue():
     """Yield entries in canonical order."""
-    for name in _CANONICAL_ORDER:
-        yield _CATALOGUE[name.lower()]
+    yield from _CATALOGUE.values()

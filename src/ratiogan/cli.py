@@ -36,7 +36,7 @@ from .config import (
     train_config_from_text,
     train_config_to_text,
 )
-from .densities import gaussian, load_samples, sample
+from .densities import gaussian, sample
 from .grid_solver import (
     SolverDiverged,
     discretize,
@@ -207,7 +207,7 @@ def cmd_solve_grid(args) -> int:
             return _usage_error("solve-grid", exc)
     else:
         density = gaussian([0.0], [[1.0]])
-    if isinstance(density, str):
+    if density.kind == "file":
         print("solve-grid needs an analytic density, not a sample file", file=sys.stderr)
         return 2
 
@@ -374,8 +374,6 @@ def _checked_config(text: str, overrides) -> TrainConfig:
         catalogue_lookup(config.loss_name)
     except KeyError as exc:
         raise ValueError(exc.args[0]) from None
-    if isinstance(config.f_spec, str):
-        load_samples(config.f_spec)
     return config
 
 
@@ -391,8 +389,7 @@ def _run_one_training(run_name: str, config: TrainConfig, root: Path) -> int:
         stager.stage(f"gen_iter{iteration}.json").write_text(gen_json)
         stager.stage(f"disc_iter{iteration}.json").write_text(disc_json)
 
-    h_spec = config.h_spec
-    z = sample(h_spec, config.eval_batch, np.random.SeedSequence(config.seed).generate_state(5)[4])
+    z = sample(config.h_spec, config.eval_batch, config.seeds[4])
     y, _ = forward(result.generator, z)
     lines = [",".join(repr(float(v)) for v in row) for row in y]
     stager.stage("samples_final.csv").write_text("\n".join(lines) + "\n")

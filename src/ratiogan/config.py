@@ -22,21 +22,25 @@ configuration (floats are written with shortest round-trip formatting).
     mean = 0.0
     cov = 1.0
 
+The [train], [generator] and [discriminator] keys are TrainConfig's
+fields with defaults (gen_/disc_ prefixes name the section, lam is
+lambda), cast to the default's type: [generator] hidden_widths = 64 64.
+
 Density kinds: gaussian (mean, cov: scalar, diagonal, or ';'-separated
 rows), ring (modes, radius, sigma), uniform (low, high), mixture
 (components = weight gaussian <mean..> <diag-stddevs..> | ...), file
-(path = samples.csv).
+(path = samples.csv, target only; read once when the config is parsed).
 """
 
 from __future__ import annotations
 
 import configparser
 import io
-from typing import Union
+from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .densities import DensitySpec, gaussian, mixture, ring, uniform
+from .densities import DensitySpec, gaussian, mixture, ring, sample_file, uniform
 from .training import TrainConfig
 
 __all__ = [
@@ -59,50 +63,56 @@ def parse_config_text(text: str) -> configparser.ConfigParser:
     return parser
 
 
-def density_from_section(section) -> Union[DensitySpec, str]:
+def density_from_section(section) -> DensitySpec:
+    """A density from a configparser section (or a plain mapping); a
+    missing required key is named with its section and kind."""
     kind = section.get("kind", "gaussian").strip().lower()
-    if kind == "file":
-        return section["path"].strip()
-    if kind == "gaussian":
-        mean = _floats(section["mean"])
-        cov_text = section.get("cov", "1.0")
-        if ";" in cov_text:
-            cov = np.asarray([_floats(row) for row in cov_text.split(";")])
-        else:
-            vals = _floats(cov_text)
-            cov = float(vals[0]) if len(vals) == 1 else np.diag(vals)
-        return gaussian(mean, cov)
-    if kind == "ring":
-        return ring(
-            int(section.get("modes", 8)),
-            float(section.get("radius", 2.0)),
-            float(section.get("sigma", 0.02)),
-        )
-    if kind == "uniform":
-        return uniform(_floats(section["low"]), _floats(section["high"]))
-    if kind == "mixture":
-        comps = []
-        for chunk in section["components"].split("|"):
-            fields = chunk.split()
-            if len(fields) < 4 or fields[1].lower() != "gaussian":
-                raise ValueError(
-                    f"mixture component {chunk.strip()!r}: expected "
-                    f"'weight gaussian <mean..> <stddev..>'"
-                )
-            w = float(fields[0])
-            vals = [float(v) for v in fields[2:]]
-            if len(vals) % 2 != 0:
-                raise ValueError(f"mixture component {chunk.strip()!r}: mean/stddev arity mismatch")
-            d = len(vals) // 2
-            mean, stds = vals[:d], vals[d:]
-            comps.append((w, gaussian(mean, np.diag(np.asarray(stds) ** 2))))
-        return mixture(comps)
+    try:
+        if kind == "file":
+            return sample_file(section["path"])
+        if kind == "gaussian":
+            mean = _floats(section["mean"])
+            cov_text = section.get("cov", "1.0")
+            if ";" in cov_text:
+                cov = np.asarray([_floats(row) for row in cov_text.split(";")])
+            else:
+                vals = _floats(cov_text)
+                cov = float(vals[0]) if len(vals) == 1 else np.diag(vals)
+            return gaussian(mean, cov)
+        if kind == "ring":
+            return ring(
+                int(section.get("modes", 8)),
+                float(section.get("radius", 2.0)),
+                float(section.get("sigma", 0.02)),
+            )
+        if kind == "uniform":
+            return uniform(_floats(section["low"]), _floats(section["high"]))
+        if kind == "mixture":
+            comps = []
+            for chunk in section["components"].split("|"):
+                words = chunk.split()
+                if len(words) < 4 or words[1].lower() != "gaussian":
+                    raise ValueError(
+                        f"mixture component {chunk.strip()!r}: expected "
+                        f"'weight gaussian <mean..> <stddev..>'"
+                    )
+                w = float(words[0])
+                vals = [float(v) for v in words[2:]]
+                if len(vals) % 2 != 0:
+                    raise ValueError(f"mixture component {chunk.strip()!r}: mean/stddev arity mismatch")
+                d = len(vals) // 2
+                mean, stds = vals[:d], vals[d:]
+                comps.append((w, gaussian(mean, np.diag(np.asarray(stds) ** 2))))
+            return mixture(comps)
+    except KeyError as exc:
+        name = getattr(section, "name", "density")
+        raise ValueError(f"[{name}] kind = {kind} needs a {exc.args[0]!r} key") from None
     raise ValueError(f"unknown density kind {kind!r}")
 
 
-def density_to_section(spec: Union[DensitySpec, str]) -> dict:
-    if isinstance(spec, str):
-        return {"kind": "file", "path": spec}
+def density_to_section(spec: DensitySpec) -> dict:
+    if spec.kind == "file":
+        return {"kind": "file", "path": spec.path}
     if spec.kind == "gaussian":
         return {
             "kind": "gaussian",
@@ -132,20 +142,28 @@ def density_to_section(spec: Union[DensitySpec, str]) -> dict:
     raise ValueError(f"unknown density kind {spec.kind!r}")
 
 
-_TRAIN_FIELDS = {
-    "lambda": ("lam", float),
-    "penalty_variant": ("penalty_variant", str),
-    "critic_iters": ("critic_iters", int),
-    "batch_size": ("batch_size", int),
-    "learning_rate": ("learning_rate", float),
-    "beta1": ("beta1", float),
-    "beta2": ("beta2", float),
-    "total_generator_iters": ("total_generator_iters", int),
-    "eval_every": ("eval_every", int),
-    "eval_batch": ("eval_batch", int),
-    "seed": ("seed", int),
-    "checkpoint_every": ("checkpoint_every", int),
-}
+def _section_key(field_name: str) -> tuple:
+    """Where a TrainConfig field lives in the text: gen_*/disc_* fields in
+    [generator]/[discriminator], the rest in [train] (lam as lambda)."""
+    for section, prefix in (("generator", "gen_"), ("discriminator", "disc_")):
+        if field_name.startswith(prefix):
+            return section, field_name[len(prefix):]
+    return "train", {"lam": "lambda"}.get(field_name, field_name)
+
+
+def _widths(text: str) -> tuple:
+    return tuple(int(v) for v in text.replace(",", " ").split())
+
+
+# Every TrainConfig field with a default, in field order, keyed by
+# (section, key); its cast follows the type of the default.
+_KEYS = {_section_key(f.name): f for f in fields(TrainConfig) if f.default is not MISSING}
+_CASTS = {float: float, int: int, str: str, tuple: _widths}
+_SECTIONS = ("train", "generator", "discriminator")
+
+
+def _to_text(value) -> str:
+    return " ".join(str(w) for w in value) if isinstance(value, tuple) else str(value)
 
 
 def train_config_from_text(text: str) -> TrainConfig:
@@ -160,33 +178,24 @@ def train_config_from_text(text: str) -> TrainConfig:
         problems.append("missing [density.origin] section (h_spec)")
 
     kwargs = {}
-    if parser.has_section("train"):
-        for key, value in parser.items("train"):
-            if key not in _TRAIN_FIELDS:
-                problems.append(f"unknown [train] key {key!r}")
+    for section in _SECTIONS:
+        if not parser.has_section(section):
+            continue
+        for key, value in parser.items(section):
+            if (section, key) not in _KEYS:
+                problems.append(f"unknown [{section}] key {key!r}")
                 continue
-            field_name, cast = _TRAIN_FIELDS[key]
+            field = _KEYS[section, key]
+            cast = type(field.default)
             try:
-                kwargs[field_name] = cast(value)
+                kwargs[field.name] = _CASTS[cast](value)
             except ValueError:
-                problems.append(f"[train] {key} = {value!r} is not a valid {cast.__name__}")
-
-    for section, prefix in (("generator", "gen"), ("discriminator", "disc")):
-        if parser.has_section(section):
-            for key, value in parser.items(section):
-                if key == "hidden_widths":
-                    kwargs[f"{prefix}_hidden_widths"] = tuple(
-                        int(v) for v in value.replace(",", " ").split()
-                    )
-                elif key == "hidden":
-                    kwargs[f"{prefix}_hidden"] = value.strip()
-                else:
-                    problems.append(f"unknown [{section}] key {key!r}")
+                problems.append(f"[{section}] {key} = {value!r} is not a valid {cast.__name__}")
 
     h_spec = None
     if parser.has_section("density.origin"):
         h_spec = density_from_section(parser["density.origin"])
-        if isinstance(h_spec, str):
+        if h_spec.kind == "file":
             problems.append("[density.origin] must be an analytic density, not a sample file")
 
     if problems:
@@ -204,15 +213,12 @@ def train_config_to_text(config: TrainConfig) -> str:
     """Echo mode: canonical text that re-parses to an equal configuration."""
     parser = configparser.ConfigParser()
     parser["loss"] = {"name": config.loss_name}
-    parser["train"] = {key: str(getattr(config, attr)) for key, (attr, _) in _TRAIN_FIELDS.items()}
-    parser["generator"] = {
-        "hidden_widths": " ".join(str(w) for w in config.gen_hidden_widths),
-        "hidden": config.gen_hidden,
-    }
-    parser["discriminator"] = {
-        "hidden_widths": " ".join(str(w) for w in config.disc_hidden_widths),
-        "hidden": config.disc_hidden,
-    }
+    for section in _SECTIONS:
+        parser[section] = {
+            key: _to_text(getattr(config, field.name))
+            for (where, key), field in _KEYS.items()
+            if where == section
+        }
     parser["density.target"] = density_to_section(config.f_spec)
     parser["density.origin"] = density_to_section(config.h_spec)
     buf = io.StringIO()

@@ -6,13 +6,15 @@ order.  Per sample the stream is consumed as: one uniform for the
 mixture component (mixtures and rings only), then uniform pairs
 (u1, u2) -> (sqrt(-2 log(1-u1)) cos(2 pi u2), same with sin) filling the
 coordinates left to right; for odd dimension the second value of the
-sample's last pair is discarded.
+sample's last pair is discarded.  A sample file target (kind "file")
+holds the rows of a CSV, read once when the spec is made; each of its
+samples is a row chosen by one ``rng.integers`` draw.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence, Tuple, Union
 
@@ -24,6 +26,7 @@ __all__ = [
     "mixture",
     "ring",
     "uniform",
+    "sample_file",
     "sample",
     "pdf",
     "true_log_ratio",
@@ -33,7 +36,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DensitySpec:
-    """One of: gaussian(mean, cov), mixture(weights, gaussians), ring(k, radius, sigma), uniform(box)."""
+    """One of: gaussian(mean, cov), mixture(weights, gaussians), ring(k, radius, sigma),
+    uniform(box), sample_file(path).  A file spec is equal to another by its
+    path: its rows take no part in equality, hashing or repr."""
 
     kind: str
     dim: int
@@ -46,6 +51,8 @@ class DensitySpec:
     sigma: Optional[float] = None
     low: Optional[tuple] = None
     high: Optional[tuple] = None
+    path: Optional[str] = None
+    rows: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def cholesky_factor(self) -> np.ndarray:
@@ -121,6 +128,13 @@ def uniform(low, high) -> DensitySpec:
     return DensitySpec(kind="uniform", dim=len(low_t), low=low_t, high=high_t)
 
 
+def sample_file(path) -> DensitySpec:
+    """Empirical target: the rows of a headerless CSV sample file, read now."""
+    rows = load_samples(path)
+    rows.flags.writeable = False
+    return DensitySpec(kind="file", dim=rows.shape[1], path=str(path), rows=rows)
+
+
 def ring_centers(spec: DensitySpec) -> np.ndarray:
     angles = 2.0 * math.pi * np.arange(spec.modes) / spec.modes
     return spec.radius * np.column_stack([np.cos(angles), np.sin(angles)])
@@ -159,6 +173,9 @@ def sample(spec: DensitySpec, n: int, seed) -> np.ndarray:
         lo = np.asarray(spec.low)
         hi = np.asarray(spec.high)
         return lo + rng.random((n, d)) * (hi - lo)
+
+    if spec.kind == "file":
+        return spec.rows[rng.integers(0, len(spec.rows), size=n)]
 
     if spec.kind == "ring":
         centers = ring_centers(spec)

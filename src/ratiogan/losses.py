@@ -334,8 +334,8 @@ def normalize_psi(loss: LossPair) -> LossPair:
 def ratio_from_discriminator(loss: LossPair, d):
     """Map discriminator output(s) back to likelihood-ratio estimate(s).
 
-    Outputs are clamped to the interior of the loss range before the
-    inverse transform is applied.
+    Outputs must be finite and inside the loss range; they are clamped to
+    its interior before the inverse transform is applied.
     """
     if not loss.ratio_invertible or loss.omega.inverse is None:
         raise RatioNotRecoverableError(
@@ -343,7 +343,9 @@ def ratio_from_discriminator(loss: LossPair, d):
             f"whose inverse does not exist"
         )
     d = np.asarray(d, dtype=float)
-    if not loss.range.contains(loss.range.clamp_interior(d)):
+    if not np.isfinite(d).all():
+        raise ValueError("non-finite discriminator output")
+    if not loss.range.contains(d):
         raise ValueError(f"discriminator output outside {loss.range}")
     out = loss.omega.inverse(loss.range.clamp_interior(d))
     return float(out) if np.ndim(d) == 0 else out

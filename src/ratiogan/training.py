@@ -21,12 +21,12 @@ import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from .catalogue import catalogue_lookup
-from .densities import DensitySpec, load_samples, sample
+from .densities import DensitySpec, sample
 from .losses import LossPair, ratio_from_discriminator
 from .metrics import mmd_rbf, sliced_wasserstein
 from .nets import (
@@ -63,7 +63,7 @@ DEFAULT_HIDDEN_WIDTHS = (64, 64)
 @dataclass(frozen=True)
 class TrainConfig:
     loss_name: str
-    f_spec: Union[DensitySpec, str]  # target density or path to a CSV sample file
+    f_spec: DensitySpec  # target density; kind "file" holds a CSV sample file's rows
     h_spec: DensitySpec  # origin density feeding the generator
     lam: float = 10.0
     penalty_variant: str = "max"
@@ -82,6 +82,12 @@ class TrainConfig:
     seed: int = 0
     checkpoint_every: int = 0  # 0 = final checkpoint only
 
+    @property
+    def seeds(self) -> tuple:
+        """The run's five seeds, from one SeedSequence: generator init,
+        discriminator init, training draws, eval draws, final samples."""
+        return tuple(int(s) for s in np.random.SeedSequence(self.seed).generate_state(5))
+
     def validate(self):
         if self.critic_iters < 1:
             raise ValueError("critic_iters must be >= 1")
@@ -95,6 +101,16 @@ class TrainConfig:
             raise ValueError(f"unknown penalty variant {self.penalty_variant!r}")
         if self.eval_every < 1:
             raise ValueError("eval_every must be >= 1")
+        if self.eval_batch < 2:
+            raise ValueError("eval_batch must be >= 2")
+        for role, widths, hidden in (
+            ("generator", self.gen_hidden_widths, self.gen_hidden),
+            ("discriminator", self.disc_hidden_widths, self.disc_hidden),
+        ):
+            try:  # the net's own checks: hidden unit name, widths >= 1
+                NetSpec(widths=(1, *widths, 1), hidden=hidden)
+            except ValueError as exc:
+                raise ValueError(f"{role}: {exc}") from None
         if self.disc_hidden == "relu" and self.lam > 0:
             raise ValueError(
                 "discriminator.hidden = relu has no second derivative for the gradient "
@@ -197,28 +213,14 @@ def _snapshot(net: DenseNet, state: AdamState):
     return DenseNet(net.spec, net.params.copy()), replace(state, m=state.m.copy(), v=state.v.copy())
 
 
-def _dims(config: TrainConfig):
-    if isinstance(config.f_spec, str):
-        data = load_samples(config.f_spec)
-        return data.shape[1], data
-    return config.f_spec.dim, None
-
-
-def _draw_real(config: TrainConfig, data, n: int, rng: np.random.Generator) -> np.ndarray:
-    if data is not None:
-        idx = rng.integers(0, len(data), size=n)
-        return data[idx]
-    return sample(config.f_spec, n, rng)
-
-
-def critic_batches(config: TrainConfig, data, rng: np.random.Generator) -> list:
+def critic_batches(config: TrainConfig, rng: np.random.Generator) -> list:
     """One generator iteration's critic batches (x, z, u), drawn in stream
     order: per step the real batch, the generator input, then the
     interpolation weights, which a zero lambda does not draw (u is None)."""
     b = config.batch_size
     batches = []
     for _ in range(config.critic_iters):
-        x = _draw_real(config, data, b, rng)
+        x = sample(config.f_spec, b, rng)
         z = sample(config.h_spec, b, rng)
         batches.append((x, z, rng.random((b, 1)) if config.lam > 0.0 else None))
     return batches
@@ -226,22 +228,21 @@ def critic_batches(config: TrainConfig, data, rng: np.random.Generator) -> list:
 
 def build_networks(config: TrainConfig, loss: LossPair):
     """Generator (identity output) and discriminator (loss-prescribed squash)."""
-    d_x, _ = _dims(config)
-    d_z = config.h_spec.dim
-    seeds = np.random.SeedSequence(config.seed).generate_state(4)
+    d_x = config.f_spec.dim
+    gen_seed, disc_seed, train_seed, eval_seed, _ = config.seeds
     gen_spec = NetSpec(
-        widths=(d_z, *config.gen_hidden_widths, d_x),
+        widths=(config.h_spec.dim, *config.gen_hidden_widths, d_x),
         hidden=config.gen_hidden,
         squash=None,
-        seed=int(seeds[0]),
+        seed=gen_seed,
     )
     disc_spec = NetSpec(
         widths=(d_x, *config.disc_hidden_widths, 1),
         hidden=config.disc_hidden,
         squash=loss.range.label,
-        seed=int(seeds[1]),
+        seed=disc_seed,
     )
-    return init_net(gen_spec), init_net(disc_spec), int(seeds[2]), int(seeds[3])
+    return init_net(gen_spec), init_net(disc_spec), train_seed, eval_seed
 
 
 def train(config: TrainConfig, loss: Optional[LossPair] = None) -> TrainResult:
@@ -256,7 +257,6 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
         loss = catalogue_lookup(config.loss_name).loss
     phi_v, psi_v = loss.values()
 
-    d_x, data = _dims(config)
     generator, discriminator, train_seed, eval_seed = build_networks(config, loss)
     gen_state = init_adam(generator, config.learning_rate, config.beta1, config.beta2)
     disc_state = init_adam(discriminator, config.learning_rate, config.beta1, config.beta2)
@@ -280,7 +280,7 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
     b = config.batch_size
 
     def evaluate(iteration: int, generator, discriminator, penalty, train_lr) -> MetricRecord:
-        x_eval = _draw_real(config, data, config.eval_batch, eval_rng)
+        x_eval = sample(config.f_spec, config.eval_batch, eval_rng)
         z_eval = sample(config.h_spec, config.eval_batch, eval_rng)
         y_eval, _ = forward(generator, z_eval)
         d_real, _ = forward(discriminator, x_eval)
@@ -328,23 +328,25 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
 
     for iteration in range(1, config.total_generator_iters + 1):
         # -- critic phase -------------------------------------------------
-        batches = critic_batches(config, data, train_rng)
-        # the generator is fixed during the critic phase: one pass for all steps
-        ys, _ = forward(generator, np.vstack([z for _, z, _ in batches]))
-        for step, (x, _, u) in enumerate(batches):
-            y = ys[step * b : (step + 1) * b]
-            d_real, d_fake, penalty_value, grads = critic_grads(
-                discriminator, loss, x, y, u, config.penalty_variant, config.lam
-            )
-            disc_obj = float(
-                np.mean(phi_v(d_real[:, 0])) + np.mean(psi_v(d_fake[:, 0])) - penalty_value
-            )
-            if not math.isfinite(disc_obj):
-                return aborted("discriminator objective", iteration)
-            if not np.isfinite(grads).all():
-                return aborted("discriminator gradient", iteration)
-            adam_step(disc_state, discriminator, grads)
-            last_penalty = penalty_value
+        batches = critic_batches(config, train_rng)
+        # the abort path checks each step's results: numpy need not warn too
+        with np.errstate(all="ignore"):
+            # the generator is fixed during the critic phase: one pass for all steps
+            ys, _ = forward(generator, np.vstack([z for _, z, _ in batches]))
+            for step, (x, _, u) in enumerate(batches):
+                y = ys[step * b : (step + 1) * b]
+                d_real, d_fake, penalty_value, grads = critic_grads(
+                    discriminator, loss, x, y, u, config.penalty_variant, config.lam
+                )
+                disc_obj = float(
+                    np.mean(phi_v(d_real[:, 0])) + np.mean(psi_v(d_fake[:, 0])) - penalty_value
+                )
+                if not math.isfinite(disc_obj):
+                    return aborted("discriminator objective", iteration)
+                if not np.isfinite(grads).all():
+                    return aborted("discriminator gradient", iteration)
+                adam_step(disc_state, discriminator, grads)
+                last_penalty = penalty_value
 
         will_evaluate = (
             iteration % config.eval_every == 0
@@ -356,18 +358,19 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
             last_train_lr = (lr[0], lr[2])
 
         # -- generator phase ----------------------------------------------
-        z = sample(config.h_spec, b, train_rng)
-        y, gen_cache = forward(generator, z)
-        d_fake, disc_cache = forward(discriminator, y)
-        gen_obj = float(np.mean(psi_v(d_fake[:, 0])))
-        if not math.isfinite(gen_obj):
-            return aborted("generator objective", iteration)
-        # only the input gradient is needed: no parameter sums
-        _, input_grads = backward(discriminator, disc_cache, loss.psi_prime(d_fake) / b, param_rows=0)
-        gen_grads, _ = backward(generator, gen_cache, input_grads)
-        if not np.isfinite(gen_grads).all():
-            return aborted("generator gradient", iteration)
-        adam_step(gen_state, generator, gen_grads)
+        with np.errstate(all="ignore"):
+            z = sample(config.h_spec, b, train_rng)
+            y, gen_cache = forward(generator, z)
+            d_fake, disc_cache = forward(discriminator, y)
+            gen_obj = float(np.mean(psi_v(d_fake[:, 0])))
+            if not math.isfinite(gen_obj):
+                return aborted("generator objective", iteration)
+            # only the input gradient is needed: no parameter sums
+            _, input_grads = backward(discriminator, disc_cache, loss.psi_prime(d_fake) / b, param_rows=0)
+            gen_grads, _ = backward(generator, gen_cache, input_grads)
+            if not np.isfinite(gen_grads).all():
+                return aborted("generator gradient", iteration)
+            adam_step(gen_state, generator, gen_grads)
 
         if will_evaluate:
             collect()

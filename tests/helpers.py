@@ -249,12 +249,11 @@ def unfused_train(config, loss):
     gen = [(w.copy(), b.copy()) for w, b in zip(gen_net.weights, gen_net.biases)]
     disc = [(w.copy(), b.copy()) for w, b in zip(disc_net.weights, disc_net.biases)]
     gen_adam, disc_adam = _OldAdam(gen, config), _OldAdam(disc, config)
-    _, data = training._dims(config)
     rng = np.random.default_rng(train_seed)
     b = config.batch_size
     for _ in range(config.total_generator_iters):
         for _ in range(config.critic_iters):
-            x = training._draw_real(config, data, b, rng)
+            x = sample(config.f_spec, b, rng)
             z = sample(config.h_spec, b, rng)
             y, _ = _old_forward(gen, gen_net.spec, z)
             d_both, cache = _old_forward(disc, disc_net.spec, np.vstack([x, y]))

@@ -1,5 +1,6 @@
 """CLI behaviors: subcommands, exit codes, file outputs, SVG plots."""
 
+import builtins
 import os
 import subprocess
 import sys
@@ -219,6 +220,37 @@ class TestTrainCommand:
         assert ("non-numeric field at line 1" if content else "No such file") in err
         assert not (tmp_path / "out" / "csv").exists()
 
+    def test_sample_file_is_read_once(self, tmp_path, monkeypatch):
+        data = tmp_path / "target.csv"
+        data.write_text("".join(f"{v!r}\n" for v in (3.5, 4.0, 4.5, 5.0)))
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text(TINY_TRAIN.format(loss="MSE"))
+        reads, real_open = [], builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            if str(file) == str(data):
+                reads.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        overrides = ["--set", "density.target.kind=file", "--set", f"density.target.path={data}"]
+        assert run_cli(tmp_path, "train", "--config", str(cfg), *overrides) == 0
+        assert len(reads) == 1
+        assert (tmp_path / "out" / "csv" / "metrics.tsv").exists()
+
+    def test_abort_prints_no_numpy_warnings(self, tmp_path):
+        """The abort message is the run's only report of its non-finite step."""
+        env = {**os.environ, "PYTHONPATH": str(Path(ratiogan.__file__).parents[1])}
+        args = ["--out", str(tmp_path / "out"), "train", "--preset", "shift1d-B1a", "--set", "train.learning_rate=10"]
+        done = subprocess.run(
+            [sys.executable, "-m", "ratiogan.cli", *args], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert done.returncode == 1
+        assert done.stderr == ""
+        assert done.stdout == (
+            "shift1d-B1a: aborted (non-finite discriminator objective at iteration 1); last-good checkpoint kept\n"
+        )
+
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"
         assert run_cli(tmp_path, "train", "--config", str(missing)) == 2
@@ -283,22 +315,36 @@ class TestConfigErrors:
     NO_TARGET = "[loss]\nname = MSE\n"
     NEGATIVE_COV = "[density.target]\nkind = gaussian\nmean = 0.0\ncov = -1.0\n"
     NO_HEADER = "kind = gaussian\n"
+    NO_MEAN = TINY_TRAIN.format(loss="MSE").replace("mean = 4.0\n", "")
+    SHIFT = ["train", "--preset", "shift1d-MSE", "--set"]
 
     @pytest.mark.parametrize(
-        "config,args",
+        "config,args,message",
         [
-            (NO_TARGET, ["solve-grid", "--loss", "MSE"]),
-            (NEGATIVE_COV, ["solve-grid", "--loss", "MSE"]),
-            (NO_HEADER, ["solve-grid", "--loss", "MSE"]),
-            (NO_HEADER, ["train"]),
-            (TINY_TRAIN.format(loss="Nope"), ["train"]),
-            (None, ["train", "--preset", "shift1d-MSE", "--set", "foo"]),
-            (None, ["train", "--preset", "shift1d-MSE", "--set", "train.foo=1", "--echo-config", "ECHO"]),
+            (NO_TARGET, ["solve-grid", "--loss", "MSE"], "missing [density.target] section"),
+            (NEGATIVE_COV, ["solve-grid", "--loss", "MSE"], "covariance must be positive definite"),
+            (NO_HEADER, ["solve-grid", "--loss", "MSE"], "no section headers"),
+            (NO_HEADER, ["train"], "no section headers"),
+            (TINY_TRAIN.format(loss="Nope"), ["train"], "unknown loss 'Nope'"),
+            (None, SHIFT + ["foo"], "is not of the form section.key=value"),
+            (None, SHIFT + ["train.foo=1", "--echo-config", "ECHO"], "unknown [train] key 'foo'"),
+            (None, SHIFT + ["discriminator.hidden=swish"], "discriminator: unknown activation 'swish'"),
+            (None, SHIFT + ["generator.hidden_widths=0"], "generator: layer widths must be >= 1"),
+            (None, SHIFT + ["train.eval_batch=1"], "eval_batch must be >= 2"),
+            (NO_MEAN, ["train"], "[density.target] kind = gaussian needs a 'mean' key"),
+            (NO_MEAN, ["solve-grid", "--loss", "MSE"], "[density.target] kind = gaussian needs a 'mean' key"),
+            (None, SHIFT + ["density.target.kind=uniform"], "[density.target] kind = uniform needs a 'low' key"),
+            (None, SHIFT + ["density.origin.kind=uniform", "--set", "density.origin.low=0"],
+             "[density.origin] kind = uniform needs a 'high' key"),
+            (None, SHIFT + ["density.target.kind=mixture"], "[density.target] kind = mixture needs a 'components' key"),
+            (None, SHIFT + ["density.target.kind=file"], "[density.target] kind = file needs a 'path' key"),
         ],
         ids=["solve-no-target", "solve-negative-cov", "solve-no-header", "train-no-header",
-             "train-unknown-loss", "train-bad-override", "echo-unknown-key"],
+             "train-unknown-loss", "train-bad-override", "echo-unknown-key", "train-unknown-hidden-unit",
+             "train-zero-width", "train-eval-batch-one", "train-missing-mean", "solve-missing-mean",
+             "train-missing-low", "train-missing-high", "train-missing-components", "train-missing-path"],
     )
-    def test_one_line_usage_error_and_nothing_written(self, tmp_path, capsys, config, args):
+    def test_one_line_usage_error_and_nothing_written(self, tmp_path, capsys, config, args, message):
         echo = tmp_path / "echo.cfg"
         args = [str(echo) if a == "ECHO" else a for a in args]
         if config is not None:
@@ -308,6 +354,7 @@ class TestConfigErrors:
         assert run_cli(tmp_path, *args) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err
+        assert message in err
         assert not (tmp_path / "out").exists()
         assert not echo.exists()
 

@@ -10,7 +10,7 @@ from ratiogan.config import (
     train_config_from_text,
     train_config_to_text,
 )
-from ratiogan.densities import gaussian, mixture, ring, uniform
+from ratiogan.densities import gaussian, mixture, ring, sample_file, uniform
 
 BASE = """
 [loss]
@@ -61,12 +61,18 @@ class TestParsing:
         with pytest.raises(ValueError, match=r"density.target"):
             train_config_from_text("[loss]\nname = MSE\n")
 
-    def test_sample_file_target(self):
+    def test_sample_file_target(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "data.csv").write_text("1.0\n2.5\n")
         text = BASE.replace("kind = gaussian\nmean = 4.0\ncov = 1.0", "kind = file\npath = data.csv", 1)
         cfg = train_config_from_text(text)
-        assert cfg.f_spec == "data.csv"
+        assert cfg.f_spec == sample_file("data.csv")
+        assert cfg.f_spec.kind == "file" and cfg.f_spec.path == "data.csv" and cfg.f_spec.dim == 1
+        np.testing.assert_array_equal(cfg.f_spec.rows, [[1.0], [2.5]])
 
-    def test_origin_must_be_analytic(self):
+    def test_origin_must_be_analytic(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "z.csv").write_text("0.0\n")
         text = BASE.replace(
             "[density.origin]\nkind = gaussian\nmean = 0.0\ncov = 1.0",
             "[density.origin]\nkind = file\npath = z.csv",
@@ -87,7 +93,11 @@ class TestDensityRoundTrips:
             "samples.csv",
         ],
     )
-    def test_to_section_and_back(self, spec):
+    def test_to_section_and_back(self, spec, tmp_path, monkeypatch):
+        if spec == "samples.csv":
+            monkeypatch.chdir(tmp_path)
+            (tmp_path / spec).write_text("1.0,2.0\n3.0,4.0\n")
+            spec = sample_file(spec)
         assert density_from_section(density_to_section(spec)) == spec
 
 
@@ -106,6 +116,31 @@ class TestEcho:
             text = BASE.replace("kind = gaussian\nmean = 4.0\ncov = 1.0", section, 1)
             cfg = train_config_from_text(text)
             assert train_config_from_text(train_config_to_text(cfg)) == cfg
+
+    def test_every_keyed_field_round_trips(self):
+        changed = {
+            "lambda": "0.5", "penalty_variant": "mean", "critic_iters": "3", "batch_size": "16",
+            "learning_rate": "0.002", "beta1": "0.1", "beta2": "0.99", "total_generator_iters": "7",
+            "eval_every": "3", "eval_batch": "32", "seed": "9", "checkpoint_every": "2",
+        }
+        text = apply_overrides(
+            BASE,
+            [f"train.{k}={v}" for k, v in changed.items()]
+            + ["generator.hidden_widths=8, 4", "generator.hidden=relu",
+               "discriminator.hidden_widths=5", "discriminator.hidden=tanh"],
+        )
+        cfg = train_config_from_text(text)
+        assert (cfg.lam, cfg.penalty_variant, cfg.eval_batch, cfg.learning_rate) == (0.5, "mean", 32, 0.002)
+        assert (cfg.gen_hidden_widths, cfg.gen_hidden) == ((8, 4), "relu")
+        assert (cfg.disc_hidden_widths, cfg.disc_hidden) == ((5,), "tanh")
+        echoed = train_config_to_text(cfg)
+        assert "hidden_widths = 8 4" in echoed
+        assert train_config_from_text(echoed) == cfg
+
+    def test_bad_widths_reported_with_section(self):
+        text = BASE + "\n[discriminator]\nhidden_widths = 8 x\n"
+        with pytest.raises(ValueError, match=r"\[discriminator\] hidden_widths = '8 x' is not a valid"):
+            train_config_from_text(text)
 
 
 class TestOverrides:

@@ -13,6 +13,7 @@ from ratiogan.densities import (
     ring,
     ring_centers,
     sample,
+    sample_file,
     true_log_ratio,
     uniform,
 )
@@ -213,3 +214,34 @@ class TestLoadSamples:
         p.write_text("1,2\n3,x\n")
         with pytest.raises(ValueError, match="non-numeric.*line 2"):
             load_samples(p)
+
+
+class TestSampleFile:
+    def test_rows_read_once_and_read_only(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("1,2\n3,4\n5,6\n")
+        spec = sample_file(p)
+        p.unlink()
+        assert (spec.kind, spec.dim, spec.path) == ("file", 2, str(p))
+        np.testing.assert_array_equal(spec.rows, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
+        assert not spec.rows.flags.writeable
+        assert sample(spec, 4, 0).shape == (4, 2)
+
+    def test_draw_is_one_integers_call(self, tmp_path):
+        """Each sample is the row at one rng.integers index, in stream order."""
+        p = tmp_path / "data.csv"
+        p.write_text("".join(f"{float(v)!r}\n" for v in np.linspace(-1.0, 1.0, 37)))
+        spec = sample_file(p)
+        rng, plain = np.random.default_rng(5), np.random.default_rng(5)
+        for n in (8, 1, 64):
+            np.testing.assert_array_equal(sample(spec, n, rng), spec.rows[plain.integers(0, 37, size=n)])
+        assert rng.bit_generator.state == plain.bit_generator.state
+
+    def test_equality_ignores_rows(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("1\n2\n")
+        first = sample_file(p)
+        p.write_text("7\n")
+        second = sample_file(p)
+        assert first == second and hash(first) == hash(second)
+        assert "rows=" not in repr(first)

@@ -305,3 +305,16 @@ class TestRatioFromDiscriminator:
     def test_boundary_output_is_clamped(self):
         ce = catalogue_lookup("CrossEntropy").loss
         assert np.isfinite(ratio_from_discriminator(ce, 1.0))
+
+    def test_output_outside_range_is_rejected_before_clamping(self):
+        ce = catalogue_lookup("CrossEntropy").loss
+        with pytest.raises(ValueError, match=r"outside \[0,1\]"):
+            ratio_from_discriminator(ce, 7.0)
+        with pytest.raises(ValueError, match=r"outside \[0,inf\)"):
+            ratio_from_discriminator(catalogue_lookup("A1a").loss, np.array([1.0, -0.5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_output_is_named(self, bad):
+        for name in ("CrossEntropy", "Exponential"):
+            with pytest.raises(ValueError, match="non-finite discriminator output"):
+                ratio_from_discriminator(catalogue_lookup(name).loss, np.array([0.5, bad]))

@@ -8,7 +8,7 @@ import pytest
 
 import ratiogan.training as training
 from ratiogan.catalogue import catalogue_lookup
-from ratiogan.densities import gaussian, ring, sample
+from ratiogan.densities import gaussian, ring, sample, sample_file
 from ratiogan.losses import (
     LossPair,
     NONNEGATIVE,
@@ -52,6 +52,10 @@ class TestConfigValidation:
             ("lam", -1.0, "lambda"),
             ("total_generator_iters", 0, "total_generator_iters"),
             ("penalty_variant", "soft", "variant"),
+            ("eval_batch", 1, "eval_batch must be >= 2"),
+            ("disc_hidden", "swish", "discriminator: unknown activation 'swish'"),
+            ("gen_hidden_widths", (0,), "generator: layer widths must be >= 1"),
+            ("disc_hidden_widths", (), "discriminator: need at least one hidden layer"),
         ],
     )
     def test_rejects_bad_values(self, field, value, msg):
@@ -87,7 +91,7 @@ class TestGradientPenalty:
         """No interpolation weights are drawn and the penalty path is never entered."""
         cfg = shift_config(lam=0.0, critic_iters=3, batch_size=4)
         rng = np.random.default_rng(0)
-        batches = critic_batches(cfg, None, rng)
+        batches = critic_batches(cfg, rng)
         plain = np.random.default_rng(0)
         for _ in range(3):
             sample(cfg.f_spec, 4, plain)
@@ -459,7 +463,7 @@ class TestSampleFileTarget:
         data = rng.normal(4.0, 1.0, size=(500, 1))
         path = tmp_path / "target.csv"
         path.write_text("\n".join(repr(float(v)) for v in data[:, 0]) + "\n")
-        cfg = shift_config(f_spec=str(path), total_generator_iters=10, eval_every=5)
+        cfg = shift_config(f_spec=sample_file(path), total_generator_iters=10, eval_every=5)
         result = train(cfg)
         assert not result.aborted
         assert len(result.records) == 2
