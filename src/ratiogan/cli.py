@@ -150,13 +150,15 @@ def _select_losses(selector: str):
     if selector == "all":
         return [entry.loss for entry in iter_catalogue()]
     names = [s.strip() for s in selector.split(",") if s.strip()]
+    if not names:
+        raise ValueError(f"--loss {selector!r} names no loss")
     return [catalogue_lookup(n).loss for n in names]
 
 
 def cmd_verify(args) -> int:
     try:
         losses = _select_losses(args.loss)
-    except KeyError as exc:
+    except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
     reports = []
@@ -187,6 +189,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve_grid(args) -> int:
+    for flag, value, least in (("--n-points", args.n_points, 2), ("--log-every", args.log_every, 1)):
+        if value < least:
+            print(f"solve-grid: {flag} must be >= {least}", file=sys.stderr)
+            return 2
     try:
         entry = catalogue_lookup(args.loss)
     except KeyError as exc:
@@ -211,20 +217,19 @@ def cmd_solve_grid(args) -> int:
         print("solve-grid needs an analytic density, not a sample file", file=sys.stderr)
         return 2
 
-    if args.uniform:
-        from .grid_solver import DiscreteDensity
+    try:
+        if args.uniform:
+            from .grid_solver import DiscreteDensity
 
-        f = DiscreteDensity(
-            support=np.linspace(args.window[0], args.window[1], args.n_points),
-            mass=np.full(args.n_points, 1.0 / args.n_points),
-        )
-    else:
-        window = args.window if density.dim == 1 else ((args.window[0], args.window[1]),) * 2
-        try:
+            f = DiscreteDensity(
+                support=np.linspace(args.window[0], args.window[1], args.n_points),
+                mass=np.full(args.n_points, 1.0 / args.n_points),
+            )
+        else:
+            window = args.window if density.dim == 1 else ((args.window[0], args.window[1]),) * 2
             f = discretize(density, args.n_points, window)
-        except ValueError as exc:
-            print(f"solve-grid: {exc}", file=sys.stderr)
-            return 2
+    except ValueError as exc:
+        return _usage_error("solve-grid", exc)
 
     rng = np.random.default_rng(args.init_seed)
     if args.init == "ones":
@@ -460,7 +465,10 @@ def cmd_report(args) -> int:
     if not path.exists():
         print(f"metrics file {path} does not exist", file=sys.stderr)
         return 2
-    records = metrics_from_text(path.read_text())
+    try:
+        records = metrics_from_text(path.read_text())
+    except (ValueError, OSError) as exc:
+        return _usage_error("report", exc)
     stager = OutputStager(_output_root(args))
     _plot_metrics(records, stager)
     stager.commit()

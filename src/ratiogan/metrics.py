@@ -4,10 +4,19 @@
 xy (m x n).  The distinct pairs of the pooled sample are exactly the
 strict upper triangles of xx and yy plus all of xy, so the
 median-heuristic bandwidth is read off those blocks without the pooled
-(m+n)^2 matrix.  Each block is computed in the buffer of its own matmul
-and then turned into its kernel values in place; the arithmetic is the
-same element by element as ``(|x|^2 + |y|^2) - 2 x.y`` clamped at 0, so
-recorded values do not depend on the layout.
+(m+n)^2 matrix.
+
+Each block is one matmul: ``x @ x.T`` and ``y @ y.T``, which numpy runs
+through the symmetric (syrk) product, and ``x @ y.T``.  Every
+elementwise pass after it runs over row bands of ``_BAND`` rows in the
+matmul's own buffer, so a band stays in cache between the steps of a
+pass and no full-size temporary is made: the distance finish
+``max((|x|^2 + |y|^2) - 2 x.y, 0)``, the count of the median bracket and
+the kernel ``exp(-gamma d)``.  The matmuls and the sums stay whole-block
+because they fix the bits: the general product differs from the syrk
+path in the last bit for some sizes, and a sum taken band by band adds
+in another order.  Elementwise steps give the same bits in any layout,
+so recorded values equal the pooled-matrix numbers.
 """
 
 from __future__ import annotations
@@ -18,32 +27,40 @@ import numpy as np
 
 __all__ = ["mmd_rbf", "sliced_wasserstein"]
 
-_ROW_CHUNK = 256  # rows per band: the |x|^2 + |y|^2 scratch and the median pieces
+# rows per band of every elementwise pass: 64 rows of a 2048-wide block
+# (the eval shape) are 1 MiB of float64, inside one core's L2
+_BAND = 64
 _MEDIAN_SAMPLE = 65536  # subsample size that brackets the median
 _MEDIAN_WIDTH = 4.0  # bracket half-width in units of sqrt(subsample size)
 
 
+def _bands(d: np.ndarray) -> list:
+    """Views of the row bands of a block."""
+    return [d[lo : lo + _BAND] for lo in range(0, len(d), _BAND)]
+
+
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """max((|x|^2 + |y|^2) - 2 x y^T, 0), built in the matmul's buffer."""
+    """max((|x|^2 + |y|^2) - 2 x y^T, 0), finished in the matmul's buffer."""
     x_sq = (x**2).sum(axis=1)
     y_sq = (y**2).sum(axis=1)
     d = x @ y.T
-    d *= 2.0
-    norms = np.empty((min(_ROW_CHUNK, len(x)), len(y)))
-    for lo in range(0, len(x), _ROW_CHUNK):
-        rows = d[lo : lo + _ROW_CHUNK]
+    norms = np.empty((min(_BAND, len(x)), len(y)))
+    for lo in range(0, len(x), _BAND):
+        rows = d[lo : lo + _BAND]
         part = norms[: len(rows)]
-        np.add(x_sq[lo : lo + _ROW_CHUNK, None], y_sq, out=part)
+        rows *= 2.0
+        np.add(x_sq[lo : lo + _BAND, None], y_sq, out=part)
         np.subtract(part, rows, out=rows)
-    return np.maximum(d, 0.0, out=d)
+        np.maximum(rows, 0.0, out=rows)
+    return d
 
 
 def _upper_triangle_bands(d: np.ndarray) -> list:
     """The strict upper triangle of a square block as row bands: per band
     of rows, a copy of its small diagonal triangle and a view of the rest."""
     pieces = []
-    for lo in range(0, len(d), _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, len(d))
+    for lo in range(0, len(d), _BAND):
+        hi = min(lo + _BAND, len(d))
         pieces.append(d[lo:hi, lo:hi][np.triu_indices(hi - lo, k=1)])
         pieces.append(d[lo:hi, hi:])
     return pieces
@@ -55,8 +72,10 @@ def _median(pieces) -> np.float64:
 
     A fixed-stride subsample of each piece (in C order) brackets the
     middle order statistics, so only the values inside the bracket are
-    partitioned.  When the counts show the bracket missed them, or some
-    value (NaN) fell in no part of it, np.median on a copy decides.
+    partitioned.  The count makes masks of one piece at a time, so
+    band-sized pieces keep it in cache.  When the counts show the
+    bracket missed the middle, or some value (NaN) fell in no part of
+    it, np.median on a copy decides.
     """
     total = sum(v.size for v in pieces)
     ks = [total // 2] if total % 2 else [total // 2 - 1, total // 2]
@@ -101,7 +120,7 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: Union[float, str] = "median
     k_xy = _sq_dists(x, y)
     if bandwidth == "median":
         # pooled pairs: upper(xx), all of xy, upper(yy)
-        pieces = _upper_triangle_bands(k_xx) + _upper_triangle_bands(k_yy) + [k_xy]
+        pieces = _upper_triangle_bands(k_xx) + _upper_triangle_bands(k_yy) + _bands(k_xy)
         bw = float(np.sqrt(_median(pieces)))
     else:
         bw = float(bandwidth)
@@ -110,8 +129,9 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: Union[float, str] = "median
     gamma = 1.0 / (2.0 * bw * bw)
 
     for k in (k_xx, k_yy, k_xy):  # squared distances -> kernel values
-        np.multiply(k, -gamma, out=k)
-        np.exp(k, out=k)
+        for rows in _bands(k):
+            np.multiply(rows, -gamma, out=rows)
+            np.exp(rows, out=rows)
     sum_xx = k_xx.sum() - np.trace(k_xx)
     sum_yy = k_yy.sum() - np.trace(k_yy)
     return float(

@@ -103,6 +103,11 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if self.eval_batch < 2:
             raise ValueError("eval_batch must be >= 2")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1)")
         for role, widths, hidden in (
             ("generator", self.gen_hidden_widths, self.gen_hidden),
             ("discriminator", self.disc_hidden_widths, self.disc_hidden),

@@ -338,11 +338,24 @@ class TestConfigErrors:
              "[density.origin] kind = uniform needs a 'high' key"),
             (None, SHIFT + ["density.target.kind=mixture"], "[density.target] kind = mixture needs a 'components' key"),
             (None, SHIFT + ["density.target.kind=file"], "[density.target] kind = file needs a 'path' key"),
+            (None, SHIFT + ["train.beta2=1"], "beta2 must be in [0, 1)"),
+            (None, SHIFT + ["train.beta1=1.5"], "beta1 must be in [0, 1)"),
+            (None, SHIFT + ["train.learning_rate=-1"], "learning_rate must be positive"),
+            (None, SHIFT + ["train.learning_rate=0"], "learning_rate must be positive"),
+            (None, ["solve-grid", "--loss", "MSE", "--log-every", "0"], "solve-grid: --log-every must be >= 1"),
+            (None, ["solve-grid", "--loss", "MSE", "--uniform", "--n-points", "0"],
+             "solve-grid: --n-points must be >= 2"),
+            (None, ["solve-grid", "--loss", "MSE", "--uniform", "--window", "1", "1"],
+             "solve-grid: support points must be distinct"),
+            (None, ["verify", "--loss", ","], "--loss ',' names no loss"),
         ],
         ids=["solve-no-target", "solve-negative-cov", "solve-no-header", "train-no-header",
              "train-unknown-loss", "train-bad-override", "echo-unknown-key", "train-unknown-hidden-unit",
              "train-zero-width", "train-eval-batch-one", "train-missing-mean", "solve-missing-mean",
-             "train-missing-low", "train-missing-high", "train-missing-components", "train-missing-path"],
+             "train-missing-low", "train-missing-high", "train-missing-components", "train-missing-path",
+             "train-beta2-one", "train-beta1-above-one", "train-negative-learning-rate",
+             "train-zero-learning-rate", "solve-log-every-zero", "solve-uniform-no-points",
+             "solve-uniform-empty-window", "verify-no-loss-names"],
     )
     def test_one_line_usage_error_and_nothing_written(self, tmp_path, capsys, config, args, message):
         echo = tmp_path / "echo.cfg"
@@ -386,7 +399,19 @@ class TestReportCommand:
         assert a == b
 
     def test_missing_metrics_file(self, tmp_path, capsys):
-        assert run_cli(tmp_path, "report", "--metrics", "nope.tsv") == 2
+        empty = tmp_path / "empty.tsv"
+        empty.write_text("")
+        wrong = tmp_path / "wrong.tsv"
+        wrong.write_text("iteration\tloss\n1\t0.5\n")
+        for path, message in (
+            ("nope.tsv", "metrics file nope.tsv does not exist"),
+            (empty, "report: empty metrics file"),
+            (wrong, "report: unexpected metrics columns: ('iteration', 'loss')"),
+        ):
+            assert run_cli(tmp_path, "report", "--metrics", str(path)) == 2
+            err = capsys.readouterr().err
+            assert err == message + "\n"
+            assert not (tmp_path / "out").exists()
 
 
 class TestOutputRootEnv:

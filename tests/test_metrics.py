@@ -1,6 +1,7 @@
 """Two-sample distances: unbiased MMD and sliced Wasserstein."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from helpers import pooled_mmd_rbf
 from ratiogan.densities import gaussian, ring, sample
 from ratiogan import metrics
-from ratiogan.metrics import _MEDIAN_SAMPLE, _median, mmd_rbf, sliced_wasserstein
+from ratiogan.metrics import _BAND, _MEDIAN_SAMPLE, _median, mmd_rbf, sliced_wasserstein
 
 
 class TestMmd:
@@ -63,7 +64,11 @@ class TestMmdMatchesPooledOracle:
             (300, 451, 1),  # 281625 pooled pairs: odd
             (300, 452, 2),  # 282376 pooled pairs: even
             (517, 80, 2),
-            (2048, 2048, 1),
+            (_BAND - 1, 130, 2),  # one short band on the x side
+            (_BAND, 130, 2),  # the band boundary hit exactly
+            (_BAND + 1, 130, 2),  # one row past it
+            (130, _BAND + 1, 1),  # ... and on the y side
+            (2048, 2048, 1),  # the shift1d eval shape
             (2048, 2048, 2),
         ],
     )
@@ -78,6 +83,22 @@ class TestMmdMatchesPooledOracle:
         x = sample(ring(8, 2.0, 0.02), 2048, 5)
         y = sample(gaussian([0.0, 0.0], np.eye(2)), 2048, 6)
         assert mmd_rbf(y, x, "median") == pooled_mmd_rbf(y, x, "median")
+
+    def test_ring_eval_peak_memory(self):
+        """Beyond its three float64 blocks, the ring2d eval call holds less
+        than 10 MiB at once: every elementwise pass runs in row bands."""
+        x = sample(ring(8, 2.0, 0.02), 2048, 5)
+        y = sample(gaussian([0.0, 0.0], np.eye(2)), 2048, 6)
+        blocks = 3 * 2048 * 2048 * 8
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            mmd_rbf(y, x, "median")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < blocks + 10 * 2**20
 
     @pytest.mark.parametrize("bandwidth", ["median", 0.0, -1.0])
     def test_degenerate_bandwidth_like_oracle(self, bandwidth):

@@ -56,6 +56,10 @@ class TestConfigValidation:
             ("disc_hidden", "swish", "discriminator: unknown activation 'swish'"),
             ("gen_hidden_widths", (0,), "generator: layer widths must be >= 1"),
             ("disc_hidden_widths", (), "discriminator: need at least one hidden layer"),
+            ("beta2", 1.0, r"beta2 must be in \[0, 1\)"),
+            ("beta1", 1.5, r"beta1 must be in \[0, 1\)"),
+            ("learning_rate", -1.0, "learning_rate must be positive"),
+            ("learning_rate", 0.0, "learning_rate must be positive"),
         ],
     )
     def test_rejects_bad_values(self, field, value, msg):
