@@ -62,6 +62,10 @@ ENV_OUT = "RATIOGAN_OUT"
 # What a bad config file, override, sample file or loss name raises.
 CONFIG_ERRORS = (ValueError, KeyError, OSError, configparser.Error)
 
+# Least value of each numeric flag, by argparse dest; a smaller value or NaN is a usage error.
+FLAG_MINIMA = {"n_points": 2, "log_every": 1, "max_iters": 1, "jobs": 1, "tol": 0,
+               "argmax_tol": 0, "minimizer_tol": 0, "value_tol": 0, "deriv_tol": 0}
+
 
 def _usage_error(prefix: str, exc: Exception) -> int:
     """Print a rejected input as one line on stderr; the usage-error exit code."""
@@ -189,10 +193,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve_grid(args) -> int:
-    for flag, value, least in (("--n-points", args.n_points, 2), ("--log-every", args.log_every, 1)):
-        if value < least:
-            print(f"solve-grid: {flag} must be >= {least}", file=sys.stderr)
-            return 2
     try:
         entry = catalogue_lookup(args.loss)
     except KeyError as exc:
@@ -531,6 +531,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for dest, least in FLAG_MINIMA.items():
+        if not getattr(args, dest, least) >= least:
+            print(f"{args.command}: --{dest.replace('_', '-')} must be >= {least}", file=sys.stderr)
+            return 2
     if getattr(args, "config", None):
         try:
             args.config_text = Path(args.config).read_text()

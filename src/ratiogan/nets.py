@@ -205,8 +205,8 @@ def backward(net: DenseNet, cache: dict, output_grads: np.ndarray, param_rows: O
     """Exact reverse-mode gradients for the scalar whose output grads are given.
 
     Returns (flat parameter gradient, d loss / d batch).  ``param_rows``
-    restricts the parameter sums to the first rows of the batch; the
-    batch gradient always covers every row.
+    restricts the parameter sums to the first rows of the batch (0: none,
+    a zero gradient); the batch gradient always covers every row.
     """
     g = np.asarray(output_grads, dtype=float)
     if g.shape != cache["d1"][-1].shape:

@@ -11,8 +11,9 @@ two-sample distances between generated and target samples.
 
 Each snapshot runs on one eval thread while training goes on, on copies
 of the nets and with its own random generator, so records are as if run
-inline.  At most one is in flight: the next eval, an abort and the return
-wait for it and append its record; an exception in it is raised from train.
+inline; it keeps none of its net passes' backward caches.  At most one
+is in flight: the next eval, an abort and the return wait for it and
+append its record; an exception in it is raised from train.
 """
 
 from __future__ import annotations
@@ -287,9 +288,10 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
     def evaluate(iteration: int, generator, discriminator, penalty, train_lr) -> MetricRecord:
         x_eval = sample(config.f_spec, config.eval_batch, eval_rng)
         z_eval = sample(config.h_spec, config.eval_batch, eval_rng)
-        y_eval, _ = forward(generator, z_eval)
-        d_real, _ = forward(discriminator, x_eval)
-        d_fake, _ = forward(discriminator, y_eval)
+        # [0]: each backward cache is freed at once, not kept alive through mmd_rbf
+        y_eval = forward(generator, z_eval)[0]
+        d_real = forward(discriminator, x_eval)[0]
+        d_fake = forward(discriminator, y_eval)[0]
         disc_obj = float(np.mean(phi_v(d_real[:, 0])) + np.mean(psi_v(d_fake[:, 0])))
         gen_obj = float(np.mean(psi_v(d_fake[:, 0])))
         lr_fields = _ratio_stats(loss, d_real, d_fake) if loss.ratio_invertible else (None,) * 4

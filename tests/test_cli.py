@@ -348,6 +348,15 @@ class TestConfigErrors:
             (None, ["solve-grid", "--loss", "MSE", "--uniform", "--window", "1", "1"],
              "solve-grid: support points must be distinct"),
             (None, ["verify", "--loss", ","], "--loss ',' names no loss"),
+            (None, ["solve-grid", "--loss", "MSE", "--max-iters", "0"], "solve-grid: --max-iters must be >= 1"),
+            (None, ["solve-grid", "--loss", "MSE", "--max-iters", "-3"], "solve-grid: --max-iters must be >= 1"),
+            (None, ["solve-grid", "--loss", "MSE", "--tol", "-1"], "solve-grid: --tol must be >= 0"),
+            (None, ["solve-grid", "--loss", "MSE", "--tol", "nan"], "solve-grid: --tol must be >= 0"),
+            (None, ["verify", "--loss", "MSE", "--value-tol", "-1"], "verify: --value-tol must be >= 0"),
+            (None, ["verify", "--loss", "MSE", "--deriv-tol", "nan"], "verify: --deriv-tol must be >= 0"),
+            (None, ["verify", "--loss", "MSE", "--argmax-tol", "-1"], "verify: --argmax-tol must be >= 0"),
+            (None, ["verify", "--loss", "MSE", "--minimizer-tol", "nan"], "verify: --minimizer-tol must be >= 0"),
+            (None, ["train", "--preset", "shift1d-MSE", "--jobs", "0"], "train: --jobs must be >= 1"),
         ],
         ids=["solve-no-target", "solve-negative-cov", "solve-no-header", "train-no-header",
              "train-unknown-loss", "train-bad-override", "echo-unknown-key", "train-unknown-hidden-unit",
@@ -355,7 +364,9 @@ class TestConfigErrors:
              "train-missing-low", "train-missing-high", "train-missing-components", "train-missing-path",
              "train-beta2-one", "train-beta1-above-one", "train-negative-learning-rate",
              "train-zero-learning-rate", "solve-log-every-zero", "solve-uniform-no-points",
-             "solve-uniform-empty-window", "verify-no-loss-names"],
+             "solve-uniform-empty-window", "verify-no-loss-names", "solve-max-iters-zero",
+             "solve-max-iters-negative", "solve-negative-tol", "solve-nan-tol", "verify-negative-value-tol",
+             "verify-nan-deriv-tol", "verify-negative-argmax-tol", "verify-nan-minimizer-tol", "train-jobs-zero"],
     )
     def test_one_line_usage_error_and_nothing_written(self, tmp_path, capsys, config, args, message):
         echo = tmp_path / "echo.cfg"

@@ -19,7 +19,9 @@ from ratiogan.nets import (
     init_net,
     net_from_json,
     net_to_json,
+    penalty_coefficients,
     penalty_from_norms,
+    weighted_norm_param_grads,
 )
 
 from helpers import (
@@ -33,6 +35,10 @@ from helpers import (
 )
 
 SQUASHES = [None, NONNEGATIVE.label, UNIT.label, SYMMETRIC_UNIT.label]
+
+
+def assert_bitwise(got, want):
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def fd_param_grads(net, x, scalar_fn, h=1e-6):
@@ -165,19 +171,23 @@ class TestBackward:
 
     def test_param_rows_match_a_pass_over_those_rows(self):
         """Parameter sums over the first rows of a stacked batch equal a
-        separate pass over those rows bit for bit; input gradients cover all."""
+        separate pass over those rows bit for bit (none: a zero gradient);
+        input gradients cover all.  Also with a width-1 input layer."""
         rng = np.random.default_rng(5)
-        net = init_net(NetSpec(widths=(2, 64, 64, 1), squash=SQUASHES[2], seed=6))
-        x = rng.standard_normal((192, 2))
-        c = rng.standard_normal((192, 1))
-        _, cache = forward(net, x)
-        grads, gin = backward(net, cache, c, param_rows=128)
-        _, head_cache = forward(net, x[:128])
-        head_grads, head_gin = backward(net, head_cache, c[:128])
-        _, tail_cache = forward(net, x[128:])
-        _, tail_gin = backward(net, tail_cache, c[128:])
-        np.testing.assert_array_equal(grads, head_grads)
-        np.testing.assert_array_equal(gin, np.vstack([head_gin, tail_gin]))
+        for width, head in ((2, 128), (2, 0), (1, 128)):
+            net = init_net(NetSpec(widths=(width, 64, 64, 1), squash=SQUASHES[2], seed=6))
+            x = rng.standard_normal((192, width))
+            c = rng.standard_normal((192, 1))
+            _, cache = forward(net, x)
+            grads, gin = backward(net, cache, c, param_rows=head)
+            _, head_cache = forward(net, x[:head])
+            head_grads, head_gin = backward(net, head_cache, c[:head])
+            _, tail_cache = forward(net, x[head:])
+            _, tail_gin = backward(net, tail_cache, c[head:])
+            assert_bitwise(grads, head_grads)
+            assert_bitwise(gin, np.vstack([head_gin, tail_gin]))
+            if head == 0:
+                assert not grads.any()
 
     def test_stale_cache_rejected(self):
         net = init_net(NetSpec(widths=(2, 4, 1), seed=2))
@@ -336,6 +346,21 @@ class TestPenaltyPass:
         for (ew, eb), (fw, fb) in zip(net.layers(exact), net.layers(fallback)):
             rel = np.abs(ew - fw) / max(np.abs(fw).max(), 1e-10)
             assert rel.max() < 1e-3
+
+    def test_needs_no_backward_on_its_cache(self):
+        """The penalty pass reads only its arguments: on a fresh cache, with
+        input gradients from a separate pass, it equals the fused feed bit
+        for bit."""
+        rng = np.random.default_rng(9)
+        net = init_net(NetSpec(widths=(2, 16, 16, 1), seed=3))
+        x = rng.standard_normal((12, 2))
+        coeffs_fn = lambda norms: penalty_coefficients(norms, 10.0, "mean")
+        _, input_grads = input_gradients(net, x)
+        _, cache = forward(net, x, second_from=0)
+        norms, grads = weighted_norm_param_grads(net, cache, input_grads, coeffs_fn)
+        want_norms, want_grads = penalty_pass(net, x, coeffs_fn)
+        assert_bitwise(norms, want_norms)
+        assert_bitwise(grads, want_grads)
 
     def test_rectifier_refused_in_exact_mode(self):
         net = init_net(NetSpec(widths=(2, 4, 1), hidden="relu", seed=0))

@@ -2,12 +2,15 @@
 
 import dataclasses
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import ratiogan.training as training
 from ratiogan.catalogue import catalogue_lookup
+from ratiogan.cli import _preset_text
+from ratiogan.config import apply_overrides, train_config_from_text
 from ratiogan.densities import gaussian, ring, sample, sample_file
 from ratiogan.losses import (
     LossPair,
@@ -432,6 +435,24 @@ class TestEvalThread:
         with pytest.raises(RuntimeError, match="mmd failed"):
             train(shift_config())
         assert threading.active_count() == before
+
+
+class TestEvalMemory:
+    @pytest.mark.parametrize("preset", ["ring2d-B2", "shift1d-MSE"])
+    def test_snapshot_peak_is_mmd_blocks_plus_little(self, preset):
+        """At eval_batch 2048 the traced peak of a one-iteration run stays
+        below MMD's three 2048x2048 float64 blocks + 8 MiB: the eval's net
+        passes keep no backward cache alive through MMD."""
+        text = apply_overrides(_preset_text(preset)[0][1], ["train.total_generator_iters=1"])
+        cfg = train_config_from_text(text)
+        assert cfg.eval_batch == 2048
+        tracemalloc.start()
+        try:
+            serial_train(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2048**2 * 8 + 8 * 2**20
 
 
 class TestMetricsIO:
