@@ -1,12 +1,13 @@
 """The audited catalogue of named loss pairs.
 
 Thirteen rows.  Each of the eleven invertible rows gives its generating
-(omega, rho) pair, the closed forms phi and psi, and phi' by hand;
-``LossPair`` derives psi' = rho (on the clamped interior) and the range
-from omega.  phi' is written out as the numerically stable closed form of
--omega_inverse * rho: the product itself loses last bits on most rows and
-fails for large |z| (for B2, -e^z * sigmoid(-z) is -0 from z = 38 and NaN
-from z = 710, where phi' is -1).  The two sign-limit rows have no rho and
+(omega, rho) pair, the closed forms phi and psi, and phi' by hand; the
+rows share five omega transforms, and ``LossPair`` derives psi' = rho
+(on the clamped interior), the range and invertibility from omega.
+phi' is written out as the numerically stable closed form of
+-omega_inverse * rho: the product itself loses last bits on most rows
+and fails for large |z| (for B2, -e^z * sigmoid(-z) is -0 from z = 38
+and NaN from z = 710, where phi' is -1).  The two sign-limit rows have no rho and
 give both derivatives.  Three widely circulated rows fail the derivative
 rule as printed; the corrected, self-consistent forms are shipped and the
 applied correction is recorded in the entry's derivation note.
@@ -42,55 +43,37 @@ _in_pos = NONNEGATIVE.clamp_interior
 _in_unit = UNIT.clamp_interior
 
 
-def _omega_identity():
-    return OmegaTransform(
-        forward=lambda r: np.asarray(r, dtype=float),
-        inverse=lambda z: _in_pos(z),
-        range=NONNEGATIVE,
-        invertible=True,
-        description="r",
-    )
-
-
-def _omega_sqrt():
-    return OmegaTransform(
-        forward=lambda r: np.sqrt(np.asarray(r, dtype=float)),
-        inverse=lambda z: _in_pos(z) ** 2,
-        range=NONNEGATIVE,
-        invertible=True,
-        description="sqrt(r)",
-    )
-
-
-def _omega_log():
-    return OmegaTransform(
-        forward=lambda r: np.log(np.asarray(r, dtype=float)),
-        inverse=np.exp,
-        range=REALS,
-        invertible=True,
-        description="log(r)",
-    )
-
-
-def _omega_posterior():
-    return OmegaTransform(
-        forward=lambda r: np.asarray(r, dtype=float) / (1.0 + np.asarray(r, dtype=float)),
-        inverse=lambda z: _in_unit(z) / (1.0 - _in_unit(z)),
-        range=UNIT,
-        invertible=True,
-        description="r/(1+r)",
-    )
-
-
-def _omega_sign_limit():
-    # Limit of strictly increasing approximations; not invertible.
-    return OmegaTransform(
-        forward=lambda r: np.sign(np.log(np.maximum(np.asarray(r, dtype=float), 1e-300))),
-        inverse=None,
-        range=REALS,
-        invertible=False,
-        description="sign(log r) (limit)",
-    )
+_OMEGA_IDENTITY = OmegaTransform(
+    forward=lambda r: np.asarray(r, dtype=float),
+    inverse=_in_pos,
+    range=NONNEGATIVE,
+    description="r",
+)
+_OMEGA_SQRT = OmegaTransform(
+    forward=lambda r: np.sqrt(np.asarray(r, dtype=float)),
+    inverse=lambda z: _in_pos(z) ** 2,
+    range=NONNEGATIVE,
+    description="sqrt(r)",
+)
+_OMEGA_LOG = OmegaTransform(
+    forward=lambda r: np.log(np.asarray(r, dtype=float)),
+    inverse=np.exp,
+    range=REALS,
+    description="log(r)",
+)
+_OMEGA_POSTERIOR = OmegaTransform(
+    forward=lambda r: np.asarray(r, dtype=float) / (1.0 + np.asarray(r, dtype=float)),
+    inverse=lambda z: _in_unit(z) / (1.0 - _in_unit(z)),
+    range=UNIT,
+    description="r/(1+r)",
+)
+# Limit of strictly increasing approximations; it has no inverse.
+_OMEGA_SIGN_LIMIT = OmegaTransform(
+    forward=lambda r: np.sign(np.log(np.maximum(np.asarray(r, dtype=float), 1e-300))),
+    inverse=None,
+    range=REALS,
+    description="sign(log r) (limit)",
+)
 
 
 def _build_catalogue() -> dict:
@@ -113,7 +96,7 @@ def _build_catalogue() -> dict:
             phi_prime=lambda z: -np.ones_like(np.asarray(z, dtype=float)),
             psi=lambda z: np.log(_in_pos(z)),
             rho=lambda z: 1.0 / _in_pos(z),
-            omega=_omega_identity(),
+            omega=_OMEGA_IDENTITY,
         ),
         "phi = -z, psi = log z, J = [0,inf)",
         "omega(r) = r, rho(z) = 1/z (power-weight exponent -1).",
@@ -126,7 +109,7 @@ def _build_catalogue() -> dict:
             phi_prime=lambda z: -1.0 / _in_pos(z),
             psi=lambda z: -1.0 / _in_pos(z),
             rho=lambda z: _in_pos(z) ** -2,
-            omega=_omega_identity(),
+            omega=_OMEGA_IDENTITY,
         ),
         "phi = -log z, psi = -1/z, J = [0,inf)",
         "omega(r) = r, rho(z) = z^-2 (power-weight exponent -2).",
@@ -139,7 +122,7 @@ def _build_catalogue() -> dict:
             phi_prime=lambda z: -np.ones_like(np.asarray(z, dtype=float)),
             psi=lambda z: -(1.0 + 1.0 / _in_pos(z)),
             rho=lambda z: _in_pos(z) ** -2,
-            omega=_omega_sqrt(),
+            omega=_OMEGA_SQRT,
         ),
         "phi = -(1+z), psi = -(1+1/z), J = [0,inf)",
         "omega(r) = sqrt(r), rho(z) = z^-2; these forms satisfy the "
@@ -155,7 +138,7 @@ def _build_catalogue() -> dict:
             phi_prime=lambda z: -1.0 / (1.0 + np.asarray(z, dtype=float)),
             psi=lambda z: np.log(_in_pos(z)) - np.log1p(_in_pos(z)),
             rho=lambda z: 1.0 / (_in_pos(z) * (1.0 + _in_pos(z))),
-            omega=_omega_identity(),
+            omega=_OMEGA_IDENTITY,
         ),
         "phi = -log(1+z), psi = -log(1+1/z), J = [0,inf)",
         "omega(r) = r, rho(z) = 1/(z(1+z)).",
@@ -168,7 +151,7 @@ def _build_catalogue() -> dict:
             phi_prime=lambda z: -np.asarray(z, dtype=float),
             psi=lambda z: np.asarray(z, dtype=float),
             rho=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-            omega=_omega_identity(),
+            omega=_OMEGA_IDENTITY,
         ),
         "phi = -z^2/2, psi = z, J = [0,inf)",
         "omega(r) = r, rho(z) = 1; the discriminator estimates the ratio itself.",
@@ -183,7 +166,7 @@ def _build_catalogue() -> dict:
             phi_prime=lambda z: -np.exp(np.asarray(z, dtype=float)),
             psi=lambda z: np.asarray(z, dtype=float),
             rho=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-            omega=_omega_log(),
+            omega=_OMEGA_LOG,
         ),
         "phi = -e^z, psi = z, J = R",
         "omega(r) = log r, rho(z) = 1 (exponential weight at decay 0). "
@@ -198,7 +181,7 @@ def _build_catalogue() -> dict:
             phi_prime=lambda z: -np.ones_like(np.asarray(z, dtype=float)),
             psi=lambda z: -np.exp(-np.asarray(z, dtype=float)),
             rho=lambda z: np.exp(-np.asarray(z, dtype=float)),
-            omega=_omega_log(),
+            omega=_OMEGA_LOG,
         ),
         "phi = -z, psi = -e^-z, J = R",
         "omega(r) = log r, rho(z) = e^-z (exponential weight at decay 1).",
@@ -211,7 +194,7 @@ def _build_catalogue() -> dict:
             phi_prime=lambda z: -0.5 * np.exp(0.5 * np.asarray(z, dtype=float)),
             psi=lambda z: -np.exp(-0.5 * np.asarray(z, dtype=float)),
             rho=lambda z: 0.5 * np.exp(-0.5 * np.asarray(z, dtype=float)),
-            omega=_omega_log(),
+            omega=_OMEGA_LOG,
         ),
         "phi = -e^(z/2), psi = -e^(-z/2), J = R",
         "omega(r) = log r, rho(z) = e^(-z/2)/2: the decay-1/2 exponential "
@@ -226,7 +209,7 @@ def _build_catalogue() -> dict:
             phi_prime=lambda z: -_sigmoid(z),
             psi=lambda z: -np.logaddexp(0.0, -np.asarray(z, dtype=float)),
             rho=lambda z: _sigmoid(-np.asarray(z, dtype=float)),
-            omega=_omega_log(),
+            omega=_OMEGA_LOG,
         ),
         "phi = -log(1+e^z), psi = -log(1+e^-z), J = R",
         "omega(r) = log r, rho(z) = 1/(1+e^z).",
@@ -241,7 +224,7 @@ def _build_catalogue() -> dict:
             phi_prime=lambda z: -1.0 / (1.0 - _in_unit(z)),
             psi=lambda z: np.log(_in_unit(z)),
             rho=lambda z: 1.0 / _in_unit(z),
-            omega=_omega_posterior(),
+            omega=_OMEGA_POSTERIOR,
         ),
         "phi = log(1-z), psi = log z, J = [0,1]",
         "omega(r) = r/(1+r), rho(z) = 1/z; the discriminator estimates the "
@@ -255,7 +238,7 @@ def _build_catalogue() -> dict:
             phi_prime=lambda z: -_in_unit(z) / (1.0 - _in_unit(z)),
             psi=lambda z: np.asarray(z, dtype=float),
             rho=lambda z: np.ones_like(np.asarray(z, dtype=float)),
-            omega=_omega_posterior(),
+            omega=_OMEGA_POSTERIOR,
         ),
         "phi = z + log(1-z), psi = z, J = [0,1]",
         "omega(r) = r/(1+r), rho(z) = 1 (the exponent-0 member of the "
@@ -272,7 +255,7 @@ def _build_catalogue() -> dict:
             phi_prime=lambda z: np.where(np.asarray(z, dtype=float) >= -1.0, -1.0, 0.0),
             psi=lambda z: -np.maximum(1.0 - np.asarray(z, dtype=float), 0.0),
             psi_prime=lambda z: np.where(np.asarray(z, dtype=float) <= 1.0, 1.0, 0.0),
-            omega=_omega_sign_limit(),
+            omega=_OMEGA_SIGN_LIMIT,
         ),
         "phi = -max(1+z, 0), psi = -max(1-z, 0), J = R",
         "limit of omega(r) = sign(log r)|log r|^(1/c) as c grows; the "
@@ -287,7 +270,7 @@ def _build_catalogue() -> dict:
             phi_prime=lambda z: np.ones_like(np.asarray(z, dtype=float)),
             psi=lambda z: -np.asarray(z, dtype=float),
             psi_prime=lambda z: -np.ones_like(np.asarray(z, dtype=float)),
-            omega=_omega_sign_limit(),
+            omega=_OMEGA_SIGN_LIMIT,
         ),
         "phi = z, psi = -z, J = R",
         "limit of the smooth sign approximation (r^c-1)/(r^c+1); shipped in "

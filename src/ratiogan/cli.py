@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
+import math
 import os
 import sys
 from pathlib import Path
@@ -193,6 +194,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve_grid(args) -> int:
+    if args.uniform and args.config:
+        print("solve-grid: --uniform ignores the density of --config; give one of them", file=sys.stderr)
+        return 2
+    lo, hi = args.window
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
+        print(f"solve-grid: --window {lo:g} {hi:g} must be two finite numbers, low first", file=sys.stderr)
+        return 2
     try:
         entry = catalogue_lookup(args.loss)
     except KeyError as exc:
@@ -222,11 +230,11 @@ def cmd_solve_grid(args) -> int:
             from .grid_solver import DiscreteDensity
 
             f = DiscreteDensity(
-                support=np.linspace(args.window[0], args.window[1], args.n_points),
+                support=np.linspace(lo, hi, args.n_points),
                 mass=np.full(args.n_points, 1.0 / args.n_points),
             )
         else:
-            window = args.window if density.dim == 1 else ((args.window[0], args.window[1]),) * 2
+            window = (lo, hi) if density.dim == 1 else ((lo, hi),) * 2
             f = discretize(density, args.n_points, window)
     except ValueError as exc:
         return _usage_error("solve-grid", exc)
@@ -327,47 +335,39 @@ def _canonical_loss_name(name: str) -> str:
     return catalogue_lookup(name).loss.name
 
 
-def _plot_metrics(records, outdir_stager, prefix="plots/"):
+# (file, title, y label, plotted metric columns, reference line) of each plot
+METRIC_PLOTS = (
+    ("likelihood_ratio.svg", "discriminator-implied likelihood ratio", "ratio",
+     ("lr_real_mean", "lr_gen_mean"), 1.0),
+    ("objectives.svg", "objectives", "value", ("disc_objective", "gen_objective"), None),
+    ("distances.svg", "two-sample distances to target", "distance", ("mmd", "swd"), None),
+    ("penalty.svg", "gradient penalty", "penalty", ("penalty",), None),
+)
+
+
+def _metric_plots(records) -> list:
+    """(file, series, title, y label, reference line) of each plot the records
+    fill; a plot whose columns are all empty (no ratio readback) is left out.
+    Raises ValueError when there is no record or a plot has no finite value."""
+    if not records:
+        raise ValueError("no metric records to plot")
     iters = [r.generator_iteration for r in records]
-    if any(r.lr_real_mean is not None for r in records):
-        emit_svg_lineplot(
-            [
-                ("lr_real_mean", iters, [r.lr_real_mean for r in records]),
-                ("lr_gen_mean", iters, [r.lr_gen_mean for r in records]),
-            ],
-            outdir_stager.stage(prefix + "likelihood_ratio.svg"),
-            title="discriminator-implied likelihood ratio",
-            x_label="generator iteration",
-            y_label="ratio",
-            reference_y=1.0,
-        )
-    emit_svg_lineplot(
-        [
-            ("disc_objective", iters, [r.disc_objective for r in records]),
-            ("gen_objective", iters, [r.gen_objective for r in records]),
-        ],
-        outdir_stager.stage(prefix + "objectives.svg"),
-        title="objectives",
-        x_label="generator iteration",
-        y_label="value",
-    )
-    emit_svg_lineplot(
-        [
-            ("mmd", iters, [r.mmd for r in records]),
-            ("swd", iters, [r.swd for r in records]),
-        ],
-        outdir_stager.stage(prefix + "distances.svg"),
-        title="two-sample distances to target",
-        x_label="generator iteration",
-        y_label="distance",
-    )
-    emit_svg_lineplot(
-        [("penalty", iters, [r.penalty for r in records])],
-        outdir_stager.stage(prefix + "penalty.svg"),
-        title="gradient penalty",
-        x_label="generator iteration",
-        y_label="penalty",
-    )
+    plots = []
+    for file, title, y_label, columns, reference_y in METRIC_PLOTS:
+        series = [(col, iters, [getattr(r, col) for r in records]) for col in columns]
+        values = [v for _, _, ys in series for v in ys if v is not None]
+        if not values:
+            continue
+        if not any(map(math.isfinite, values)):
+            raise ValueError(f"no finite {' or '.join(columns)} value to plot")
+        plots.append((file, series, title, y_label, reference_y))
+    return plots
+
+
+def _plot_metrics(plots, stager):
+    for file, series, title, y_label, reference_y in plots:
+        emit_svg_lineplot(series, stager.stage("plots/" + file), title=title,
+                          x_label="generator iteration", y_label=y_label, reference_y=reference_y)
 
 
 def _checked_config(text: str, overrides) -> TrainConfig:
@@ -400,7 +400,7 @@ def _run_one_training(run_name: str, config: TrainConfig, root: Path) -> int:
     stager.stage("samples_final.csv").write_text("\n".join(lines) + "\n")
 
     if result.records:
-        _plot_metrics(result.records, stager)
+        _plot_metrics(_metric_plots(result.records), stager)
     stager.commit()
 
     if result.aborted:
@@ -467,10 +467,11 @@ def cmd_report(args) -> int:
         return 2
     try:
         records = metrics_from_text(path.read_text())
+        plots = _metric_plots(records)
     except (ValueError, OSError) as exc:
         return _usage_error("report", exc)
     stager = OutputStager(_output_root(args))
-    _plot_metrics(records, stager)
+    _plot_metrics(plots, stager)
     stager.commit()
     print(f"re-rendered plots for {len(records)} records into {stager.root / 'plots'}")
     return 0

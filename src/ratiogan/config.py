@@ -30,6 +30,7 @@ Density kinds: gaussian (mean, cov: scalar, diagonal, or ';'-separated
 rows), ring (modes, radius, sigma), uniform (low, high), mixture
 (components = weight gaussian <mean..> <diag-stddevs..> | ...), file
 (path = samples.csv, target only; read once when the config is parsed).
+A density section may hold the keys of any kind, and no other key.
 """
 
 from __future__ import annotations
@@ -63,9 +64,19 @@ def parse_config_text(text: str) -> configparser.ConfigParser:
     return parser
 
 
+# Every key that some density kind reads.  A key of another kind than the
+# section's is accepted, so an override can switch a preset's kind.
+_DENSITY_KEYS = ("kind", "path", "mean", "cov", "modes", "radius", "sigma", "low", "high", "components")
+
+
 def density_from_section(section) -> DensitySpec:
-    """A density from a configparser section (or a plain mapping); a
-    missing required key is named with its section and kind."""
+    """A density from a configparser section (or a plain mapping); a key
+    that no kind reads, or a missing required key, is named with its
+    section."""
+    name = getattr(section, "name", "density")
+    unknown = [key for key in section if key not in _DENSITY_KEYS]
+    if unknown:
+        raise ValueError(f"unknown [{name}] key {unknown[0]!r}")
     kind = section.get("kind", "gaussian").strip().lower()
     try:
         if kind == "file":
@@ -105,7 +116,6 @@ def density_from_section(section) -> DensitySpec:
                 comps.append((w, gaussian(mean, np.diag(np.asarray(stds) ** 2))))
             return mixture(comps)
     except KeyError as exc:
-        name = getattr(section, "name", "density")
         raise ValueError(f"[{name}] kind = {kind} needs a {exc.args[0]!r} key") from None
     raise ValueError(f"unknown density kind {kind!r}")
 

@@ -2,9 +2,11 @@
 
 The inner maximization has the pointwise closed form D_i = omega(r_i),
 so what remains is projected gradient descent on the ratio vector: the
-per-point gradient of the concentrated cost is f_i * psi_tilde(omega(r_i)),
-and feasibility means r >= 0 with sum(r_i * f_i) = 1.  The minimizer is
-the constant field r = 1 for every invertible pair.
+concentrated cost is sum_i f_i * (phi(omega(r_i)) + r_i * psi_tilde(omega(r_i))),
+both it and its per-point gradient f_i * psi_tilde(omega(r_i)) come from
+``losses.concentrated``, and feasibility means r >= 0 with
+sum(r_i * f_i) = 1.  The minimizer is the constant field r = 1 for every
+invertible pair.
 """
 
 from __future__ import annotations
@@ -12,11 +14,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .losses import LossPair, normalize_psi
+from .losses import LossPair, concentrated, normalize_psi
 
 __all__ = [
     "DiscreteDensity",
@@ -211,7 +213,6 @@ def solve_minmax_grid(
     loss: LossPair,
     f: DiscreteDensity,
     r_init: RatioField,
-    step: Optional[float] = None,
     max_iters: int = 20000,
     tol: float = 1e-10,
     log_every: int = 1,
@@ -220,31 +221,25 @@ def solve_minmax_grid(
 
     Alternates the exact inner maximizer D = omega(r) with a projected
     step along the per-point gradient f_i * psi_tilde(omega(r_i)),
-    backtracking on objective increase (factor 0.5, at most 30 halvings
-    per iteration).  A candidate whose objective is still non-finite is
-    not taken.  Fifty consecutive non-improving iterations raise
-    ``SolverDiverged`` with the trace attached.
+    starting from step 0.1 / max_i f_i and backtracking on objective
+    increase (factor 0.5, at most 30 halvings per iteration).  A
+    candidate whose objective is still non-finite is not taken.  Fifty
+    consecutive non-improving iterations raise ``SolverDiverged`` with
+    the trace attached.
     """
     if not loss.ratio_invertible:
         raise ValueError(f"ideal solver requires invertible omega; {loss.name} has none")
     r_init.validate_against(f)
 
     normalized = normalize_psi(loss)
-    phi_v, psi_tilde = normalized.values()
-    omega_fwd = normalized.omega.forward
-    clamp = normalized.range.clamp_interior
     mass = f.mass
 
     def objective_and_grad(r):
         with np.errstate(all="ignore"):  # r may hold zeros: an inf or NaN candidate is rejected
-            z = clamp(omega_fwd(r))
-            psi_t = np.asarray(psi_tilde(z), dtype=float)
-            obj = float(mass @ (np.asarray(phi_v(z), dtype=float) + r * psi_t))
-            return obj, mass * psi_t
+            cost, slope = concentrated(normalized, r)
+            return float(mass @ cost), mass * slope
 
-    base_step = step if step is not None else 0.1 / float(mass.max())
-    if base_step <= 0:
-        raise ValueError("step must be positive")
+    base_step = 0.1 / float(mass.max())
 
     r = np.asarray(r_init.values, dtype=float).copy()
     trace = SolveTrace()
@@ -298,11 +293,7 @@ def minmax_value(loss: LossPair, r: Union[RatioField, np.ndarray], f: DiscreteDe
     values = r.values if isinstance(r, RatioField) else np.asarray(r, dtype=float)
     if len(values) != len(f):
         raise ValueError("ratio field and density lengths differ")
-    phi_v, psi_v = loss.values()
-    z = loss.range.clamp_interior(loss.omega.forward(values))
-    return float(
-        f.mass @ (np.asarray(phi_v(z), dtype=float) + values * np.asarray(psi_v(z), dtype=float))
-    )
+    return float(f.mass @ concentrated(loss, values)[0])
 
 
 def trace_to_text(trace: SolveTrace) -> str:

@@ -11,7 +11,8 @@ Gradient-based training only ever needs these derivatives; closed forms
 for phi and psi are optional and carried when known.  The discriminator
 that maximizes phi(D) + r*psi(D) pointwise is D = omega(r), so an
 invertible omega lets the trained discriminator be read back as a ratio
-estimate.
+estimate.  ``concentrated`` evaluates the cost at that optimum,
+phi(omega(r)) + r*psi(omega(r)), with its r-slope psi(omega(r)).
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ __all__ = [
     "OmegaTransform",
     "LossPair",
     "RatioNotRecoverableError",
+    "concentrated",
     "make_loss_pair",
     "make_monotone_loss",
     "normalize_psi",
@@ -50,12 +52,11 @@ OMEGA_PROBE = np.logspace(-3.0, 3.0, 61)
 
 @dataclass(frozen=True)
 class RangeInterval:
-    """An interval of discriminator outputs, with endpoint openness flags."""
+    """An interval of discriminator outputs: a finite end belongs to it,
+    an infinite end does not."""
 
     lower: float
     upper: float
-    lower_open: bool
-    upper_open: bool
     label: str
 
     def __post_init__(self):
@@ -63,9 +64,7 @@ class RangeInterval:
             raise ValueError(f"empty range: [{self.lower}, {self.upper}]")
 
     def contains(self, z) -> bool:
-        lo_ok = z > self.lower if self.lower_open else z >= self.lower
-        hi_ok = z < self.upper if self.upper_open else z <= self.upper
-        return bool(np.all(lo_ok) and np.all(hi_ok))
+        return bool(np.all(np.isfinite(z) & (z >= self.lower) & (z <= self.upper)))
 
     def clamp_interior(self, z, eps: float = INTERIOR_EPS):
         """Clamp z away from bounded endpoints by an absolute eps."""
@@ -77,10 +76,10 @@ class RangeInterval:
         return self.label
 
 
-NONNEGATIVE = RangeInterval(0.0, math.inf, False, True, "[0,inf)")
-UNIT = RangeInterval(0.0, 1.0, False, False, "[0,1]")
-REALS = RangeInterval(-math.inf, math.inf, True, True, "R")
-SYMMETRIC_UNIT = RangeInterval(-1.0, 1.0, False, False, "[-1,1]")
+NONNEGATIVE = RangeInterval(0.0, math.inf, "[0,inf)")
+UNIT = RangeInterval(0.0, 1.0, "[0,1]")
+REALS = RangeInterval(-math.inf, math.inf, "R")
+SYMMETRIC_UNIT = RangeInterval(-1.0, 1.0, "[-1,1]")
 
 CANONICAL_RANGES = (NONNEGATIVE, UNIT, REALS, SYMMETRIC_UNIT)
 
@@ -91,13 +90,17 @@ def _sigmoid(u):
 
 @dataclass(frozen=True)
 class OmegaTransform:
-    """Strictly increasing transform of the nonnegative likelihood ratio."""
+    """Strictly increasing transform of the nonnegative likelihood ratio;
+    a sign-limit transform has no inverse."""
 
     forward: Callable
     inverse: Optional[Callable]
     range: RangeInterval
-    invertible: bool
     description: str = ""
+
+    @property
+    def invertible(self) -> bool:
+        return self.inverse is not None
 
     def validate(self, probe: np.ndarray = OMEGA_PROBE) -> None:
         """Check strict increase (and inverse round-trip) on the probe grid.
@@ -125,8 +128,6 @@ class OmegaTransform:
         if not self.range.contains(z1):
             raise ValueError(f"omega(1)={z1} outside declared range {self.range}")
         if self.invertible:
-            if self.inverse is None:
-                raise ValueError("invertible transform without an inverse")
             live = ~saturated
             rt = np.asarray([float(self.inverse(v)) for v in vals[live]])
             rel = np.abs(rt - probe[live]) / probe[live]
@@ -195,10 +196,25 @@ class LossPair:
     def values(self) -> tuple:
         """(phi, psi) as callables: the closed forms, or for a missing one
         the quadrature surrogate of its derivative anchored at omega(1)."""
+        if self.phi is not None and self.psi is not None:
+            return self.phi, self.psi
         z1 = self.omega_at_one
         phi = self.phi if self.phi is not None else antiderivative_from(self.phi_prime, z1)
         psi = self.psi if self.psi is not None else antiderivative_from(self.psi_prime, z1)
         return phi, psi
+
+
+def concentrated(loss: LossPair, r) -> tuple:
+    """The cost phi(z) + r*psi(z) at the inner optimum z = omega(r) (clamped
+    to the range interior), and its r-slope psi(z), elementwise in r.
+
+    Pass ``normalize_psi(loss)`` for the normalized cost, which is smallest
+    at r = 1; with the raw psi, r = 1 gives the saddle value.
+    """
+    phi, psi = loss.values()
+    z = loss.range.clamp_interior(loss.omega.forward(r))
+    slope = np.asarray(psi(z), dtype=float)
+    return np.asarray(phi(z), dtype=float) + r * slope, slope
 
 
 def probe_points(loss: LossPair, n: int = 200) -> np.ndarray:
@@ -310,7 +326,6 @@ def make_monotone_loss(c: float, rho: Callable, name: Optional[str] = None) -> L
         forward=forward,
         inverse=inverse,
         range=SYMMETRIC_UNIT,
-        invertible=True,
         description=f"(r^{c} - 1)/(r^{c} + 1)",
     )
     return make_loss_pair(omega, rho, name=name or f"monotone(c={c:g})")
@@ -337,7 +352,7 @@ def ratio_from_discriminator(loss: LossPair, d):
     Outputs must be finite and inside the loss range; they are clamped to
     its interior before the inverse transform is applied.
     """
-    if not loss.ratio_invertible or loss.omega.inverse is None:
+    if not loss.ratio_invertible:
         raise RatioNotRecoverableError(
             f"ratio not recoverable: {loss.name} uses a sign-limit transform "
             f"whose inverse does not exist"

@@ -94,8 +94,8 @@ class TrainConfig:
             raise ValueError("critic_iters must be >= 1")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
+        if not 0 <= self.lam < math.inf:
+            raise ValueError("lambda must be nonnegative and finite")
         if self.total_generator_iters < 1:
             raise ValueError("total_generator_iters must be >= 1")
         if self.penalty_variant not in ("max", "mean"):
@@ -104,8 +104,12 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
         if self.eval_batch < 2:
             raise ValueError("eval_batch must be >= 2")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError("learning_rate must be positive and finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise ValueError(f"{name} must be in [0, 1)")

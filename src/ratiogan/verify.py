@@ -2,24 +2,27 @@
 
 For an invertible transform the pointwise maximizer of phi(D) + r*psi(D)
 must sit at D = omega(r), the concentrated objective
-phi(omega(r)) + r*psi_tilde(omega(r)) must bottom out at r = 1 with
-value phi(omega(1)), and the unnormalized saddle value must equal
-phi(omega(1)) + psi(omega(1)).  Everything here is independent of the
-derivative recipe it certifies: maxima come from grid scans plus
-golden-section refinement, minima from a log-spaced sweep with quadratic
-refinement, derivatives from central finite differences.
+phi(omega(r)) + r*psi_tilde(omega(r)) (``losses.concentrated`` on the
+psi-normalized pair) must bottom out at r = 1 with value phi(omega(1))
+and have r-slope psi_tilde(omega(r)), and the unnormalized saddle value
+must equal phi(omega(1)) + psi(omega(1)).  Everything here is
+independent of the derivative recipe it certifies: maxima come from grid
+scans plus golden-section refinement, minima from a log-spaced sweep
+with quadratic refinement, derivatives from central finite differences.
+Each check is a row whose error is |observed - expected| over a scale:
+1 for the absolute checks, max(|expected|, 1e-12) for the relative ones.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .losses import LossPair, normalize_psi, probe_points
+from .losses import LossPair, concentrated, normalize_psi, probe_points
 
 __all__ = [
     "CheckRow",
@@ -64,11 +67,11 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(row.passed for row in self.checks)
 
-    def add(self, check, probe, expected, observed, tol):
-        err = abs(observed - expected)
-        self.checks.append(
-            CheckRow(check, float(probe), float(expected), float(observed), err, tol, err <= tol)
-        )
+    def add(self, check, probe, expected, observed, tol, scale=1.0):
+        """Append a row whose error is |observed - expected| / scale."""
+        expected, observed = float(expected), float(observed)
+        err = abs(observed - expected) / scale
+        self.checks.append(CheckRow(check, float(probe), expected, observed, err, tol, err <= tol))
 
 
 @dataclass(frozen=True)
@@ -138,10 +141,7 @@ def concentrated_objective(loss: LossPair, r) -> float:
     r_arr = np.asarray(r, dtype=float)
     if np.any(r_arr < 0):
         raise ValueError("ratio values must be nonnegative")
-    normalized = normalize_psi(loss)
-    phi_v, psi_tilde = normalized.values()
-    z = normalized.range.clamp_interior(normalized.omega.forward(r_arr))
-    out = np.asarray(phi_v(z), dtype=float) + r_arr * np.asarray(psi_tilde(z), dtype=float)
+    out = concentrated(normalize_psi(loss), r_arr)[0]
     return float(out) if np.ndim(r) == 0 else out
 
 
@@ -180,8 +180,6 @@ def check_theorem1(
         report.skipped = "skipped: ratio not recoverable for sign-limit losses"
         return report
 
-    normalized = normalize_psi(loss)
-
     for r in r_grid:
         expected = float(loss.omega.forward(r))
         result = inner_argmax(loss, r)
@@ -198,17 +196,14 @@ def check_theorem1(
     report.add("min_value", 1.0, value_ref, min_observed, value_tol)
 
     # d/dr of the concentrated objective must equal psi_tilde(omega(r)).
-    psi_tilde = normalized.psi
+    normalized = normalize_psi(loss)
     for r in np.logspace(math.log10(0.2), math.log10(5.0), 25):
         if abs(r - 1.0) < 0.05:
             continue  # slope crosses zero at r = 1; relative error undefined
         h = 1e-5 * (1.0 + r)
         fd = (concentrated_objective(loss, r + h) - concentrated_objective(loss, r - h)) / (2 * h)
-        expected = float(psi_tilde(loss.range.clamp_interior(loss.omega.forward(r))))
-        rel = float(abs(fd - expected) / max(abs(expected), 1e-12))
-        report.checks.append(
-            CheckRow("concentrated_slope", float(r), expected, float(fd), rel, deriv_tol, bool(rel <= deriv_tol))
-        )
+        expected = float(concentrated(normalized, r)[1])
+        report.add("concentrated_slope", r, expected, fd, deriv_tol, scale=max(abs(expected), 1e-12))
     return report
 
 
@@ -244,10 +239,7 @@ def check_derivatives(
             h = 1e-6 * max(1.0, abs(z))
             fd = (float(fn(z + h)) - float(fn(z - h))) / (2.0 * h)
             exact = float(deriv(z))
-            rel = float(abs(fd - exact) / max(abs(exact), 1e-12))
-            report.checks.append(
-                CheckRow(f"{tag}_prime_fd", float(z), exact, fd, rel, tol, bool(rel <= tol))
-            )
+            report.add(f"{tag}_prime_fd", z, exact, fd, tol, scale=max(abs(exact), 1e-12))
     return report
 
 
@@ -275,19 +267,7 @@ def reports_to_records(reports: Sequence[VerificationReport]) -> list:
         if rep.skipped:
             records.append({"loss": rep.loss_name, "check": "all", "skipped": rep.skipped})
             continue
-        for row in rep.checks:
-            records.append(
-                {
-                    "loss": rep.loss_name,
-                    "check": row.check,
-                    "probe": row.probe,
-                    "expected": row.expected,
-                    "observed": row.observed,
-                    "error": row.error,
-                    "tol": row.tol,
-                    "passed": row.passed,
-                }
-            )
+        records.extend({"loss": rep.loss_name, **asdict(row)} for row in rep.checks)
     return records
 
 

@@ -12,6 +12,7 @@ import pytest
 import ratiogan
 from ratiogan.cli import main
 from ratiogan.svgplot import emit_svg_lineplot
+from ratiogan.training import METRIC_COLUMNS
 
 TINY_TRAIN = """
 [loss]
@@ -357,6 +358,24 @@ class TestConfigErrors:
             (None, ["verify", "--loss", "MSE", "--argmax-tol", "-1"], "verify: --argmax-tol must be >= 0"),
             (None, ["verify", "--loss", "MSE", "--minimizer-tol", "nan"], "verify: --minimizer-tol must be >= 0"),
             (None, ["train", "--preset", "shift1d-MSE", "--jobs", "0"], "train: --jobs must be >= 1"),
+            (None, SHIFT + ["train.seed=-1"], "seed must be >= 0"),
+            (None, SHIFT + ["train.lambda=nan"], "lambda must be nonnegative and finite"),
+            (None, SHIFT + ["train.lambda=inf"], "lambda must be nonnegative and finite"),
+            (None, SHIFT + ["train.learning_rate=inf"], "learning_rate must be positive and finite"),
+            (None, SHIFT + ["train.checkpoint_every=-5"], "checkpoint_every must be >= 0"),
+            (None, ["train", "--preset", "ring2d-MSE", "--set", "density.target.sigmma=0.5"],
+             "unknown [density.target] key 'sigmma'"),
+            (TINY_TRAIN.format(loss="MSE").replace("cov = 1.0\n", "cov = 1.0\nmodse = 8\n", 1),
+             ["solve-grid", "--loss", "MSE"], "unknown [density.target] key 'modse'"),
+            (None, ["solve-grid", "--loss", "MSE", "--uniform", "--window", "0", "nan"],
+             "solve-grid: --window 0 nan must be two finite numbers, low first"),
+            (None, ["solve-grid", "--loss", "MSE", "--uniform", "--window", "4", "-4"],
+             "solve-grid: --window 4 -4 must be two finite numbers, low first"),
+            (None, ["solve-grid", "--loss", "MSE", "--window", "0", "inf"],
+             "solve-grid: --window 0 inf must be two finite numbers, low first"),
+            (None, ["solve-grid", "--loss", "MSE", "--window", "1", "1"], "solve-grid: window must have positive length"),
+            (TINY_TRAIN.format(loss="MSE"), ["solve-grid", "--loss", "MSE", "--uniform"],
+             "solve-grid: --uniform ignores the density of --config"),
         ],
         ids=["solve-no-target", "solve-negative-cov", "solve-no-header", "train-no-header",
              "train-unknown-loss", "train-bad-override", "echo-unknown-key", "train-unknown-hidden-unit",
@@ -366,7 +385,11 @@ class TestConfigErrors:
              "train-zero-learning-rate", "solve-log-every-zero", "solve-uniform-no-points",
              "solve-uniform-empty-window", "verify-no-loss-names", "solve-max-iters-zero",
              "solve-max-iters-negative", "solve-negative-tol", "solve-nan-tol", "verify-negative-value-tol",
-             "verify-nan-deriv-tol", "verify-negative-argmax-tol", "verify-nan-minimizer-tol", "train-jobs-zero"],
+             "verify-nan-deriv-tol", "verify-negative-argmax-tol", "verify-nan-minimizer-tol", "train-jobs-zero",
+             "train-negative-seed", "train-nan-lambda", "train-inf-lambda", "train-inf-learning-rate",
+             "train-negative-checkpoint-every", "train-misspelt-density-key", "solve-misspelt-density-key",
+             "solve-uniform-nan-window", "solve-uniform-reversed-window", "solve-inf-window", "solve-empty-window",
+             "solve-uniform-with-config"],
     )
     def test_one_line_usage_error_and_nothing_written(self, tmp_path, capsys, config, args, message):
         echo = tmp_path / "echo.cfg"
@@ -414,10 +437,17 @@ class TestReportCommand:
         empty.write_text("")
         wrong = tmp_path / "wrong.tsv"
         wrong.write_text("iteration\tloss\n1\t0.5\n")
+        header = "\t".join(METRIC_COLUMNS)
+        header_only = tmp_path / "header.tsv"
+        header_only.write_text(header + "\n")
+        all_nan = tmp_path / "nan.tsv"
+        all_nan.write_text(header + "\n5" + "\tnan" * (len(METRIC_COLUMNS) - 1) + "\n")
         for path, message in (
             ("nope.tsv", "metrics file nope.tsv does not exist"),
             (empty, "report: empty metrics file"),
             (wrong, "report: unexpected metrics columns: ('iteration', 'loss')"),
+            (header_only, "report: no metric records to plot"),
+            (all_nan, "report: no finite lr_real_mean or lr_gen_mean value to plot"),
         ):
             assert run_cli(tmp_path, "report", "--metrics", str(path)) == 2
             err = capsys.readouterr().err

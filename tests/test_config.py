@@ -160,3 +160,13 @@ class TestOverrides:
             apply_overrides(BASE, ["lambda 10"])
         with pytest.raises(ValueError, match="section-qualified"):
             apply_overrides(BASE, ["lambda=10"])
+
+    def test_density_kind_override_keeps_the_other_kinds_keys(self):
+        """A key of another kind stays accepted, so an override can switch kind."""
+        text = apply_overrides(BASE, ["density.target.kind=ring", "density.target.sigma=0.5"])
+        assert train_config_from_text(text).f_spec == ring(8, 2.0, 0.5)
+
+    def test_density_key_no_kind_reads_rejected(self):
+        text = apply_overrides(BASE, ["density.origin.sigmma=0.5"])
+        with pytest.raises(ValueError, match=r"unknown \[density.origin\] key 'sigmma'"):
+            train_config_from_text(text)

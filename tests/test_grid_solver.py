@@ -237,7 +237,6 @@ class TestSolver:
             forward=lambda r: np.asarray(r, dtype=float),
             inverse=lambda z: NONNEGATIVE.clamp_interior(z),
             range=NONNEGATIVE,
-            invertible=True,
             description="r",
         )
         broken = LossPair(

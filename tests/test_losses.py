@@ -17,19 +17,20 @@ from ratiogan.losses import (
     RangeInterval,
     RatioNotRecoverableError,
     antiderivative_from,
+    concentrated,
     make_loss_pair,
     make_monotone_loss,
     normalize_psi,
     probe_points,
     ratio_from_discriminator,
 )
-from ratiogan.catalogue import catalogue_lookup
+from ratiogan.catalogue import catalogue_lookup, iter_catalogue
 from ratiogan.nets import OUTPUT_UNITS, NetSpec, _act_eval
 
 
 def log_omega():
     return OmegaTransform(
-        forward=np.log, inverse=np.exp, range=REALS, invertible=True, description="log r"
+        forward=np.log, inverse=np.exp, range=REALS, description="log r"
     )
 
 
@@ -38,7 +39,6 @@ def identity_omega():
         forward=lambda r: np.asarray(r, dtype=float),
         inverse=lambda z: NONNEGATIVE.clamp_interior(z),
         range=NONNEGATIVE,
-        invertible=True,
         description="r",
     )
 
@@ -52,7 +52,22 @@ class TestRangeInterval:
 
     def test_empty_range_rejected(self):
         with pytest.raises(ValueError):
-            RangeInterval(1.0, 1.0, False, False, "bad")
+            RangeInterval(1.0, 1.0, "bad")
+
+    @pytest.mark.parametrize("interval", CANONICAL_RANGES, ids=lambda i: i.label)
+    def test_finite_ends_belong_and_infinite_ends_do_not(self, interval):
+        """A finite end is in the range and the next float beyond it is not;
+        an infinite end and NaN are never in it."""
+        lo, hi = interval.lower, interval.upper
+        for end, outward in ((lo, -math.inf), (hi, math.inf)):
+            if math.isfinite(end):
+                assert interval.contains(end)
+                assert not interval.contains(np.nextafter(end, outward))
+            else:
+                assert not interval.contains(end)
+                assert interval.contains(np.nextafter(end, -outward))
+        assert not interval.contains(math.nan)
+        assert not interval.contains(np.array([0.5 * (max(lo, -1.0) + min(hi, 1.0)), math.nan]))
 
     def test_clamp_interior_is_inside(self):
         rng = np.random.default_rng(0)
@@ -101,7 +116,7 @@ class TestOutputSquashing:
 
     def test_non_canonical_range_rejected(self):
         with pytest.raises(ValueError, match="canonical"):
-            NetSpec(widths=(1, 2, 1), squash=RangeInterval(0.0, 2.0, False, False, "[0,2]").label)
+            NetSpec(widths=(1, 2, 1), squash=RangeInterval(0.0, 2.0, "[0,2]").label)
 
 
 class TestOmegaTransform:
@@ -113,14 +128,13 @@ class TestOmegaTransform:
             forward=lambda r: -np.asarray(r, dtype=float),
             inverse=lambda z: -z,
             range=REALS,
-            invertible=True,
         )
         with pytest.raises(ValueError, match="strictly increasing"):
             bad.validate()
 
     def test_bad_inverse_rejected(self):
         bad = OmegaTransform(
-            forward=np.log, inverse=lambda z: np.exp(z) * 1.001, range=REALS, invertible=True
+            forward=np.log, inverse=lambda z: np.exp(z) * 1.001, range=REALS
         )
         with pytest.raises(ValueError, match="round-trip"):
             bad.validate()
@@ -151,7 +165,6 @@ class TestMakeLossPair:
             forward=lambda r: np.sin(np.asarray(r, dtype=float)),
             inverse=None,
             range=SYMMETRIC_UNIT,
-            invertible=False,
         )
         with pytest.raises(ValueError):
             make_loss_pair(shaky, lambda z: np.ones_like(np.asarray(z, dtype=float)))
@@ -186,7 +199,7 @@ class TestMakeLossPair:
         with pytest.raises(ValueError, match="inverse"):
             LossPair(
                 name="no-inverse",
-                omega=OmegaTransform(np.tanh, None, SYMMETRIC_UNIT, False),
+                omega=OmegaTransform(np.tanh, None, SYMMETRIC_UNIT),
                 rho=lambda z: np.ones_like(np.asarray(z, dtype=float)),
             )
 
@@ -259,6 +272,35 @@ class TestNormalizePsi:
         assert float(norm.psi(1.0)) == pytest.approx(1.0 - math.exp(-1.0), abs=1e-8)
         # derivatives untouched
         np.testing.assert_allclose(norm.psi_prime(0.7), pair.psi_prime(0.7))
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestConcentrated:
+    @pytest.mark.parametrize(
+        "loss", [e.loss for e in iter_catalogue() if e.loss.ratio_invertible], ids=lambda loss: loss.name
+    )
+    def test_cost_and_slope_by_hand(self, loss):
+        """At the ratios whose images are the probe points, the cost is
+        phi(z) + r*psi_tilde(z) and the slope psi_tilde(z), z = clamp(omega(r)),
+        bit for bit."""
+        normalized = normalize_psi(loss)
+        r = loss.omega.inverse(probe_points(loss))
+        z = loss.range.clamp_interior(loss.omega.forward(r))
+        psi_tilde = np.asarray(normalized.psi(z), dtype=float)
+        cost, slope = concentrated(normalized, r)
+        np.testing.assert_array_equal(_bits(slope), _bits(psi_tilde))
+        np.testing.assert_array_equal(_bits(cost), _bits(loss.phi(z) + r * psi_tilde))
+
+    def test_raw_psi_gives_the_saddle_value_at_one(self):
+        for name in ("MSE", "B2", "CrossEntropy"):
+            loss = catalogue_lookup(name).loss
+            z1 = loss.omega_at_one
+            cost, slope = concentrated(loss, np.ones(3))
+            np.testing.assert_array_equal(cost, np.full(3, loss.phi(z1) + loss.psi(z1)))
+            np.testing.assert_array_equal(slope, np.full(3, loss.psi(z1)))
 
 
 class TestAntiderivative:

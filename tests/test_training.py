@@ -1,6 +1,7 @@
 """The adversarial loop: accounting, penalty, metrics, determinism, aborts."""
 
 import dataclasses
+import math
 import threading
 import tracemalloc
 
@@ -63,6 +64,11 @@ class TestConfigValidation:
             ("beta1", 1.5, r"beta1 must be in \[0, 1\)"),
             ("learning_rate", -1.0, "learning_rate must be positive"),
             ("learning_rate", 0.0, "learning_rate must be positive"),
+            ("seed", -1, "seed must be >= 0"),
+            ("lam", math.nan, "lambda must be nonnegative and finite"),
+            ("lam", math.inf, "lambda must be nonnegative and finite"),
+            ("learning_rate", math.inf, "learning_rate must be positive and finite"),
+            ("checkpoint_every", -5, "checkpoint_every must be >= 0"),
         ],
     )
     def test_rejects_bad_values(self, field, value, msg):
@@ -292,7 +298,6 @@ class TestAbort:
             forward=lambda r: np.asarray(r, dtype=float),
             inverse=lambda z: NONNEGATIVE.clamp_interior(z),
             range=NONNEGATIVE,
-            invertible=True,
             description="r",
         )
         poisoned = LossPair(

@@ -55,7 +55,7 @@ class TestInnerArgmax:
     def test_derivative_only_pair(self):
         """A pair without closed forms is searched through the quadrature surrogate."""
         omega = OmegaTransform(
-            forward=np.log, inverse=np.exp, range=REALS, invertible=True, description="log r"
+            forward=np.log, inverse=np.exp, range=REALS, description="log r"
         )
         pair = make_loss_pair(omega, lambda z: np.exp(-np.asarray(z, dtype=float)))
         result = inner_argmax(pair, 2.0)
