@@ -64,7 +64,7 @@ ENV_OUT = "RATIOGAN_OUT"
 CONFIG_ERRORS = (ValueError, KeyError, OSError, configparser.Error)
 
 # Least value of each numeric flag, by argparse dest; a smaller value or NaN is a usage error.
-FLAG_MINIMA = {"n_points": 2, "log_every": 1, "max_iters": 1, "jobs": 1, "tol": 0,
+FLAG_MINIMA = {"n_points": 2, "log_every": 1, "max_iters": 1, "jobs": 1, "init_seed": 0, "tol": 0,
                "argmax_tol": 0, "minimizer_tol": 0, "value_tol": 0, "deriv_tol": 0}
 
 
@@ -122,18 +122,19 @@ def cmd_losses(args) -> int:
             }
         )
     if args.filter:
-        key, _, value = args.filter.partition("=")
+        key, equals, value = args.filter.partition("=")
         key = key.strip().lower()
         value = value.strip().lower()
-        if key == "subclass":
+        truth = {"true": "yes", "yes": "yes", "1": "yes", "false": "no", "no": "no", "0": "no"}
+        if key == "subclass" and equals:
             rows = [r for r in rows if r["subclass"].lower() == value]
-        elif key == "invertible":
-            want = value in ("true", "yes", "1")
-            rows = [r for r in rows if (r["invertible"] == "yes") == want]
-        elif key == "range":
+        elif key == "invertible" and value in truth:
+            rows = [r for r in rows if r["invertible"] == truth[value]]
+        elif key == "range" and equals:
             rows = [r for r in rows if r["range"].lower() == value]
         else:
-            print(f"unknown filter key {key!r}; use subclass=, invertible=, range=", file=sys.stderr)
+            print(f"losses: bad --filter {args.filter!r}; use subclass=, invertible=true|false, range=",
+                  file=sys.stderr)
             return 2
     name_w = max(len(r["name"]) for r in rows) if rows else 4
     print(f"{'name':<{name_w}}  sub  {'J':<7} {'omega':<22} inv  forms")
@@ -348,16 +349,20 @@ METRIC_PLOTS = (
 def _metric_plots(records) -> list:
     """(file, series, title, y label, reference line) of each plot the records
     fill; a plot whose columns are all empty (no ratio readback) is left out.
-    Raises ValueError when there is no record or a plot has no finite value."""
+    Raises ValueError when there is no record, a plot has no finite value,
+    or a plot has both empty and filled cells."""
     if not records:
         raise ValueError("no metric records to plot")
     iters = [r.generator_iteration for r in records]
     plots = []
     for file, title, y_label, columns, reference_y in METRIC_PLOTS:
         series = [(col, iters, [getattr(r, col) for r in records]) for col in columns]
-        values = [v for _, _, ys in series for v in ys if v is not None]
+        cells = [v for _, _, ys in series for v in ys]
+        values = [v for v in cells if v is not None]
         if not values:
             continue
+        if len(values) < len(cells):
+            raise ValueError(f"empty {' or '.join(columns)} cells on some rows but not on all")
         if not any(map(math.isfinite, values)):
             raise ValueError(f"no finite {' or '.join(columns)} value to plot")
         plots.append((file, series, title, y_label, reference_y))
@@ -390,7 +395,7 @@ def _run_one_training(run_name: str, config: TrainConfig, root: Path) -> int:
     stager.stage("metrics.tsv").write_text(metrics_to_text(result.records))
     stager.stage("gen_final.json").write_text(net_to_json(result.generator, result.gen_state))
     stager.stage("disc_final.json").write_text(net_to_json(result.discriminator, result.disc_state))
-    for iteration, gen_json, disc_json in result.checkpoints or []:
+    for iteration, gen_json, disc_json in result.checkpoints:
         stager.stage(f"gen_iter{iteration}.json").write_text(gen_json)
         stager.stage(f"disc_iter{iteration}.json").write_text(disc_json)
 
@@ -406,16 +411,9 @@ def _run_one_training(run_name: str, config: TrainConfig, root: Path) -> int:
     if result.aborted:
         print(f"{run_name}: aborted ({result.abort_reason}); last-good checkpoint kept")
         return 1
-    final = result.records[-1] if result.records else None
-    if final is not None and final.lr_real_mean is not None:
-        print(
-            f"{run_name}: done; final lr_real_mean={final.lr_real_mean:.3f} "
-            f"swd={final.swd:.3f} mmd={final.mmd:.4f}"
-        )
-    elif final is not None:
-        print(f"{run_name}: done; final swd={final.swd:.3f} mmd={final.mmd:.4f}")
-    else:
-        print(f"{run_name}: done")
+    final = result.records[-1]  # a finished run evaluates at its last iteration
+    ratio = "" if final.lr_real_mean is None else f"lr_real_mean={final.lr_real_mean:.3f} "
+    print(f"{run_name}: done; final {ratio}swd={final.swd:.3f} mmd={final.mmd:.4f}")
     return 0
 
 

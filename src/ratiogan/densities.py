@@ -76,6 +76,8 @@ def gaussian(mean, cov) -> DensitySpec:
         cov_arr = cov_arr * np.eye(dim)
     if cov_arr.shape != (dim, dim):
         raise ValueError(f"covariance shape {cov_arr.shape} does not match dim {dim}")
+    if not (np.isfinite(mean_t).all() and np.isfinite(cov_arr).all()):
+        raise ValueError("gaussian mean and covariance must be finite")
     if not np.allclose(cov_arr, cov_arr.T):
         raise ValueError("covariance must be symmetric")
     if np.any(np.linalg.eigvalsh(cov_arr) <= 0):
@@ -91,7 +93,7 @@ def gaussian(mean, cov) -> DensitySpec:
 def mixture(components: Sequence[Tuple[float, DensitySpec]]) -> DensitySpec:
     weights = np.asarray([w for w, _ in components], dtype=float)
     specs = tuple(s for _, s in components)
-    if np.any(weights <= 0):
+    if not np.all(weights > 0):  # NaN fails too
         raise ValueError("mixture weights must be positive")
     if abs(weights.sum() - 1.0) > 1e-12:
         raise ValueError("mixture weights must sum to 1")
@@ -112,8 +114,10 @@ def ring(k: int, radius: float, sigma: float) -> DensitySpec:
     """Equal-weight isotropic Gaussians at angles 2*pi*j/k on a circle."""
     if k < 1:
         raise ValueError("need at least one mode")
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
+    if not math.isfinite(radius):
+        raise ValueError("radius must be finite")
     return DensitySpec(kind="ring", dim=2, modes=int(k), radius=float(radius), sigma=float(sigma))
 
 
@@ -123,6 +127,8 @@ def uniform(low, high) -> DensitySpec:
         raise ValueError("box corners must share a dimension")
     if len(low_t) not in (1, 2):
         raise ValueError("only 1D and 2D densities are supported")
+    if not np.isfinite(low_t + high_t).all():
+        raise ValueError("box corners must be finite")
     if any(h <= l for l, h in zip(low_t, high_t)):
         raise ValueError("box must have positive volume")
     return DensitySpec(kind="uniform", dim=len(low_t), low=low_t, high=high_t)

@@ -2,8 +2,10 @@
 
 Covers exactly what adversarial training here needs: affine-activation
 chains, gradients with respect to parameters and inputs, bias-corrected
-Adam, and an exact second-order pass (forward-over-reverse) for the
-parameter gradient of input-gradient-norm penalties.  This module owns
+Adam, and an exact second-order pass (forward-over-reverse) that takes
+fixed per-sample directions and gives the parameter gradient of the
+input gradients projected on them; ``training.gradient_penalty`` builds
+the penalty on it.  This module owns
 every elementwise unit: the hidden activations, and the output unit
 that keeps a discriminator inside its loss's range J, chosen by J's
 label.  A net's weights and biases are views into one flat vector;
@@ -32,8 +34,6 @@ __all__ = [
     "forward",
     "backward",
     "adam_step",
-    "penalty_from_norms",
-    "penalty_coefficients",
     "weighted_norm_param_grads",
     "net_to_json",
     "net_from_json",
@@ -266,42 +266,15 @@ def adam_step(state: AdamState, net: DenseNet, grads: np.ndarray) -> None:
     net.params -= lr_eff * m / denom
 
 
-def penalty_from_norms(norms: np.ndarray, lam: float, variant: str) -> float:
-    """One-sided unit-norm penalty: batch-max variant or batch-mean variant."""
-    excess = np.maximum(norms - 1.0, 0.0)
-    if variant == "max":
-        return float(lam * excess.max() ** 2)
-    if variant == "mean":
-        return float(lam * np.mean(excess**2))
-    raise ValueError(f"unknown penalty variant {variant!r}")
+def weighted_norm_param_grads(net: DenseNet, cache: dict, directions: np.ndarray):
+    """Exact flat parameter gradient of sum_i u_i . grad_x D(x_i) for fixed
+    directions u, one per row a ``forward(..., second_from=s)`` cache holds
+    second derivatives for.  With u_i = (c_i / ||g_i||) g_i (zero where the
+    input gradient g_i vanishes) it is that of sum_i c_i ||g_i||.
 
-
-def penalty_coefficients(norms: np.ndarray, lam: float, variant: str) -> np.ndarray:
-    """d penalty / d norms, with the first argmax taking the max subgradient."""
-    excess = np.maximum(norms - 1.0, 0.0)
-    coeffs = np.zeros_like(norms)
-    if variant == "max":
-        k = int(np.argmax(norms))
-        coeffs[k] = 2.0 * lam * excess[k]
-    elif variant == "mean":
-        coeffs = 2.0 * lam * excess / len(norms)
-    else:
-        raise ValueError(f"unknown penalty variant {variant!r}")
-    return coeffs
-
-
-def weighted_norm_param_grads(net: DenseNet, cache: dict, input_grads: np.ndarray, coeffs_fn):
-    """Per-sample input-gradient norms and exact parameter gradients of
-    sum_i coeffs_i * ||grad_x D(x_i)|| for coeffs = coeffs_fn(norms).
-
-    The rows are those a ``forward(..., second_from=s)`` cache holds
-    second derivatives for; ``input_grads`` are their gradients of D
-    (a ``backward`` with unit output grads on those rows).
-    Forward-over-reverse: the per-sample input-gradient direction is
-    frozen (the chain rule for a vector norm needs only its value), a
-    tangent forward pass propagates it, and one reverse pass over the
-    primal and tangent variables yields the parameter gradients.  Needs
-    a twice-differentiable hidden activation.
+    Forward-over-reverse: a tangent forward pass propagates u, and one
+    reverse pass over the primal and tangent variables yields the
+    gradient.  Needs a twice-differentiable hidden activation.
     """
     if net.spec.hidden == "relu":
         raise ValueError(
@@ -311,14 +284,9 @@ def weighted_norm_param_grads(net: DenseNet, cache: dict, input_grads: np.ndarra
     s = cache["second_from"]
     d1s = [d1[s:] for d1 in cache["d1"]]
     d2s = cache["d2"]
-    g = input_grads
-    norms = np.sqrt((g**2).sum(axis=1))
-    coeffs = np.asarray(coeffs_fn(norms), dtype=float)
-    safe = np.where(norms > 0.0, norms, 1.0)
-    u = (coeffs / safe)[:, None] * g  # zero rows where the norm vanishes
 
     # tangent forward: directional derivative of the chain along u
-    a_dot = u
+    a_dot = directions
     pre_dot, act_dot = [], []
     for layer, w in enumerate(net.weights):
         z_dot = a_dot @ w.T
@@ -329,8 +297,8 @@ def weighted_norm_param_grads(net: DenseNet, cache: dict, input_grads: np.ndarra
     # reverse over primal + tangent variables
     grads = np.empty_like(net.params)
     views = net.layers(grads)
-    a_bar = np.zeros((len(g), 1))
-    a_dot_bar = np.ones((len(g), 1))
+    a_bar = np.zeros((len(directions), 1))
+    a_dot_bar = np.ones((len(directions), 1))
     for layer in range(net.n_layers - 1, -1, -1):
         z_dot_bar = a_dot_bar * d1s[layer]
         z_bar = a_bar * d1s[layer]
@@ -338,7 +306,7 @@ def weighted_norm_param_grads(net: DenseNet, cache: dict, input_grads: np.ndarra
         curv *= d2s[layer]
         z_bar += curv
         a_in = cache["inputs"][layer][s:]
-        a_in_dot = u if layer == 0 else act_dot[layer - 1]
+        a_in_dot = directions if layer == 0 else act_dot[layer - 1]
         gw, gb = views[layer]
         np.matmul(z_dot_bar.T, a_in_dot, out=gw)
         gw += z_bar.T @ a_in
@@ -346,7 +314,7 @@ def weighted_norm_param_grads(net: DenseNet, cache: dict, input_grads: np.ndarra
         if layer > 0:
             a_bar = z_bar @ net.weights[layer]
             a_dot_bar = z_dot_bar @ net.weights[layer]
-    return norms, grads
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,6 @@ from .nets import (
     forward,
     init_adam,
     init_net,
-    penalty_coefficients,
-    penalty_from_norms,
     weighted_norm_param_grads,
 )
 
@@ -149,23 +147,40 @@ METRIC_COLUMNS = tuple(f.name for f in fields(MetricRecord))
 
 @dataclass
 class TrainResult:
+    """A run's nets and Adam states (on an abort, those of the last eval),
+    its eval records and periodic (iteration, gen_json, disc_json) checkpoints."""
+
     generator: DenseNet
     discriminator: DenseNet
     records: List[MetricRecord]
     gen_state: AdamState
     disc_state: AdamState
-    aborted: bool = False
-    abort_reason: Optional[str] = None
-    checkpoints: list = None  # (iteration, gen_json, disc_json) when requested
+    checkpoints: list
+    abort_reason: Optional[str] = None  # set on a non-finite step
+
+    @property
+    def aborted(self) -> bool:
+        return self.abort_reason is not None
 
 
 def gradient_penalty(disc: DenseNet, cache: dict, input_grads: np.ndarray, variant: str, lam: float):
     """One-sided unit-gradient penalty on the rows a fused critic pass holds
-    second derivatives for: its value and exact flat parameter gradient."""
-    norms, grads = weighted_norm_param_grads(
-        disc, cache, input_grads, lambda n: penalty_coefficients(n, lam, variant)
-    )
-    return penalty_from_norms(norms, lam, variant), grads
+    second derivatives for, and its exact flat parameter gradient: with
+    e_i = max(||g_i|| - 1, 0) over their input gradients g_i, lam * max e_i^2
+    ("max", the first argmax taking the slope) or lam * mean e_i^2 ("mean")."""
+    norms = np.sqrt((input_grads**2).sum(axis=1))
+    excess = np.maximum(norms - 1.0, 0.0)
+    if variant == "max":
+        k = int(np.argmax(norms))
+        value = lam * excess[k] ** 2
+        coeffs = np.zeros_like(norms)
+        coeffs[k] = 2.0 * lam * excess[k]
+    else:  # "mean"; TrainConfig.validate admits no other name
+        value = lam * np.mean(excess**2)
+        coeffs = 2.0 * lam * excess / len(norms)
+    safe = np.where(norms > 0.0, norms, 1.0)
+    directions = (coeffs / safe)[:, None] * input_grads  # zero rows where the norm vanishes
+    return float(value), weighted_norm_param_grads(disc, cache, directions)
 
 
 def critic_grads(
@@ -321,21 +336,12 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
             future, pending = pending, None
             records.append(future.result())
 
-    def aborted(quantity: str, iteration: int) -> TrainResult:
-        """Stop on a non-finite objective or gradient and hand back the nets
-        and optimizer states of the last eval, snapshotted together."""
+    def finish(players, abort_reason: Optional[str] = None) -> TrainResult:
+        """Wait for the eval in flight; the result with players ((generator, Adam
+        state), (discriminator, Adam state)): live at the end, last_good on an abort."""
         collect()
-        (gen_ckpt, gen_ckpt_state), (disc_ckpt, disc_ckpt_state) = last_good
-        return TrainResult(
-            generator=gen_ckpt,
-            discriminator=disc_ckpt,
-            records=records,
-            gen_state=gen_ckpt_state,
-            disc_state=disc_ckpt_state,
-            aborted=True,
-            abort_reason=f"non-finite {quantity} at iteration {iteration}",
-            checkpoints=checkpoints,
-        )
+        (gen, gen_st), (disc, disc_st) = players
+        return TrainResult(gen, disc, records, gen_st, disc_st, checkpoints, abort_reason)
 
     for iteration in range(1, config.total_generator_iters + 1):
         # -- critic phase -------------------------------------------------
@@ -353,9 +359,9 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
                     np.mean(phi_v(d_real[:, 0])) + np.mean(psi_v(d_fake[:, 0])) - penalty_value
                 )
                 if not math.isfinite(disc_obj):
-                    return aborted("discriminator objective", iteration)
+                    return finish(last_good, f"non-finite discriminator objective at iteration {iteration}")
                 if not np.isfinite(grads).all():
-                    return aborted("discriminator gradient", iteration)
+                    return finish(last_good, f"non-finite discriminator gradient at iteration {iteration}")
                 adam_step(disc_state, discriminator, grads)
                 last_penalty = penalty_value
 
@@ -375,12 +381,12 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
             d_fake, disc_cache = forward(discriminator, y)
             gen_obj = float(np.mean(psi_v(d_fake[:, 0])))
             if not math.isfinite(gen_obj):
-                return aborted("generator objective", iteration)
+                return finish(last_good, f"non-finite generator objective at iteration {iteration}")
             # only the input gradient is needed: no parameter sums
             _, input_grads = backward(discriminator, disc_cache, loss.psi_prime(d_fake) / b, param_rows=0)
             gen_grads, _ = backward(generator, gen_cache, input_grads)
             if not np.isfinite(gen_grads).all():
-                return aborted("generator gradient", iteration)
+                return finish(last_good, f"non-finite generator gradient at iteration {iteration}")
             adam_step(gen_state, generator, gen_grads)
 
         if will_evaluate:
@@ -393,16 +399,7 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
             checkpoints.append(
                 (iteration, net_to_json(generator, gen_state), net_to_json(discriminator, disc_state))
             )
-    collect()
-
-    return TrainResult(
-        generator=generator,
-        discriminator=discriminator,
-        records=records,
-        gen_state=gen_state,
-        disc_state=disc_state,
-        checkpoints=checkpoints,
-    )
+    return finish(((generator, gen_state), (discriminator, disc_state)))
 
 
 def _cell(value) -> str:

@@ -13,8 +13,6 @@ from ratiogan.nets import (
     backward,
     forward,
     init_net,
-    penalty_coefficients,
-    penalty_from_norms,
     weighted_norm_param_grads,
 )
 
@@ -76,18 +74,68 @@ def input_gradients(net, batch):
     return out, input_grads
 
 
-def penalty_pass(net, batch, coeffs_fn):
-    """nets.weighted_norm_param_grads over every row of batch, fed the way
-    training.critic_grads feeds it: one forward with second derivatives,
-    one reverse pass with unit output grads."""
+def penalty_from_norms(norms, lam, variant):
+    """The penalty's value as first written, apart from its slope: the
+    oracle for training.gradient_penalty."""
+    excess = np.maximum(norms - 1.0, 0.0)
+    if variant == "max":
+        return float(lam * excess.max() ** 2)
+    if variant == "mean":
+        return float(lam * np.mean(excess**2))
+    raise ValueError(f"unknown penalty variant {variant!r}")
+
+
+def penalty_coefficients(norms, lam, variant):
+    """d penalty / d norms as first written, the first argmax taking the
+    max subgradient."""
+    excess = np.maximum(norms - 1.0, 0.0)
+    coeffs = np.zeros_like(norms)
+    if variant == "max":
+        k = int(np.argmax(norms))
+        coeffs[k] = 2.0 * lam * excess[k]
+    elif variant == "mean":
+        coeffs = 2.0 * lam * excess / len(norms)
+    else:
+        raise ValueError(f"unknown penalty variant {variant!r}")
+    return coeffs
+
+
+def norm_directions(input_grads, coeffs):
+    """(coeffs_i / ||g_i||) g_i, zero rows where the norm vanishes: the
+    directions along which the second-order pass differentiates
+    sum_i coeffs_i ||g_i||."""
+    norms = np.sqrt((input_grads**2).sum(axis=1))
+    safe = np.where(norms > 0.0, norms, 1.0)
+    return (coeffs / safe)[:, None] * input_grads
+
+
+def old_gradient_penalty(net, cache, input_grads, variant, lam):
+    """training.gradient_penalty as two functions with the coefficients fed
+    to the second-order pass, as before they were merged."""
+    norms = np.sqrt((input_grads**2).sum(axis=1))
+    directions = norm_directions(input_grads, penalty_coefficients(norms, lam, variant))
+    return penalty_from_norms(norms, lam, variant), weighted_norm_param_grads(net, cache, directions)
+
+
+def penalty_feed(net, batch):
+    """What training.critic_grads feeds the penalty for every row of batch:
+    the cache of one forward with second derivatives and the input
+    gradients of one reverse pass with unit output grads."""
     out, cache = forward(net, batch, second_from=0)
     _, input_grads = backward(net, cache, np.ones_like(out))
-    return weighted_norm_param_grads(net, cache, input_grads, coeffs_fn)
+    return cache, input_grads
+
+
+def penalty_pass(net, batch, coeffs):
+    """Parameter gradient of sum_i coeffs_i ||grad_x D(x_i)|| over every row
+    of batch, from nets.weighted_norm_param_grads."""
+    cache, input_grads = penalty_feed(net, batch)
+    return weighted_norm_param_grads(net, cache, norm_directions(input_grads, coeffs))
 
 
 def exact_penalty_grads(net, batch, lam, variant):
-    """Input-gradient norms and the exact parameter gradient of the penalty."""
-    return penalty_pass(net, batch, lambda norms: penalty_coefficients(norms, lam, variant))
+    """training.gradient_penalty over every row of batch: value and flat gradient."""
+    return training.gradient_penalty(net, *penalty_feed(net, batch), variant, lam)
 
 
 def penalty_param_grads_fd(net, batch, lam, variant, h=1e-5):

@@ -86,6 +86,15 @@ class TestLossesCommand:
     def test_unknown_filter_key(self, tmp_path, capsys):
         assert run_cli(tmp_path, "losses", "--filter", "color=red") == 2
 
+    @pytest.mark.parametrize("spec", ["subclass", "invertible=maybe", "invertible", "color=red"])
+    def test_bad_filter_is_one_line_usage_error(self, tmp_path, capsys, spec):
+        assert run_cli(tmp_path, "losses", "--filter", spec) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"losses: bad --filter {spec!r}; use subclass=, invertible=true|false, range=\n"
+        )
+
 
 class TestVerifyCommand:
     def test_single_loss_passes(self, tmp_path, capsys):
@@ -376,6 +385,17 @@ class TestConfigErrors:
             (None, ["solve-grid", "--loss", "MSE", "--window", "1", "1"], "solve-grid: window must have positive length"),
             (TINY_TRAIN.format(loss="MSE"), ["solve-grid", "--loss", "MSE", "--uniform"],
              "solve-grid: --uniform ignores the density of --config"),
+            (None, SHIFT + ["density.target.mean=nan"], "shift1d-MSE: gaussian mean and covariance must be finite"),
+            (None, SHIFT + ["density.origin.cov=inf"], "shift1d-MSE: gaussian mean and covariance must be finite"),
+            (None, ["train", "--preset", "ring2d-MSE", "--set", "density.target.radius=inf"],
+             "ring2d-MSE: radius must be finite"),
+            (None, ["train", "--preset", "ring2d-MSE", "--set", "density.target.sigma=nan"],
+             "ring2d-MSE: sigma must be positive and finite"),
+            (None, SHIFT + ["density.origin.kind=uniform", "--set", "density.origin.low=0", "--set",
+                            "density.origin.high=inf"], "shift1d-MSE: box corners must be finite"),
+            (TINY_TRAIN.format(loss="MSE").replace("mean = 4.0", "mean = inf"), ["solve-grid", "--loss", "MSE"],
+             "solve-grid: gaussian mean and covariance must be finite"),
+            (None, ["solve-grid", "--loss", "MSE", "--init-seed", "-1"], "solve-grid: --init-seed must be >= 0"),
         ],
         ids=["solve-no-target", "solve-negative-cov", "solve-no-header", "train-no-header",
              "train-unknown-loss", "train-bad-override", "echo-unknown-key", "train-unknown-hidden-unit",
@@ -389,7 +409,8 @@ class TestConfigErrors:
              "train-negative-seed", "train-nan-lambda", "train-inf-lambda", "train-inf-learning-rate",
              "train-negative-checkpoint-every", "train-misspelt-density-key", "solve-misspelt-density-key",
              "solve-uniform-nan-window", "solve-uniform-reversed-window", "solve-inf-window", "solve-empty-window",
-             "solve-uniform-with-config"],
+             "solve-uniform-with-config", "train-nan-target-mean", "train-inf-origin-cov", "train-inf-ring-radius",
+             "train-nan-ring-sigma", "train-inf-uniform-high", "solve-inf-mean", "solve-negative-init-seed"],
     )
     def test_one_line_usage_error_and_nothing_written(self, tmp_path, capsys, config, args, message):
         echo = tmp_path / "echo.cfg"
@@ -442,12 +463,17 @@ class TestReportCommand:
         header_only.write_text(header + "\n")
         all_nan = tmp_path / "nan.tsv"
         all_nan.write_text(header + "\n5" + "\tnan" * (len(METRIC_COLUMNS) - 1) + "\n")
+        partly_empty = tmp_path / "partly.tsv"  # lr_* cells empty in row 1 only
+        rows = ["\t".join([str(it)] + ["" if it == 1 and col.startswith("lr_") else "1.0"
+                                      for col in METRIC_COLUMNS[1:]]) for it in (1, 2)]
+        partly_empty.write_text("\n".join([header, *rows]) + "\n")
         for path, message in (
             ("nope.tsv", "metrics file nope.tsv does not exist"),
             (empty, "report: empty metrics file"),
             (wrong, "report: unexpected metrics columns: ('iteration', 'loss')"),
             (header_only, "report: no metric records to plot"),
             (all_nan, "report: no finite lr_real_mean or lr_gen_mean value to plot"),
+            (partly_empty, "report: empty lr_real_mean or lr_gen_mean cells on some rows but not on all"),
         ):
             assert run_cli(tmp_path, "report", "--metrics", str(path)) == 2
             err = capsys.readouterr().err

@@ -40,6 +40,28 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="volume"):
             uniform([0.0, 0.0], [1.0, 0.0])
 
+    @pytest.mark.parametrize(
+        "make,message",
+        [
+            (lambda bad: gaussian([bad], [[1.0]]), "gaussian mean and covariance must be finite"),
+            (lambda bad: gaussian([0.0, bad], np.eye(2)), "gaussian mean and covariance must be finite"),
+            (lambda bad: gaussian([0.0], [[bad]]), "gaussian mean and covariance must be finite"),
+            (lambda bad: gaussian([0.0, 0.0], [[1.0, bad], [bad, 1.0]]), "gaussian mean and covariance must be finite"),
+            (lambda bad: ring(8, bad, 0.1), "radius must be finite"),
+            (lambda bad: ring(8, 2.0, bad), "sigma must be positive and finite"),
+            (lambda bad: uniform([bad], [1.0]), "box corners must be finite"),
+            (lambda bad: uniform([0.0, 0.0], [1.0, bad]), "box corners must be finite"),
+            (lambda bad: mixture([(bad, gaussian([0.0], [[1.0]])), (0.5, gaussian([1.0], [[1.0]]))]),
+             "mixture weights must"),
+        ],
+        ids=["gaussian-mean", "gaussian-mean-2d", "gaussian-cov", "gaussian-cov-offdiag", "ring-radius",
+             "ring-sigma", "uniform-low", "uniform-high", "mixture-weight"],
+    )
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_rejected(self, make, message, bad):
+        with pytest.raises(ValueError, match=message):
+            make(bad)
+
     def test_dimension_limit(self):
         with pytest.raises(ValueError, match="1D and 2D"):
             gaussian([0.0, 0.0, 0.0], np.eye(3))

@@ -19,16 +19,16 @@ from ratiogan.nets import (
     init_net,
     net_from_json,
     net_to_json,
-    penalty_coefficients,
-    penalty_from_norms,
     weighted_norm_param_grads,
 )
+from ratiogan.training import gradient_penalty
 
 from helpers import (
     exact_penalty_grads,
     input_gradients,
     old_sigmoid_terms,
     old_squash_terms,
+    penalty_feed,
     penalty_param_grads_fd,
     penalty_pass,
     quasi_linear_net,
@@ -317,8 +317,10 @@ class TestPenaltyPass:
         net = init_net(NetSpec(widths=(2, 8, 1), seed=1))
         for w in net.weights:
             w[:] = 0.0
-        norms, grads = exact_penalty_grads(net, np.ones((4, 2)), lam=10.0, variant="max")
-        np.testing.assert_array_equal(norms, np.zeros(4))
+        _, gx = input_gradients(net, np.ones((4, 2)))
+        np.testing.assert_array_equal(np.sqrt((gx**2).sum(axis=1)), np.zeros(4))
+        value, grads = exact_penalty_grads(net, np.ones((4, 2)), lam=10.0, variant="max")
+        assert value == 0.0
         assert np.all(grads == 0)
 
     @pytest.mark.parametrize("variant", ["max", "mean"])
@@ -354,12 +356,11 @@ class TestPenaltyPass:
         rng = np.random.default_rng(9)
         net = init_net(NetSpec(widths=(2, 16, 16, 1), seed=3))
         x = rng.standard_normal((12, 2))
-        coeffs_fn = lambda norms: penalty_coefficients(norms, 10.0, "mean")
         _, input_grads = input_gradients(net, x)
         _, cache = forward(net, x, second_from=0)
-        norms, grads = weighted_norm_param_grads(net, cache, input_grads, coeffs_fn)
-        want_norms, want_grads = penalty_pass(net, x, coeffs_fn)
-        assert_bitwise(norms, want_norms)
+        value, grads = gradient_penalty(net, cache, input_grads, "mean", 10.0)
+        want_value, want_grads = gradient_penalty(net, *penalty_feed(net, x), "mean", 10.0)
+        assert value == want_value
         assert_bitwise(grads, want_grads)
 
     def test_rectifier_refused_in_exact_mode(self):
@@ -378,7 +379,28 @@ class TestPenaltyPass:
             _, gx = input_gradients(net, x)
             return float(coeffs @ np.sqrt((gx**2).sum(axis=1)))
 
-        _, grads = penalty_pass(net, x, lambda n: coeffs)
+        grads = penalty_pass(net, x, coeffs)
+        fd = fd_param_grads(net, x, scalar_fn, h=1e-6)
+        for (gw, gb), (fw, fb) in zip(net.layers(grads), fd):
+            for got, want in ((gw, fw), (gb, fb)):
+                rel = np.abs(got - want) / max(np.abs(want).max(), 1e-9)
+                assert rel.max() < 1e-5
+
+    @pytest.mark.parametrize("hidden", ["smooth_leaky", "tanh"])
+    def test_fixed_directions_match_fd(self, hidden):
+        """The pass differentiates sum_i u_i . grad_x D(x_i) for any fixed
+        directions u, whatever their relation to the input gradients."""
+        rng = np.random.default_rng(24)
+        net = init_net(NetSpec(widths=(2, 5, 4, 1), hidden=hidden, squash=UNIT.label, seed=6))
+        x = rng.standard_normal((4, 2))
+        directions = rng.standard_normal((4, 2))
+        directions[2] = 0.0
+
+        def scalar_fn():
+            return float((directions * input_gradients(net, x)[1]).sum())
+
+        _, cache = forward(net, x, second_from=0)
+        grads = weighted_norm_param_grads(net, cache, directions)
         fd = fd_param_grads(net, x, scalar_fn, h=1e-6)
         for (gw, gb), (fw, fb) in zip(net.layers(grads), fd):
             for got, want in ((gw, fw), (gb, fb)):
@@ -386,10 +408,13 @@ class TestPenaltyPass:
                 assert rel.max() < 1e-5
 
     def test_penalty_values(self):
-        norms = np.array([3.0, 1.0, 0.5])
-        assert penalty_from_norms(norms, 10.0, "max") == pytest.approx(40.0)
-        assert penalty_from_norms(norms, 10.0, "mean") == pytest.approx(10.0 * 4.0 / 3.0)
-        assert penalty_from_norms(np.array([0.5, 0.9]), 10.0, "max") == 0.0
+        """The value reads only the input gradients' norms, here 3, 1 and 0.5."""
+        net = init_net(NetSpec(widths=(1, 4, 1), seed=0))
+        _, cache = forward(net, np.zeros((3, 1)), second_from=0)
+        g = np.array([[3.0], [-1.0], [0.5]])
+        assert gradient_penalty(net, cache, g, "max", 10.0)[0] == pytest.approx(40.0)
+        assert gradient_penalty(net, cache, g, "mean", 10.0)[0] == pytest.approx(10.0 * 4.0 / 3.0)
+        assert gradient_penalty(net, cache, g * 0.3, "max", 10.0)[0] == 0.0
 
 
 class TestCheckpoints:

@@ -20,9 +20,10 @@ from ratiogan.losses import (
     OmegaTransform,
     RatioNotRecoverableError,
 )
-from ratiogan.nets import NetSpec, backward, forward, init_net
+from ratiogan.nets import NetSpec, backward, forward, init_adam, init_net
 from ratiogan.training import (
     TrainConfig,
+    TrainResult,
     critic_batches,
     critic_grads,
     likelihood_ratio_metric,
@@ -30,7 +31,7 @@ from ratiogan.training import (
     metrics_to_text,
     train,
 )
-from helpers import quasi_linear_net, serial_train, unfused_train
+from helpers import old_gradient_penalty, penalty_feed, quasi_linear_net, serial_train, unfused_train
 
 
 def shift_config(**overrides):
@@ -155,6 +156,44 @@ class TestGradientPenalty:
         net = init_net(NetSpec(widths=(2, 4, 1), seed=0))
         with pytest.raises(ValueError, match="identical shapes"):
             critic_grads(net, self.MSE, np.ones((4, 2)), np.ones((3, 2)), np.ones((4, 1)), "max", 1.0)
+
+    @staticmethod
+    def penalty_case(case):
+        """A steep critic's penalty feed over 16 rows, its input gradients
+        edited to make the named case."""
+        net = init_net(NetSpec(widths=(2, 16, 16, 1), squash="[0,inf)", seed=5))
+        net.params *= 3.0
+        cache, input_grads = penalty_feed(net, np.random.default_rng(6).standard_normal((16, 2)))
+        norms = np.sqrt((input_grads**2).sum(axis=1))
+        if case == "none_above_one":
+            input_grads = input_grads / (2.0 * norms.max())
+        elif case == "tied_max":
+            input_grads[11] = input_grads[int(np.argmax(norms))]
+        elif case == "zero_row":
+            input_grads[3] = 0.0
+        return net, cache, input_grads
+
+    @pytest.mark.parametrize("case", ["steep", "none_above_one", "tied_max", "zero_row"])
+    @pytest.mark.parametrize("variant", ["max", "mean"])
+    def test_equals_two_function_oracle_bitwise(self, variant, case):
+        """One branch gives the value and the slope exactly as the separate
+        value and coefficient functions did."""
+        net, cache, input_grads = self.penalty_case(case)
+        value, grads = training.gradient_penalty(net, cache, input_grads, variant, 10.0)
+        want_value, want_grads = old_gradient_penalty(net, cache, input_grads, variant, 10.0)
+        assert value == want_value
+        assert (value == 0.0) == (case == "none_above_one")
+        np.testing.assert_array_equal(grads.view(np.int64), want_grads.view(np.int64))
+
+    def test_tied_max_takes_the_first_argmax(self):
+        net, cache, input_grads = self.penalty_case("tied_max")
+        first = int(np.argmax(np.sqrt((input_grads**2).sum(axis=1))))
+        assert first < 11
+        value, grads = training.gradient_penalty(net, cache, input_grads, "max", 10.0)
+        keep = np.zeros((16, 1))
+        keep[first] = 1.0
+        _, alone = training.gradient_penalty(net, cache, input_grads * keep, "max", 10.0)
+        np.testing.assert_array_equal(grads, alone)
 
 
 class TestFusedMatchesUnfused:
@@ -361,6 +400,16 @@ class TestAbort:
             np.testing.assert_array_equal(got[1].m, want[1].m)
             np.testing.assert_array_equal(got[1].v, want[1].v)
             assert got[1].step_count == want[1].step_count
+
+
+class TestTrainResult:
+    @pytest.mark.parametrize("reason", [None, "non-finite generator gradient at iteration 3"])
+    def test_aborted_follows_abort_reason(self, reason):
+        net = init_net(NetSpec(widths=(1, 2, 1)))
+        state = init_adam(net)
+        result = TrainResult(net, net, [], state, state, [], reason)
+        assert result.aborted == (reason is not None)
+        assert "aborted" not in {f.name for f in dataclasses.fields(TrainResult)}
 
 
 def assert_same_run(got, want):
