@@ -263,7 +263,7 @@ def true_log_ratio(f_spec: DensitySpec, g_spec: DensitySpec, x) -> float:
 
 
 def load_samples(path) -> np.ndarray:
-    """Read a headerless CSV of equal-arity numeric rows into an (n, d) matrix."""
+    """Read a headerless CSV of equal-arity finite numeric rows into an (n, d) matrix."""
     rows = []
     arity = None
     with open(path, "r") as fh:
@@ -279,9 +279,12 @@ def load_samples(path) -> np.ndarray:
                     f"{path}: ragged row at line {lineno}: expected {arity} fields, got {len(fields)}"
                 )
             try:
-                rows.append([float(v) for v in fields])
+                row = [float(v) for v in fields]
             except ValueError:
                 raise ValueError(f"{path}: non-numeric field at line {lineno}") from None
+            if not all(map(math.isfinite, row)):  # float() parses nan and inf
+                raise ValueError(f"{path}: non-finite field at line {lineno}")
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: empty dataset")
     return np.asarray(rows, dtype=float)

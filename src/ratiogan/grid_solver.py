@@ -6,7 +6,8 @@ concentrated cost is sum_i f_i * (phi(omega(r_i)) + r_i * psi_tilde(omega(r_i)))
 both it and its per-point gradient f_i * psi_tilde(omega(r_i)) come from
 ``losses.concentrated``, and feasibility means r >= 0 with
 sum(r_i * f_i) = 1.  The minimizer is the constant field r = 1 for every
-invertible pair.
+invertible pair.  A solve runs under one ``np.errstate(all="ignore")``:
+a candidate with a non-finite cost is rejected, never printed as a warning.
 """
 
 from __future__ import annotations
@@ -177,24 +178,22 @@ def project_feasible(values: np.ndarray, mass: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(mass, dtype=float)
     m_sq = float(m @ m)
-    x = np.asarray(values, dtype=float).copy()
+    x = np.asarray(values, dtype=float)  # only read: every sweep makes a new x
     scale = max(1.0, float(np.abs(x).max()))
-    p = np.zeros_like(x)
-    q = np.zeros_like(x)
+    p = np.zeros(x.shape)  # zeros, not zeros_like: the cheaper call
+    q = np.zeros(x.shape)
     prev = x
     for _ in range(PROJECTION_MAX_ITERS):
-        y = np.maximum(x + p, 0.0)
-        p = x + p - y
+        x_p = x + p
+        y = np.maximum(x_p, 0.0)
+        p = x_p - y
         w = y + q
         x = w + (1.0 - float(m @ w)) / m_sq * m
         q = w - x
-        orthant_violation = max(0.0, -float(x.min()))
-        plane_violation = abs(float(m @ np.maximum(x, 0.0)) - 1.0)
-        moved = float(np.abs(x - prev).max())
-        if (
-            max(orthant_violation, plane_violation) <= PROJECTION_RESIDUAL
-            and moved <= 1e-12 * scale
-        ):
+        # movement first: the two violation reductions run only once x has stopped
+        if float(np.abs(x - prev).max()) <= 1e-12 * scale and max(
+            0.0, -float(x.min()), abs(float(m @ np.maximum(x, 0.0)) - 1.0)
+        ) <= PROJECTION_RESIDUAL:
             break
         prev = x
     return np.maximum(x, 0.0)
@@ -225,7 +224,8 @@ def solve_minmax_grid(
     increase (factor 0.5, at most 30 halvings per iteration).  A
     candidate whose objective is still non-finite is not taken.  Fifty
     consecutive non-improving iterations raise ``SolverDiverged`` with
-    the trace attached.
+    the trace attached.  The floating-point error state is entered once,
+    around the first evaluation and the whole loop, not per candidate.
     """
     if not loss.ratio_invertible:
         raise ValueError(f"ideal solver requires invertible omega; {loss.name} has none")
@@ -235,53 +235,43 @@ def solve_minmax_grid(
     mass = f.mass
 
     def objective_and_grad(r):
-        with np.errstate(all="ignore"):  # r may hold zeros: an inf or NaN candidate is rejected
-            cost, slope = concentrated(normalized, r)
-            return float(mass @ cost), mass * slope
+        cost, slope = concentrated(normalized, r)
+        return float(mass @ cost), mass * slope
 
     base_step = 0.1 / float(mass.max())
 
     r = np.asarray(r_init.values, dtype=float).copy()
     trace = SolveTrace()
-    obj, grad = objective_and_grad(r)
-    residual = abs(float(mass @ r) - 1.0)
-    trace.log(0, obj, np.abs(r - 1.0).max(), residual)
+    with np.errstate(all="ignore"):  # r may hold zeros: an inf or NaN candidate is rejected
+        obj, grad = objective_and_grad(r)
+        trace.log(0, obj, np.abs(r - 1.0).max(), abs(float(mass @ r) - 1.0))
 
-    consecutive_increases = 0
-    for it in range(1, max_iters + 1):
-        s = base_step
-        candidate = project_feasible(r - s * grad, mass)
-        cand_obj, cand_grad = objective_and_grad(candidate)
-        halvings = 0
-        # a non-finite objective counts as an increase
-        while not (cand_obj <= obj and math.isfinite(cand_obj)) and halvings < 30:
-            s *= 0.5
-            halvings += 1
-            candidate = project_feasible(r - s * grad, mass)
-            cand_obj, cand_grad = objective_and_grad(candidate)
-
-        if not (cand_obj <= obj and math.isfinite(cand_obj)):
-            consecutive_increases += 1
+        consecutive_increases = 0
+        for it in range(1, max_iters + 1):
+            for halvings in range(31):  # the full step, then at most 30 halvings
+                candidate = project_feasible(r - base_step * 0.5**halvings * grad, mass)
+                cand_obj, cand_grad = objective_and_grad(candidate)
+                improved = cand_obj <= obj and math.isfinite(cand_obj)  # non-finite: an increase
+                if improved:
+                    break
+            consecutive_increases = 0 if improved else consecutive_increases + 1
             if consecutive_increases >= 50:
                 raise SolverDiverged(
                     f"objective increased for {consecutive_increases} consecutive "
                     f"iterations (step {base_step:g})",
                     trace,
                 )
-        else:
-            consecutive_increases = 0
 
-        if math.isfinite(cand_obj):
-            delta = np.abs(candidate - r).max()
-            r, obj, grad = candidate, cand_obj, cand_grad
-        else:
-            delta = math.inf  # a non-finite candidate is never taken: keep r
-        if it % log_every == 0 or delta < tol or it == max_iters:
-            residual = abs(float(mass @ r) - 1.0)
-            trace.log(it, obj, np.abs(r - 1.0).max(), residual)
-        if delta < tol:
-            trace.converged = True
-            break
+            if math.isfinite(cand_obj):
+                delta = np.abs(candidate - r).max()
+                r, obj, grad = candidate, cand_obj, cand_grad
+            else:
+                delta = math.inf  # a non-finite candidate is never taken: keep r
+            if it % log_every == 0 or delta < tol or it == max_iters:
+                trace.log(it, obj, np.abs(r - 1.0).max(), abs(float(mass @ r) - 1.0))
+            if delta < tol:
+                trace.converged = True
+                break
 
     result = RatioField(r)
     result.validate_against(f)

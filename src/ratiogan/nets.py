@@ -201,12 +201,14 @@ def forward(net: DenseNet, batch: np.ndarray, second_from: Optional[int] = None)
     return a, cache
 
 
-def backward(net: DenseNet, cache: dict, output_grads: np.ndarray, param_rows: Optional[int] = None):
+def backward(net: DenseNet, cache: dict, output_grads: np.ndarray, param_rows: Optional[int] = None,
+             batch_grad: bool = True):
     """Exact reverse-mode gradients for the scalar whose output grads are given.
 
     Returns (flat parameter gradient, d loss / d batch).  ``param_rows``
     restricts the parameter sums to the first rows of the batch (0: none,
-    a zero gradient); the batch gradient always covers every row.
+    a zero gradient); the batch gradient covers every row, or is None,
+    its first-layer product skipped, with ``batch_grad=False``.
     """
     g = np.asarray(output_grads, dtype=float)
     if g.shape != cache["d1"][-1].shape:
@@ -219,8 +221,9 @@ def backward(net: DenseNet, cache: dict, output_grads: np.ndarray, param_rows: O
         gw, gb = views[layer]
         np.matmul(delta[:n].T, cache["inputs"][layer][:n], out=gw)
         np.sum(delta[:n], axis=0, out=gb)
-        g = delta @ net.weights[layer]
-    return grads, g
+        if layer or batch_grad:
+            g = delta @ net.weights[layer]
+    return grads, (g if batch_grad else None)
 
 
 @dataclass

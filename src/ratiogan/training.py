@@ -197,8 +197,8 @@ def critic_grads(
 
     One reverse pass gives the gradient of the negated phi/psi terms (summed
     over the x and y rows) and the interp rows' input gradients, which the
-    penalty pass reuses.  A zero lambda skips the interp rows and the penalty
-    path (u may be None).  Returns (D(x), D(y), penalty, flat gradient to descend).
+    penalty pass reuses.  A zero lambda skips the interp rows, batch gradient
+    and penalty (u may be None).  Returns (D(x), D(y), penalty, flat gradient to descend).
     """
     if real_batch.shape != fake_batch.shape:
         raise ValueError("real and fake batches must have identical shapes")
@@ -212,7 +212,7 @@ def critic_grads(
     out_grads = np.ones_like(d)  # unit grads on the interp rows: their input gradients
     out_grads[:b] = -loss.phi_prime(d_real) / b  # ascend: gradients of the negative
     out_grads[b : 2 * b] = -loss.psi_prime(d_fake) / b
-    grads, input_grads = backward(disc, cache, out_grads, param_rows=2 * b)
+    grads, input_grads = backward(disc, cache, out_grads, param_rows=2 * b, batch_grad=lam > 0.0)
     if second_from is None:
         return d_real, d_fake, 0.0, grads
     penalty_value, p_grads = gradient_penalty(disc, cache, input_grads[second_from:], variant, lam)
@@ -384,7 +384,7 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
                 return finish(last_good, f"non-finite generator objective at iteration {iteration}")
             # only the input gradient is needed: no parameter sums
             _, input_grads = backward(discriminator, disc_cache, loss.psi_prime(d_fake) / b, param_rows=0)
-            gen_grads, _ = backward(generator, gen_cache, input_grads)
+            gen_grads, _ = backward(generator, gen_cache, input_grads, batch_grad=False)
             if not np.isfinite(gen_grads).all():
                 return finish(last_good, f"non-finite generator gradient at iteration {iteration}")
             adam_step(gen_state, generator, gen_grads)

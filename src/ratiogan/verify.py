@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -267,7 +267,7 @@ def reports_to_records(reports: Sequence[VerificationReport]) -> list:
         if rep.skipped:
             records.append({"loss": rep.loss_name, "check": "all", "skipped": rep.skipped})
             continue
-        records.extend({"loss": rep.loss_name, **asdict(row)} for row in rep.checks)
+        records.extend({"loss": rep.loss_name, **vars(row)} for row in rep.checks)  # scalars: no deep copy
     return records
 
 

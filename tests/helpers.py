@@ -2,11 +2,20 @@
 
 import concurrent.futures
 import math
+from dataclasses import asdict
 
 import numpy as np
 
 from ratiogan import training
 from ratiogan.densities import sample
+from ratiogan.grid_solver import (
+    PROJECTION_MAX_ITERS,
+    PROJECTION_RESIDUAL,
+    RatioField,
+    SolverDiverged,
+    SolveTrace,
+)
+from ratiogan.losses import INTERIOR_EPS, concentrated, normalize_psi
 from ratiogan.nets import (
     SMOOTH_LEAKY_SLOPE,
     NetSpec,
@@ -358,3 +367,118 @@ def serial_train(config, loss=None):
         return training.train(config, loss)
     finally:
         training.ThreadPoolExecutor = threaded
+
+
+# ---------------------------------------------------------------------------
+# The solve and verify path before its per-call overheads were cut, kept as
+# the bitwise oracle: np.clip for the interior clamp, a projection that
+# copies its input and tests both violations before the movement, an error
+# state entered per candidate, and records built with dataclasses.asdict.
+
+
+def old_clamp_interior(interval, z):
+    """RangeInterval.clamp_interior as np.clip."""
+    lo = interval.lower + INTERIOR_EPS if math.isfinite(interval.lower) else -np.inf
+    hi = interval.upper - INTERIOR_EPS if math.isfinite(interval.upper) else np.inf
+    return np.clip(z, lo, hi)
+
+
+def old_project_feasible(values, mass):
+    """grid_solver.project_feasible as first written."""
+    m = np.asarray(mass, dtype=float)
+    m_sq = float(m @ m)
+    x = np.asarray(values, dtype=float).copy()
+    scale = max(1.0, float(np.abs(x).max()))
+    p = np.zeros_like(x)
+    q = np.zeros_like(x)
+    prev = x
+    for _ in range(PROJECTION_MAX_ITERS):
+        y = np.maximum(x + p, 0.0)
+        p = x + p - y
+        w = y + q
+        x = w + (1.0 - float(m @ w)) / m_sq * m
+        q = w - x
+        orthant_violation = max(0.0, -float(x.min()))
+        plane_violation = abs(float(m @ np.maximum(x, 0.0)) - 1.0)
+        moved = float(np.abs(x - prev).max())
+        if (
+            max(orthant_violation, plane_violation) <= PROJECTION_RESIDUAL
+            and moved <= 1e-12 * scale
+        ):
+            break
+        prev = x
+    return np.maximum(x, 0.0)
+
+
+def old_solve_minmax_grid(loss, f, r_init, max_iters=20000, tol=1e-10, log_every=1):
+    """grid_solver.solve_minmax_grid as first written, on old_project_feasible."""
+    if not loss.ratio_invertible:
+        raise ValueError(f"ideal solver requires invertible omega; {loss.name} has none")
+    r_init.validate_against(f)
+
+    normalized = normalize_psi(loss)
+    mass = f.mass
+
+    def objective_and_grad(r):
+        with np.errstate(all="ignore"):  # r may hold zeros: an inf or NaN candidate is rejected
+            cost, slope = concentrated(normalized, r)
+            return float(mass @ cost), mass * slope
+
+    base_step = 0.1 / float(mass.max())
+
+    r = np.asarray(r_init.values, dtype=float).copy()
+    trace = SolveTrace()
+    obj, grad = objective_and_grad(r)
+    residual = abs(float(mass @ r) - 1.0)
+    trace.log(0, obj, np.abs(r - 1.0).max(), residual)
+
+    consecutive_increases = 0
+    for it in range(1, max_iters + 1):
+        s = base_step
+        candidate = old_project_feasible(r - s * grad, mass)
+        cand_obj, cand_grad = objective_and_grad(candidate)
+        halvings = 0
+        # a non-finite objective counts as an increase
+        while not (cand_obj <= obj and math.isfinite(cand_obj)) and halvings < 30:
+            s *= 0.5
+            halvings += 1
+            candidate = old_project_feasible(r - s * grad, mass)
+            cand_obj, cand_grad = objective_and_grad(candidate)
+
+        if not (cand_obj <= obj and math.isfinite(cand_obj)):
+            consecutive_increases += 1
+            if consecutive_increases >= 50:
+                raise SolverDiverged(
+                    f"objective increased for {consecutive_increases} consecutive "
+                    f"iterations (step {base_step:g})",
+                    trace,
+                )
+        else:
+            consecutive_increases = 0
+
+        if math.isfinite(cand_obj):
+            delta = np.abs(candidate - r).max()
+            r, obj, grad = candidate, cand_obj, cand_grad
+        else:
+            delta = math.inf  # a non-finite candidate is never taken: keep r
+        if it % log_every == 0 or delta < tol or it == max_iters:
+            residual = abs(float(mass @ r) - 1.0)
+            trace.log(it, obj, np.abs(r - 1.0).max(), residual)
+        if delta < tol:
+            trace.converged = True
+            break
+
+    result = RatioField(r)
+    result.validate_against(f)
+    return result, trace
+
+
+def old_reports_to_records(reports):
+    """verify.reports_to_records with each row deep-copied by asdict."""
+    records = []
+    for rep in reports:
+        if rep.skipped:
+            records.append({"loss": rep.loss_name, "check": "all", "skipped": rep.skipped})
+            continue
+        records.extend({"loss": rep.loss_name, **asdict(row)} for row in rep.checks)
+    return records

@@ -83,6 +83,15 @@ class TestLossesCommand:
         names = [l.split()[0] for l in out.splitlines()[1:] if l.strip()]
         assert names == ["Hinge", "Wasserstein"]
 
+    def test_package_runs_as_a_module(self, tmp_path, capsys):
+        """``python -m ratiogan losses`` is the ``ratiogan losses`` command."""
+        env = {**os.environ, "PYTHONPATH": str(Path(ratiogan.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-m", "ratiogan", "losses"], env=env, cwd=tmp_path,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0 and done.stderr == ""
+        assert run_cli(tmp_path, "losses") == 0
+        assert done.stdout == capsys.readouterr().out
+
     def test_unknown_filter_key(self, tmp_path, capsys):
         assert run_cli(tmp_path, "losses", "--filter", "color=red") == 2
 
@@ -215,9 +224,12 @@ class TestTrainCommand:
         assert "gradient penalty" in err and "Traceback" not in err
         assert not (tmp_path / "out" / "relu").exists()
 
-    @pytest.mark.parametrize("content", ["x\n1.0\n2.0\n", None])
+    BAD_SAMPLE_FILES = {"x\n1.0\n2.0\n": "non-numeric field at line 1", None: "No such file",
+                        "1.0\nnan\n2.0\n": "non-finite field at line 2"}
+
+    @pytest.mark.parametrize("content", list(BAD_SAMPLE_FILES))
     def test_bad_sample_file_refused_before_staging(self, tmp_path, capsys, content):
-        """A header line or a missing path fails with exit 2 and stages nothing."""
+        """A header line, a missing path or a NaN row fails with exit 2 and stages nothing."""
         data = tmp_path / "target.csv"
         if content is not None:
             data.write_text(content)
@@ -226,8 +238,8 @@ class TestTrainCommand:
         overrides = ["--set", "density.target.kind=file", "--set", f"density.target.path={data}"]
         assert run_cli(tmp_path, "train", "--config", str(cfg), *overrides) == 2
         err = capsys.readouterr().err
-        assert "Traceback" not in err
-        assert ("non-numeric field at line 1" if content else "No such file") in err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert self.BAD_SAMPLE_FILES[content] in err
         assert not (tmp_path / "out" / "csv").exists()
 
     def test_sample_file_is_read_once(self, tmp_path, monkeypatch):

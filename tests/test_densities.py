@@ -237,6 +237,14 @@ class TestLoadSamples:
         with pytest.raises(ValueError, match="non-numeric.*line 2"):
             load_samples(p)
 
+    @pytest.mark.parametrize("field", ["nan", "NaN", "inf", "-inf", "Infinity"])
+    def test_non_finite_field(self, tmp_path, field):
+        """float() parses these; a sample file may not hold them."""
+        p = tmp_path / "bad.csv"
+        p.write_text(f"1,2\n\n3,{field}\n")
+        with pytest.raises(ValueError, match=f"{p}: non-finite field at line 3"):
+            load_samples(p)
+
 
 class TestSampleFile:
     def test_rows_read_once_and_read_only(self, tmp_path):

@@ -20,6 +20,9 @@ from ratiogan.grid_solver import (
     solve_minmax_grid,
     trace_to_text,
 )
+from ratiogan.losses import RangeInterval
+
+from helpers import old_clamp_interior, old_project_feasible, old_solve_minmax_grid
 
 INVERTIBLE = [e.loss for e in iter_catalogue() if e.loss.ratio_invertible]
 
@@ -155,6 +158,88 @@ class TestProjection:
             np.testing.assert_allclose(ours, res.x, atol=5e-6)
 
 
+def broken_pair():
+    """A pair violating the derivative rule: its per-point gradient is not a
+    descent direction, so the solve ascends and diverges."""
+    from ratiogan.losses import LossPair, OmegaTransform, NONNEGATIVE
+
+    omega = OmegaTransform(
+        forward=lambda r: np.asarray(r, dtype=float),
+        inverse=lambda z: NONNEGATIVE.clamp_interior(z),
+        range=NONNEGATIVE,
+        description="r",
+    )
+    return LossPair(
+        name="broken",
+        phi=lambda z: 2.0 * np.asarray(z, dtype=float) ** 2,
+        phi_prime=lambda z: 4.0 * np.asarray(z, dtype=float),
+        psi=lambda z: 1.0 - np.asarray(z, dtype=float),
+        psi_prime=lambda z: -np.ones_like(np.asarray(z, dtype=float)),
+        omega=omega,
+    )
+
+
+def bits(values):
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+def assert_same_trace(ours, oracle):
+    for name in ("objectives", "linf_to_one", "constraint_residuals"):
+        np.testing.assert_array_equal(bits(getattr(ours, name)), bits(getattr(oracle, name)))
+    assert ours.iterations == oracle.iterations
+    assert ours.converged == oracle.converged
+
+
+class TestMatchesFirstWrittenPath:
+    """The solve path against its first-written form (tests/helpers.py), bit
+    for bit: the projection, the solver loop, and the interior clamp."""
+
+    def test_projection_bits_and_input_untouched(self):
+        rng = np.random.default_rng(12)
+        f = discretize(gaussian([0.0], [[1.0]]), 64, (-4.0, 4.0))
+        for scale in (0.1, 1.0, 5.0, 100.0):
+            for _ in range(20):
+                raw = rng.standard_normal(64) * scale + rng.uniform(-1.0, 2.0)
+                before = raw.copy()
+                ours = project_feasible(raw, f.mass)
+                np.testing.assert_array_equal(bits(ours), bits(old_project_feasible(raw, f.mass)))
+                np.testing.assert_array_equal(bits(raw), bits(before))
+
+    @pytest.mark.parametrize("init_seed", [0, 4, 1000])
+    @pytest.mark.parametrize("name", ["MSE", "B1b", "C2"])
+    def test_cli_default_problem(self, monkeypatch, name, init_seed):
+        """solve-grid's default problem (N(0,1), 64 points on [-4, 4], random
+        init), over 300 iterations: same trace and same field bits."""
+        loss = catalogue_lookup(name).loss
+        f = discretize(gaussian([0.0], [[1.0]]), 64, (-4.0, 4.0))
+        r0 = feasible_from(np.abs(np.random.default_rng(init_seed).standard_normal(64)), f)
+        r, trace = solve_minmax_grid(loss, f, r0, max_iters=300, log_every=7)
+        monkeypatch.setattr(RangeInterval, "clamp_interior", old_clamp_interior)
+        r_old, trace_old = old_solve_minmax_grid(loss, f, r0, max_iters=300, log_every=7)
+        assert_same_trace(trace, trace_old)
+        np.testing.assert_array_equal(bits(r.values), bits(r_old.values))
+
+    def test_divergence_stop(self):
+        f = uniform_density(16)
+        r0 = feasible_from(1.0 + np.abs(np.random.default_rng(1).standard_normal(16)), f)
+        with pytest.raises(SolverDiverged) as ours:
+            solve_minmax_grid(broken_pair(), f, r0, max_iters=200, tol=0.0)
+        with pytest.raises(SolverDiverged) as oracle:
+            old_solve_minmax_grid(broken_pair(), f, r0, max_iters=200, tol=0.0)
+        assert str(ours.value) == str(oracle.value)
+        assert_same_trace(ours.value.trace, oracle.value.trace)
+
+    def test_convergence_stop(self):
+        loss = catalogue_lookup("MSE").loss
+        f = uniform_density()
+        r0 = feasible_from(np.abs(np.random.default_rng(3).standard_normal(64)), f)
+        r, trace = solve_minmax_grid(loss, f, r0, max_iters=50000, tol=1e-10)
+        r_old, trace_old = old_solve_minmax_grid(loss, f, r0, max_iters=50000, tol=1e-10)
+        assert trace.converged
+        assert_same_trace(trace, trace_old)
+        np.testing.assert_array_equal(bits(r.values), bits(r_old.values))
+
+
 class TestSolver:
     def test_unit_field_is_fixed_point(self):
         """The constant field 1 has zero gradient and returns immediately."""
@@ -231,26 +316,10 @@ class TestSolver:
         direction, so every backtracked step still increases the cost and
         the consecutive-increase guard fires.
         """
-        from ratiogan.losses import LossPair, OmegaTransform, NONNEGATIVE
-
-        omega = OmegaTransform(
-            forward=lambda r: np.asarray(r, dtype=float),
-            inverse=lambda z: NONNEGATIVE.clamp_interior(z),
-            range=NONNEGATIVE,
-            description="r",
-        )
-        broken = LossPair(
-            name="broken",
-            phi=lambda z: 2.0 * np.asarray(z, dtype=float) ** 2,
-            phi_prime=lambda z: 4.0 * np.asarray(z, dtype=float),
-            psi=lambda z: 1.0 - np.asarray(z, dtype=float),
-            psi_prime=lambda z: -np.ones_like(np.asarray(z, dtype=float)),
-            omega=omega,
-        )
         f = uniform_density(16)
         r0 = feasible_from(1.0 + np.abs(np.random.default_rng(1).standard_normal(16)), f)
         with pytest.raises(SolverDiverged) as exc_info:
-            solve_minmax_grid(broken, f, r0, max_iters=200, tol=0.0)
+            solve_minmax_grid(broken_pair(), f, r0, max_iters=200, tol=0.0)
         assert len(exc_info.value.trace.objectives) >= 1
 
     def test_non_finite_candidate_never_taken(self):

@@ -27,6 +27,8 @@ from ratiogan.losses import (
 from ratiogan.catalogue import catalogue_lookup, iter_catalogue
 from ratiogan.nets import OUTPUT_UNITS, NetSpec, _act_eval
 
+from helpers import old_clamp_interior
+
 
 def log_omega():
     return OmegaTransform(
@@ -75,6 +77,25 @@ class TestRangeInterval:
         for interval in CANONICAL_RANGES:
             clamped = interval.clamp_interior(z)
             assert interval.contains(clamped)
+
+    @pytest.mark.parametrize("interval", CANONICAL_RANGES, ids=str)
+    def test_clamp_interior_is_np_clip_bit_for_bit(self, interval):
+        """The ufunc clamp against np.clip (tests/helpers.py): same bits and
+        same type, for arrays, 0-d arrays, numpy and Python scalars, and lists."""
+        tiny, sub = np.finfo(float).tiny, 5e-324
+        special = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, tiny, -tiny, sub, -sub, 0.5, -0.5]
+        for end in (interval.lower, interval.upper):
+            if math.isfinite(end):
+                inner = [end + 1e-6, end - 1e-6]
+                special += [end, np.nextafter(end, -math.inf), np.nextafter(end, math.inf)] + inner
+                special += [np.nextafter(v, d) for v in inner for d in (-math.inf, math.inf)]
+        values = np.array(special + list(np.random.default_rng(1).uniform(-3.0, 3.0, 40)))
+        cases = [values, np.stack([values, values[::-1]]), list(values)]
+        cases += [np.array(v) for v in values] + [np.float64(v) for v in values] + [float(v) for v in values]
+        for z in cases:
+            ours, oracle = interval.clamp_interior(z), old_clamp_interior(interval, z)
+            assert type(ours) is type(oracle)
+            np.testing.assert_array_equal(np.asarray(ours).view(np.int64), np.asarray(oracle).view(np.int64))
 
 
 def output_unit(interval, z):

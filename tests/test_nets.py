@@ -189,6 +189,22 @@ class TestBackward:
             if head == 0:
                 assert not grads.any()
 
+    def test_skipping_the_batch_gradient_keeps_parameter_bits(self):
+        """batch_grad=False returns None for the batch gradient and the same
+        parameter gradient bits, for every param_rows and input width, a
+        generator-shaped net included."""
+        rng = np.random.default_rng(8)
+        for widths, squash in (((2, 64, 64, 1), SQUASHES[2]), ((1, 32, 1), None), ((3, 16, 16, 2), None)):
+            net = init_net(NetSpec(widths=widths, squash=squash, seed=9))
+            x = rng.standard_normal((96, widths[0]))
+            out, cache = forward(net, x)
+            c = rng.standard_normal(out.shape)
+            for head in (None, 64, 0):
+                grads, gin = backward(net, cache, c, param_rows=head)
+                skipped, none = backward(net, cache, c, param_rows=head, batch_grad=False)
+                assert none is None and gin.shape == x.shape
+                assert_bitwise(skipped, grads)
+
     def test_stale_cache_rejected(self):
         net = init_net(NetSpec(widths=(2, 4, 1), seed=2))
         _, cache = forward(net, np.ones((4, 2)))

@@ -1,5 +1,6 @@
 """Numerical certification of the inner/outer optimality identities."""
 
+import json
 import math
 
 import numpy as np
@@ -17,6 +18,8 @@ from ratiogan.verify import (
     reports_to_text,
     write_reports,
 )
+
+from helpers import old_reports_to_records
 
 INVERTIBLE = [e.loss for e in iter_catalogue() if e.loss.ratio_invertible]
 
@@ -193,3 +196,20 @@ class TestReportSerialization:
 
         lines = [json.loads(l) for l in jsonl.read_text().splitlines()]
         assert len(lines) == len(records)
+
+    def test_records_equal_asdict_form_on_every_loss(self):
+        """The reports of verify --loss all: records equal the first-written
+        asdict form (tests/helpers.py), keys in the same order, and each is a
+        fresh dict, not a view of its row."""
+        reports = []
+        for entry in iter_catalogue():
+            loss = entry.loss
+            reports += [check_theorem1(loss), check_corollary_value(loss)]
+            if loss.phi is not None and loss.psi is not None:
+                reports.append(check_derivatives(loss))
+        records, oracle = reports_to_records(reports), old_reports_to_records(reports)
+        assert len(records) > 1000
+        assert records == oracle
+        assert [json.dumps(r) for r in records] == [json.dumps(r) for r in oracle]
+        records[0]["error"] = -1.0  # A1a's first row
+        assert reports[0].checks[0].error >= 0.0
