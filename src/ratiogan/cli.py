@@ -6,7 +6,10 @@ sweep), ``solve-grid`` (ideal min-max on a discrete support), ``train``
 ``report`` (re-render plots from an existing metrics file).
 
 Exit codes: 0 success, 1 check or run failure (including a solve that
-stops short of its tolerance), 2 usage error.  Output files are staged
+stops short of its tolerance, a diverged solve and an aborted run), 2
+usage error.  Input the user must correct is rejected where it is
+checked, by raising UsageError, before any file is staged; only ``main``
+prints it, as one line on stderr, and returns 2.  Output files are staged
 with an ``.incomplete`` suffix and renamed only when the command
 finishes, so a failed run never leaves files that look complete.  The
 output root comes from ``--out`` or the RATIOGAN_OUT environment
@@ -22,6 +25,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import configparser
+import contextlib
 import math
 import os
 import sys
@@ -31,11 +35,13 @@ import numpy as np
 
 from .catalogue import catalogue_lookup, catalogue_names, iter_catalogue
 from .config import (
+    SECTIONS,
     apply_overrides,
     density_from_section,
     parse_config_text,
     train_config_from_text,
     train_config_to_text,
+    unknown_sections,
 )
 from .densities import gaussian, sample
 from .grid_solver import (
@@ -60,18 +66,27 @@ from .verify import (
 
 ENV_OUT = "RATIOGAN_OUT"
 
-# What a bad config file, override, sample file or loss name raises.
+# What a bad config file, override, sample file, metrics file, loss or preset name raises.
 CONFIG_ERRORS = (ValueError, KeyError, OSError, configparser.Error)
 
-# Least value of each numeric flag, by argparse dest; a smaller value or NaN is a usage error.
+# Least value of each numeric flag, by argparse dest; a smaller value, NaN or +inf is a usage error.
 FLAG_MINIMA = {"n_points": 2, "log_every": 1, "max_iters": 1, "jobs": 1, "init_seed": 0, "tol": 0,
                "argmax_tol": 0, "minimizer_tol": 0, "value_tol": 0, "deriv_tol": 0}
 
 
-def _usage_error(prefix: str, exc: Exception) -> int:
-    """Print a rejected input as one line on stderr; the usage-error exit code."""
-    print(f"{prefix}: {' '.join(str(exc).split())}", file=sys.stderr)
-    return 2
+class UsageError(Exception):
+    """Input the user must correct; main prints it as one line and returns 2."""
+
+
+@contextlib.contextmanager
+def _rejected_as_usage(prefix: str = ""):
+    """Raise a CONFIG_ERRORS exception from the block as a UsageError, after
+    the prefix; a KeyError gives its message, without the quotes str() adds."""
+    try:
+        yield
+    except CONFIG_ERRORS as exc:
+        message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
+        raise UsageError(f"{prefix}: {message}" if prefix else message) from None
 
 
 class OutputStager:
@@ -133,9 +148,7 @@ def cmd_losses(args) -> int:
         elif key == "range" and equals:
             rows = [r for r in rows if r["range"].lower() == value]
         else:
-            print(f"losses: bad --filter {args.filter!r}; use subclass=, invertible=true|false, range=",
-                  file=sys.stderr)
-            return 2
+            raise UsageError(f"losses: bad --filter {args.filter!r}; use subclass=, invertible=true|false, range=")
     name_w = max(len(r["name"]) for r in rows) if rows else 4
     print(f"{'name':<{name_w}}  sub  {'J':<7} {'omega':<22} inv  forms")
     for r in rows:
@@ -162,11 +175,8 @@ def _select_losses(selector: str):
 
 
 def cmd_verify(args) -> int:
-    try:
+    with _rejected_as_usage():
         losses = _select_losses(args.loss)
-    except (KeyError, ValueError) as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
     reports = []
     for loss in losses:
         reports.append(
@@ -196,37 +206,30 @@ def cmd_verify(args) -> int:
 
 def cmd_solve_grid(args) -> int:
     if args.uniform and args.config:
-        print("solve-grid: --uniform ignores the density of --config; give one of them", file=sys.stderr)
-        return 2
+        raise UsageError("solve-grid: --uniform ignores the density of --config; give one of them")
     lo, hi = args.window
     if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        print(f"solve-grid: --window {lo:g} {hi:g} must be two finite numbers, low first", file=sys.stderr)
-        return 2
-    try:
-        entry = catalogue_lookup(args.loss)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    loss = entry.loss
+        raise UsageError(f"solve-grid: --window {lo:g} {hi:g} must be two finite numbers, low first")
+    with _rejected_as_usage():
+        loss = catalogue_lookup(args.loss).loss
     if not loss.ratio_invertible:
-        print(f"ideal solver requires invertible omega; {loss.name} has none", file=sys.stderr)
-        return 2
+        raise UsageError(f"ideal solver requires invertible omega; {loss.name} has none")
 
     if args.config:
-        try:
+        with _rejected_as_usage("solve-grid"):
             parser = parse_config_text(args.config_text)
+            problems = unknown_sections(parser)
             if not parser.has_section("density.target"):
-                raise ValueError("missing [density.target] section")
+                problems.append("missing [density.target] section")
+            if problems:
+                raise ValueError("; ".join(problems))
             density = density_from_section(parser["density.target"])
-        except CONFIG_ERRORS as exc:
-            return _usage_error("solve-grid", exc)
     else:
         density = gaussian([0.0], [[1.0]])
     if density.kind == "file":
-        print("solve-grid needs an analytic density, not a sample file", file=sys.stderr)
-        return 2
+        raise UsageError("solve-grid needs an analytic density, not a sample file")
 
-    try:
+    with _rejected_as_usage("solve-grid"):
         if args.uniform:
             from .grid_solver import DiscreteDensity
 
@@ -237,8 +240,6 @@ def cmd_solve_grid(args) -> int:
         else:
             window = (lo, hi) if density.dim == 1 else ((lo, hi),) * 2
             f = discretize(density, args.n_points, window)
-    except ValueError as exc:
-        return _usage_error("solve-grid", exc)
 
     rng = np.random.default_rng(args.init_seed)
     if args.init == "ones":
@@ -312,28 +313,24 @@ cov = 1.0 1.0
 """
 
 
+SWEEP_LAMBDAS = (0.01, 0.1, 1.0, 10.0)  # one lambda-sweep run each
+
+
 def _preset_text(preset: str) -> list:
     """Expand a preset into (run_name, config_text) pairs."""
-    if preset.startswith("shift1d-"):
-        loss = _canonical_loss_name(preset[len("shift1d-"):])
-        return [(preset, SHIFT1D_PRESET.format(loss=loss))]
-    if preset.startswith("ring2d-"):
-        loss = _canonical_loss_name(preset[len("ring2d-"):])
-        return [(preset, RING2D_PRESET.format(loss=loss))]
+    for prefix, template in (("shift1d-", SHIFT1D_PRESET), ("ring2d-", RING2D_PRESET)):
+        if preset.startswith(prefix):
+            return [(preset, template.format(loss=catalogue_lookup(preset[len(prefix):]).loss.name))]
     if preset == "lambda-sweep":
         base = SHIFT1D_PRESET.format(loss="MSE")
         runs = []
-        for lam in (0.01, 0.1, 1.0, 10.0):
+        for lam in SWEEP_LAMBDAS:
             text = apply_overrides(base, [f"train.lambda={lam!r}"])
             runs.append((f"lambda-sweep/lam{lam:g}", text))
         return runs
     raise KeyError(
         f"unknown preset {preset!r}; presets: shift1d-<loss>, ring2d-<loss>, lambda-sweep"
     )
-
-
-def _canonical_loss_name(name: str) -> str:
-    return catalogue_lookup(name).loss.name
 
 
 # (file, title, y label, plotted metric columns, reference line) of each plot
@@ -380,10 +377,7 @@ def _checked_config(text: str, overrides) -> TrainConfig:
     possible without training: raises CONFIG_ERRORS."""
     config = train_config_from_text(apply_overrides(text, overrides))
     config.validate()
-    try:
-        catalogue_lookup(config.loss_name)
-    except KeyError as exc:
-        raise ValueError(exc.args[0]) from None
+    catalogue_lookup(config.loss_name)
     return config
 
 
@@ -419,28 +413,23 @@ def _run_one_training(run_name: str, config: TrainConfig, root: Path) -> int:
 
 def cmd_train(args) -> int:
     if args.preset:
-        try:
+        with _rejected_as_usage():
             runs = _preset_text(args.preset)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return 2
     elif args.config:
         runs = [(Path(args.config).stem, args.config_text)]
     else:
-        print("train needs --config or --preset", file=sys.stderr)
-        return 2
+        raise UsageError("train needs --config or --preset")
 
     if args.echo_config and len(runs) > 1:
-        print(f"--echo-config takes one run; {args.preset} has {len(runs)}", file=sys.stderr)
-        return 2
+        raise UsageError(f"--echo-config takes one run; {args.preset} has {len(runs)}")
 
     # every run is checked before anything is echoed, staged or trained
     names, configs = [name for name, _ in runs], []
     for name, text in runs:
-        try:
+        with _rejected_as_usage(name):
             configs.append(_checked_config(text, args.set or []))
-        except CONFIG_ERRORS as exc:
-            return _usage_error(name, exc)
+    if args.preset == "lambda-sweep" and tuple(c.lam for c in configs) != SWEEP_LAMBDAS:
+        raise UsageError("lambda-sweep: each run sets its own train.lambda; drop the train.lambda override")
 
     if args.echo_config:
         Path(args.echo_config).write_text(train_config_to_text(configs[0]))
@@ -461,13 +450,10 @@ def cmd_train(args) -> int:
 def cmd_report(args) -> int:
     path = Path(args.metrics)
     if not path.exists():
-        print(f"metrics file {path} does not exist", file=sys.stderr)
-        return 2
-    try:
+        raise UsageError(f"metrics file {path} does not exist")
+    with _rejected_as_usage("report"):
         records = metrics_from_text(path.read_text())
         plots = _metric_plots(records)
-    except (ValueError, OSError) as exc:
-        return _usage_error("report", exc)
     stager = OutputStager(_output_root(args))
     _plot_metrics(plots, stager)
     stager.commit()
@@ -515,7 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="adversarial training run(s)")
     p.add_argument("--config", help="config file")
     p.add_argument("--preset", help="shift1d-<loss>, ring2d-<loss>, lambda-sweep")
-    p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE", help="override a config value")
+    p.add_argument("--set", action="append", metavar="SECTION.KEY=VALUE",
+                   help=f"override a config value; sections: {', '.join(SECTIONS)}")
     p.add_argument("--echo-config", metavar="PATH", help="write the effective config and exit")
     p.add_argument("--jobs", type=int, default=1, help="concurrent runs for sweeps, one process each; a run "
                    "uses up to two Python threads and one BLAS thread (set OPENBLAS_NUM_THREADS to change)")
@@ -530,18 +517,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for dest, least in FLAG_MINIMA.items():
-        if not getattr(args, dest, least) >= least:
-            print(f"{args.command}: --{dest.replace('_', '-')} must be >= {least}", file=sys.stderr)
-            return 2
-    if getattr(args, "config", None):
-        try:
-            args.config_text = Path(args.config).read_text()
-        except OSError as exc:
-            print(f"{args.command}: {exc}", file=sys.stderr)
-            return 2
     try:
+        for dest, least in FLAG_MINIMA.items():
+            if not least <= getattr(args, dest, least) < math.inf:
+                raise UsageError(f"{args.command}: --{dest.replace('_', '-')} must be >= {least} and finite")
+        if getattr(args, "config", None):
+            with _rejected_as_usage(args.command):
+                args.config_text = Path(args.config).read_text()
         return args.fn(args)
+    except UsageError as exc:
+        print(" ".join(str(exc).split()), file=sys.stderr)
+        return 2
     except BrokenPipeError:
         return 1
 

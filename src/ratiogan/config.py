@@ -22,9 +22,12 @@ configuration (floats are written with shortest round-trip formatting).
     mean = 0.0
     cov = 1.0
 
-The [train], [generator] and [discriminator] keys are TrainConfig's
-fields with defaults (gen_/disc_ prefixes name the section, lam is
-lambda), cast to the default's type: [generator] hidden_widths = 64 64.
+A configuration holds these sections and no other: [loss] (its one key
+is name), [train], [generator], [discriminator], [density.target] and
+[density.origin].  Any other section, or any other [loss] key, is an
+error.  The [train], [generator] and [discriminator] keys are
+TrainConfig's fields with defaults (gen_/disc_ prefixes name the section,
+lam is lambda), cast to the default's type: [generator] hidden_widths = 64 64.
 
 Density kinds: gaussian (mean, cov: scalar, diagonal, or ';'-separated
 rows), ring (modes, radius, sigma), uniform (low, high), mixture
@@ -45,6 +48,8 @@ from .densities import DensitySpec, gaussian, mixture, ring, sample_file, unifor
 from .training import TrainConfig
 
 __all__ = [
+    "SECTIONS",
+    "unknown_sections",
     "parse_config_text",
     "train_config_from_text",
     "train_config_to_text",
@@ -58,10 +63,19 @@ def _floats(text: str) -> list:
     return [float(v) for v in text.replace(",", " ").split()]
 
 
+# Every section a configuration may hold, in the order echo mode writes them.
+SECTIONS = ("loss", "train", "generator", "discriminator", "density.target", "density.origin")
+
+
 def parse_config_text(text: str) -> configparser.ConfigParser:
     parser = configparser.ConfigParser()
     parser.read_string(text)
     return parser
+
+
+def unknown_sections(parser: configparser.ConfigParser) -> list:
+    """One problem line per section that is not in SECTIONS."""
+    return [f"unknown section [{name}]" for name in parser.sections() if name not in SECTIONS]
 
 
 # Every key that some density kind reads.  A key of another kind than the
@@ -169,7 +183,6 @@ def _widths(text: str) -> tuple:
 # (section, key); its cast follows the type of the default.
 _KEYS = {_section_key(f.name): f for f in fields(TrainConfig) if f.default is not MISSING}
 _CASTS = {float: float, int: int, str: str, tuple: _widths}
-_SECTIONS = ("train", "generator", "discriminator")
 
 
 def _to_text(value) -> str:
@@ -177,9 +190,9 @@ def _to_text(value) -> str:
 
 
 def train_config_from_text(text: str) -> TrainConfig:
-    """Build a TrainConfig; unknown keys and missing sections are errors."""
+    """Build a TrainConfig; unknown sections and keys, and missing sections, are errors."""
     parser = parse_config_text(text)
-    problems = []
+    problems = unknown_sections(parser)
     if not parser.has_section("loss") or not parser.has_option("loss", "name"):
         problems.append("missing [loss] name")
     if not parser.has_section("density.target"):
@@ -188,14 +201,17 @@ def train_config_from_text(text: str) -> TrainConfig:
         problems.append("missing [density.origin] section (h_spec)")
 
     kwargs = {}
-    for section in _SECTIONS:
-        if not parser.has_section(section):
+    for section in SECTIONS:
+        # density_from_section checks the density sections' keys
+        if section.startswith("density.") or not parser.has_section(section):
             continue
         for key, value in parser.items(section):
-            if (section, key) not in _KEYS:
+            if (section, key) == ("loss", "name"):
+                continue
+            field = _KEYS.get((section, key))
+            if field is None:
                 problems.append(f"unknown [{section}] key {key!r}")
                 continue
-            field = _KEYS[section, key]
             cast = type(field.default)
             try:
                 kwargs[field.name] = _CASTS[cast](value)
@@ -221,16 +237,14 @@ def train_config_from_text(text: str) -> TrainConfig:
 
 def train_config_to_text(config: TrainConfig) -> str:
     """Echo mode: canonical text that re-parses to an equal configuration."""
+    sections = {section: {} for section in SECTIONS}
+    sections["loss"]["name"] = config.loss_name
+    for (section, key), field in _KEYS.items():
+        sections[section][key] = _to_text(getattr(config, field.name))
+    sections["density.target"] = density_to_section(config.f_spec)
+    sections["density.origin"] = density_to_section(config.h_spec)
     parser = configparser.ConfigParser()
-    parser["loss"] = {"name": config.loss_name}
-    for section in _SECTIONS:
-        parser[section] = {
-            key: _to_text(getattr(config, field.name))
-            for (where, key), field in _KEYS.items()
-            if where == section
-        }
-    parser["density.target"] = density_to_section(config.f_spec)
-    parser["density.origin"] = density_to_section(config.h_spec)
+    parser.read_dict(sections)
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()
@@ -245,11 +259,11 @@ def apply_overrides(text: str, overrides) -> str:
         target, value = item.split("=", 1)
         if "." not in target:
             raise ValueError(f"override {item!r} needs a section-qualified key")
-        section, key = target.rsplit(".", 1)
         # density sections contain a dot themselves
+        section, key = (part.strip() for part in target.rsplit(".", 1))
         if section not in parser:
             parser.add_section(section)
-        parser.set(section.strip(), key.strip(), value.strip())
+        parser.set(section, key, value.strip())
     buf = io.StringIO()
     parser.write(buf)
     return buf.getvalue()

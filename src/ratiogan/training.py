@@ -300,11 +300,10 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
     checkpoints: list = []
     last_good = (_snapshot(generator, gen_state), _snapshot(discriminator, disc_state))
     last_penalty = 0.0
-    last_train_lr = (None, None)
     pending = None  # the eval in flight: at most one
     b = config.batch_size
 
-    def evaluate(iteration: int, generator, discriminator, penalty, train_lr) -> MetricRecord:
+    def evaluate(iteration: int, generator, discriminator, penalty, train_batch) -> MetricRecord:
         x_eval = sample(config.f_spec, config.eval_batch, eval_rng)
         z_eval = sample(config.h_spec, config.eval_batch, eval_rng)
         # [0]: each backward cache is freed at once, not kept alive through mmd_rbf
@@ -314,6 +313,8 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
         disc_obj = float(np.mean(phi_v(d_real[:, 0])) + np.mean(psi_v(d_fake[:, 0])))
         gen_obj = float(np.mean(psi_v(d_fake[:, 0])))
         lr_fields = _ratio_stats(loss, d_real, d_fake) if loss.ratio_invertible else (None,) * 4
+        # the snapshot is the discriminator the last critic step left: the generator step does not change it
+        train_lr = likelihood_ratio_metric(loss, discriminator, *train_batch) if loss.ratio_invertible else (None,) * 4
         return MetricRecord(
             generator_iteration=iteration,
             disc_objective=disc_obj,
@@ -324,7 +325,7 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
             lr_gen_mean=lr_fields[2],
             lr_gen_std=lr_fields[3],
             lr_real_mean_train=train_lr[0],
-            lr_gen_mean_train=train_lr[1],
+            lr_gen_mean_train=train_lr[2],
             mmd=mmd_rbf(y_eval, x_eval, "median"),
             swd=sliced_wasserstein(y_eval, x_eval, 64, seed=swd_seed),
         )
@@ -364,15 +365,7 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
                     return finish(last_good, f"non-finite discriminator gradient at iteration {iteration}")
                 adam_step(disc_state, discriminator, grads)
                 last_penalty = penalty_value
-
-        will_evaluate = (
-            iteration % config.eval_every == 0
-            or iteration == config.total_generator_iters
-        )
-        if will_evaluate and loss.ratio_invertible:
-            # training-batch variant of the ratio metric (last critic batch)
-            lr = likelihood_ratio_metric(loss, discriminator, x, y)
-            last_train_lr = (lr[0], lr[2])
+        train_batch = (x, y)  # the last critic step's; the generator phase rebinds y
 
         # -- generator phase ----------------------------------------------
         with np.errstate(all="ignore"):
@@ -389,12 +382,12 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
                 return finish(last_good, f"non-finite generator gradient at iteration {iteration}")
             adam_step(gen_state, generator, gen_grads)
 
-        if will_evaluate:
+        if iteration % config.eval_every == 0 or iteration == config.total_generator_iters:
             collect()
             last_good = (_snapshot(generator, gen_state), _snapshot(discriminator, disc_state))
             # copy_context: the eval runs under the caller's numpy error state
             pending = evaluator.submit(contextvars.copy_context().run, evaluate, iteration,
-                                       last_good[0][0], last_good[1][0], last_penalty, last_train_lr)
+                                       last_good[0][0], last_good[1][0], last_penalty, train_batch)
         if config.checkpoint_every > 0 and iteration % config.checkpoint_every == 0:
             checkpoints.append(
                 (iteration, net_to_json(generator, gen_state), net_to_json(discriminator, disc_state))

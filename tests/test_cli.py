@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import ratiogan
-from ratiogan.cli import main
+from ratiogan.cli import UsageError, build_parser, main
 from ratiogan.svgplot import emit_svg_lineplot
 from ratiogan.training import METRIC_COLUMNS
 
@@ -339,6 +339,8 @@ class TestConfigErrors:
     NO_HEADER = "kind = gaussian\n"
     NO_MEAN = TINY_TRAIN.format(loss="MSE").replace("mean = 4.0\n", "")
     SHIFT = ["train", "--preset", "shift1d-MSE", "--set"]
+    SHORT = ["--set", "train.total_generator_iters=2"]  # keeps a run that is wrongly accepted short
+    GARGET = TINY_TRAIN.format(loss="MSE") + "\n[density.garget]\nkind = gaussian\nmean = 4.0\n"
 
     @pytest.mark.parametrize(
         "config,args,message",
@@ -408,6 +410,19 @@ class TestConfigErrors:
             (TINY_TRAIN.format(loss="MSE").replace("mean = 4.0", "mean = inf"), ["solve-grid", "--loss", "MSE"],
              "solve-grid: gaussian mean and covariance must be finite"),
             (None, ["solve-grid", "--loss", "MSE", "--init-seed", "-1"], "solve-grid: --init-seed must be >= 0"),
+            (None, SHIFT + ["trian.lambda=0", *SHORT], "shift1d-MSE: invalid configuration: unknown section [trian]"),
+            (GARGET, ["train"], "run: invalid configuration: unknown section [density.garget]"),
+            (GARGET, ["solve-grid", "--loss", "MSE"], "solve-grid: unknown section [density.garget]"),
+            (None, SHIFT + ["loss.nmae=B2", *SHORT], "shift1d-MSE: invalid configuration: unknown [loss] key 'nmae'"),
+            (None, ["train", "--preset", "lambda-sweep", "--set", "train.lambda=1.0", *SHORT],
+             "lambda-sweep: each run sets its own train.lambda; drop the train.lambda override"),
+            (None, ["solve-grid", "--loss", "MSE", "--tol", "inf", "--max-iters", "3"],
+             "solve-grid: --tol must be >= 0 and finite"),
+            (None, ["verify", "--loss", "MSE", "--value-tol", "inf"], "verify: --value-tol must be >= 0 and finite"),
+            (None, ["verify", "--loss", "MSE", "--deriv-tol", "inf"], "verify: --deriv-tol must be >= 0 and finite"),
+            (None, ["verify", "--loss", "MSE", "--argmax-tol", "inf"], "verify: --argmax-tol must be >= 0 and finite"),
+            (None, ["verify", "--loss", "MSE", "--minimizer-tol", "inf"],
+             "verify: --minimizer-tol must be >= 0 and finite"),
         ],
         ids=["solve-no-target", "solve-negative-cov", "solve-no-header", "train-no-header",
              "train-unknown-loss", "train-bad-override", "echo-unknown-key", "train-unknown-hidden-unit",
@@ -422,7 +437,10 @@ class TestConfigErrors:
              "train-negative-checkpoint-every", "train-misspelt-density-key", "solve-misspelt-density-key",
              "solve-uniform-nan-window", "solve-uniform-reversed-window", "solve-inf-window", "solve-empty-window",
              "solve-uniform-with-config", "train-nan-target-mean", "train-inf-origin-cov", "train-inf-ring-radius",
-             "train-nan-ring-sigma", "train-inf-uniform-high", "solve-inf-mean", "solve-negative-init-seed"],
+             "train-nan-ring-sigma", "train-inf-uniform-high", "solve-inf-mean", "solve-negative-init-seed",
+             "train-misspelt-section", "train-misspelt-density-section", "solve-misspelt-density-section",
+             "train-misspelt-loss-key", "sweep-lambda-override", "solve-inf-tol", "verify-inf-value-tol",
+             "verify-inf-deriv-tol", "verify-inf-argmax-tol", "verify-inf-minimizer-tol"],
     )
     def test_one_line_usage_error_and_nothing_written(self, tmp_path, capsys, config, args, message):
         echo = tmp_path / "echo.cfg"
@@ -437,6 +455,17 @@ class TestConfigErrors:
         assert message in err
         assert not (tmp_path / "out").exists()
         assert not echo.exists()
+
+    def test_commands_raise_usage_error(self, tmp_path, capsys):
+        """Each command raises bad input as a UsageError; only main prints it and returns 2."""
+        for argv in (["losses", "--filter", "color=red"], ["verify", "--loss", "nosuch"],
+                     ["solve-grid", "--loss", "Hinge"], ["train", "--preset", "nope"],
+                     ["report", "--metrics", str(tmp_path / "nope.tsv")]):
+            args = build_parser().parse_args(["--out", str(tmp_path / "out"), *argv])
+            with pytest.raises(UsageError):
+                args.fn(args)
+        assert capsys.readouterr() == ("", "")
+        assert not (tmp_path / "out").exists()
 
     def test_echo_config_refuses_a_multi_run_preset(self, tmp_path, capsys):
         echo = tmp_path / "echo.cfg"

@@ -161,6 +161,10 @@ class TestOverrides:
         with pytest.raises(ValueError, match="section-qualified"):
             apply_overrides(BASE, ["lambda=10"])
 
+    def test_spaces_around_section_and_key_are_dropped(self):
+        text = apply_overrides(BASE, [" train . lambda = 0.5"])
+        assert train_config_from_text(text).lam == 0.5
+
     def test_density_kind_override_keeps_the_other_kinds_keys(self):
         """A key of another kind stays accepted, so an override can switch kind."""
         text = apply_overrides(BASE, ["density.target.kind=ring", "density.target.sigma=0.5"])
