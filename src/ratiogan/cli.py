@@ -29,6 +29,7 @@ import contextlib
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -43,8 +44,10 @@ from .config import (
     train_config_to_text,
     unknown_sections,
 )
-from .densities import gaussian, sample
+from .densities import gaussian
 from .grid_solver import (
+    DiscreteDensity,
+    RatioField,
     SolverDiverged,
     discretize,
     feasible_from,
@@ -53,9 +56,9 @@ from .grid_solver import (
     solve_minmax_grid,
     trace_to_text,
 )
-from .nets import forward, net_to_json
+from .nets import net_to_json
 from .svgplot import emit_svg_lineplot
-from .training import TrainConfig, metrics_from_text, metrics_to_text, train
+from .training import TrainConfig, final_samples, metrics_from_text, metrics_to_text, train
 from .verify import (
     check_corollary_value,
     check_derivatives,
@@ -208,8 +211,8 @@ def cmd_solve_grid(args) -> int:
     if args.uniform and args.config:
         raise UsageError("solve-grid: --uniform ignores the density of --config; give one of them")
     lo, hi = args.window
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo <= hi):
-        raise UsageError(f"solve-grid: --window {lo:g} {hi:g} must be two finite numbers, low first")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise UsageError(f"solve-grid: --window {lo:g} {hi:g} must be two finite numbers, low first, with low < high")
     with _rejected_as_usage():
         loss = catalogue_lookup(args.loss).loss
     if not loss.ratio_invertible:
@@ -229,10 +232,9 @@ def cmd_solve_grid(args) -> int:
     if density.kind == "file":
         raise UsageError("solve-grid needs an analytic density, not a sample file")
 
-    with _rejected_as_usage("solve-grid"):
+    with _rejected_as_usage("solve-grid"), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         if args.uniform:
-            from .grid_solver import DiscreteDensity
-
             f = DiscreteDensity(
                 support=np.linspace(lo, hi, args.n_points),
                 mass=np.full(args.n_points, 1.0 / args.n_points),
@@ -240,11 +242,11 @@ def cmd_solve_grid(args) -> int:
         else:
             window = (lo, hi) if density.dim == 1 else ((lo, hi),) * 2
             f = discretize(density, args.n_points, window)
+    for warning in caught:  # a short window's coverage, as one line
+        print(f"solve-grid: {warning.message}", file=sys.stderr)
 
     rng = np.random.default_rng(args.init_seed)
     if args.init == "ones":
-        from .grid_solver import RatioField
-
         r0 = RatioField(np.ones(len(f)))
     else:
         r0 = feasible_from(np.abs(rng.standard_normal(len(f))), f)
@@ -393,9 +395,7 @@ def _run_one_training(run_name: str, config: TrainConfig, root: Path) -> int:
         stager.stage(f"gen_iter{iteration}.json").write_text(gen_json)
         stager.stage(f"disc_iter{iteration}.json").write_text(disc_json)
 
-    z = sample(config.h_spec, config.eval_batch, config.seeds[4])
-    y, _ = forward(result.generator, z)
-    lines = [",".join(repr(float(v)) for v in row) for row in y]
+    lines = [",".join(repr(float(v)) for v in row) for row in final_samples(config, result.generator)]
     stager.stage("samples_final.csv").write_text("\n".join(lines) + "\n")
 
     if result.records:
@@ -412,6 +412,8 @@ def _run_one_training(run_name: str, config: TrainConfig, root: Path) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.preset and args.config:
+        raise UsageError("train: --preset ignores --config; give one of them")
     if args.preset:
         with _rejected_as_usage():
             runs = _preset_text(args.preset)

@@ -4,10 +4,13 @@ Each generator iteration runs ``critic_iters`` discriminator ascent
 steps on mean(phi(D(x))) + mean(psi(D(G(z)))) minus the gradient
 penalty, then one generator descent step on mean(psi(D(G(z)))) (only
 the psi term depends on the generator).  Every ``eval_every`` iterations
-a snapshot is taken on fresh evaluation batches: objectives, the
-discriminator-implied likelihood-ratio statistics (for invertible
+``evaluate`` takes a snapshot on fresh evaluation batches: objectives,
+the discriminator-implied likelihood-ratio statistics (for invertible
 losses; both fresh-batch and training-batch variants are recorded), and
-two-sample distances between generated and target samples.
+two-sample distances between generated and target samples.  The five
+``TrainConfig.seeds`` feed, in order: generator init, discriminator init,
+the training draws, the eval draws and SWD directions, and the draws of
+``final_samples``, the finished generator's sample file.
 
 Each snapshot runs on one eval thread while training goes on, on copies
 of the nets and with its own random generator, so records are as if run
@@ -51,7 +54,8 @@ __all__ = [
     "critic_batches",
     "critic_grads",
     "gradient_penalty",
-    "likelihood_ratio_metric",
+    "evaluate",
+    "final_samples",
     "metrics_to_text",
     "METRIC_COLUMNS",
 ]
@@ -83,8 +87,7 @@ class TrainConfig:
 
     @property
     def seeds(self) -> tuple:
-        """The run's five seeds, from one SeedSequence: generator init,
-        discriminator init, training draws, eval draws, final samples."""
+        """The run's five seeds, from one SeedSequence; the module docstring names their streams."""
         return tuple(int(s) for s in np.random.SeedSequence(self.seed).generate_state(5))
 
     def validate(self):
@@ -220,13 +223,6 @@ def critic_grads(
     return d_real, d_fake, penalty_value, grads
 
 
-def likelihood_ratio_metric(loss: LossPair, disc: DenseNet, real_batch, fake_batch):
-    """Mean/std of the discriminator-implied ratio on both batches."""
-    d_real, _ = forward(disc, np.asarray(real_batch, dtype=float))
-    d_fake, _ = forward(disc, np.asarray(fake_batch, dtype=float))
-    return _ratio_stats(loss, d_real, d_fake)
-
-
 def _ratio_stats(loss: LossPair, d_real: np.ndarray, d_fake: np.ndarray) -> tuple:
     r_real = ratio_from_discriminator(loss, d_real[:, 0])
     r_fake = ratio_from_discriminator(loss, d_fake[:, 0])
@@ -270,6 +266,42 @@ def build_networks(config: TrainConfig, loss: LossPair):
     return init_net(gen_spec), init_net(disc_spec), train_seed, eval_seed
 
 
+def evaluate(config: TrainConfig, loss: LossPair, iteration: int, generator: DenseNet,
+             discriminator: DenseNet, rng: np.random.Generator, penalty: float, train_batch) -> MetricRecord:
+    """One snapshot on eval_batch fresh draws from rng, plus the readback on train_batch, the last critic step's (x, y)."""
+    phi_v, psi_v = loss.values()
+    x_eval = sample(config.f_spec, config.eval_batch, rng)
+    z_eval = sample(config.h_spec, config.eval_batch, rng)
+    # [0]: each backward cache is freed at once, not kept alive through mmd_rbf
+    y_eval = forward(generator, z_eval)[0]
+    d_real = forward(discriminator, x_eval)[0]
+    d_fake = forward(discriminator, y_eval)[0]
+    gen_obj = np.mean(psi_v(d_fake[:, 0]))
+    lr_fields = train_lr = (None,) * 4
+    if loss.ratio_invertible:
+        lr_fields = _ratio_stats(loss, d_real, d_fake)
+        train_lr = _ratio_stats(loss, *(forward(discriminator, rows)[0] for rows in train_batch))
+    return MetricRecord(
+        generator_iteration=iteration,
+        disc_objective=float(np.mean(phi_v(d_real[:, 0])) + gen_obj),
+        gen_objective=float(gen_obj),
+        penalty=penalty,
+        lr_real_mean=lr_fields[0],
+        lr_real_std=lr_fields[1],
+        lr_gen_mean=lr_fields[2],
+        lr_gen_std=lr_fields[3],
+        lr_real_mean_train=train_lr[0],
+        lr_gen_mean_train=train_lr[2],
+        mmd=mmd_rbf(y_eval, x_eval, "median"),
+        swd=sliced_wasserstein(y_eval, x_eval, 64, seed=config.seeds[3]),  # fixed: snapshots stay comparable
+    )
+
+
+def final_samples(config: TrainConfig, generator: DenseNet) -> np.ndarray:
+    """eval_batch generator outputs on inputs drawn from the final-samples seed."""
+    return forward(generator, sample(config.h_spec, config.eval_batch, config.seeds[4]))[0]
+
+
 def train(config: TrainConfig, loss: Optional[LossPair] = None) -> TrainResult:
     """Run the adversarial loop; deterministic given the config seed."""
     with ThreadPoolExecutor(max_workers=1) as evaluator:
@@ -287,7 +319,6 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
     disc_state = init_adam(discriminator, config.learning_rate, config.beta1, config.beta2)
     train_rng = np.random.default_rng(train_seed)
     eval_rng = np.random.default_rng(eval_seed)
-    swd_seed = eval_seed  # fixed directions: snapshots stay comparable
 
     # A critic step frees about 1 MB of arrays at once, and glibc's malloc
     # returns a freed heap top above its trim threshold to the OS: 128 KiB
@@ -302,33 +333,6 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
     last_penalty = 0.0
     pending = None  # the eval in flight: at most one
     b = config.batch_size
-
-    def evaluate(iteration: int, generator, discriminator, penalty, train_batch) -> MetricRecord:
-        x_eval = sample(config.f_spec, config.eval_batch, eval_rng)
-        z_eval = sample(config.h_spec, config.eval_batch, eval_rng)
-        # [0]: each backward cache is freed at once, not kept alive through mmd_rbf
-        y_eval = forward(generator, z_eval)[0]
-        d_real = forward(discriminator, x_eval)[0]
-        d_fake = forward(discriminator, y_eval)[0]
-        disc_obj = float(np.mean(phi_v(d_real[:, 0])) + np.mean(psi_v(d_fake[:, 0])))
-        gen_obj = float(np.mean(psi_v(d_fake[:, 0])))
-        lr_fields = _ratio_stats(loss, d_real, d_fake) if loss.ratio_invertible else (None,) * 4
-        # the snapshot is the discriminator the last critic step left: the generator step does not change it
-        train_lr = likelihood_ratio_metric(loss, discriminator, *train_batch) if loss.ratio_invertible else (None,) * 4
-        return MetricRecord(
-            generator_iteration=iteration,
-            disc_objective=disc_obj,
-            gen_objective=gen_obj,
-            penalty=penalty,
-            lr_real_mean=lr_fields[0],
-            lr_real_std=lr_fields[1],
-            lr_gen_mean=lr_fields[2],
-            lr_gen_std=lr_fields[3],
-            lr_real_mean_train=train_lr[0],
-            lr_gen_mean_train=train_lr[2],
-            mmd=mmd_rbf(y_eval, x_eval, "median"),
-            swd=sliced_wasserstein(y_eval, x_eval, 64, seed=swd_seed),
-        )
 
     def collect():
         """Wait for the eval in flight, if any, and append its record."""
@@ -386,8 +390,8 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
             collect()
             last_good = (_snapshot(generator, gen_state), _snapshot(discriminator, disc_state))
             # copy_context: the eval runs under the caller's numpy error state
-            pending = evaluator.submit(contextvars.copy_context().run, evaluate, iteration,
-                                       last_good[0][0], last_good[1][0], last_penalty, train_batch)
+            pending = evaluator.submit(contextvars.copy_context().run, evaluate, config, loss, iteration,
+                                       last_good[0][0], last_good[1][0], eval_rng, last_penalty, train_batch)
         if config.checkpoint_every > 0 and iteration % config.checkpoint_every == 0:
             checkpoints.append(
                 (iteration, net_to_json(generator, gen_state), net_to_json(discriminator, disc_state))

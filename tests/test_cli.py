@@ -176,6 +176,16 @@ class TestSolveGridCommand:
         assert not (tmp_path / "out").exists()
 
 
+    def test_short_window_warns_in_one_line(self, tmp_path, capsys):
+        """discretize's low-coverage warning reaches stderr as one solve-grid line, not a raw warning."""
+        rc = run_cli(tmp_path, "solve-grid", "--loss", "MSE", "--window", "-2.5", "2.5", "--max-iters", "5")
+        assert rc == 1  # five iterations do not converge
+        out, err = capsys.readouterr()
+        assert err == "solve-grid: window captures 0.9889 < 0.99 of the density mass\n"
+        assert "converged   = no" in out
+        assert (tmp_path / "out" / "solve_field.tsv").exists()
+
+
 class TestTrainCommand:
     def test_run_produces_artifacts(self, tmp_path, capsys):
         cfg = tmp_path / "tiny.cfg"
@@ -370,7 +380,7 @@ class TestConfigErrors:
             (None, ["solve-grid", "--loss", "MSE", "--uniform", "--n-points", "0"],
              "solve-grid: --n-points must be >= 2"),
             (None, ["solve-grid", "--loss", "MSE", "--uniform", "--window", "1", "1"],
-             "solve-grid: support points must be distinct"),
+             "solve-grid: --window 1 1 must be two finite numbers, low first, with low < high"),
             (None, ["verify", "--loss", ","], "--loss ',' names no loss"),
             (None, ["solve-grid", "--loss", "MSE", "--max-iters", "0"], "solve-grid: --max-iters must be >= 1"),
             (None, ["solve-grid", "--loss", "MSE", "--max-iters", "-3"], "solve-grid: --max-iters must be >= 1"),
@@ -396,7 +406,8 @@ class TestConfigErrors:
              "solve-grid: --window 4 -4 must be two finite numbers, low first"),
             (None, ["solve-grid", "--loss", "MSE", "--window", "0", "inf"],
              "solve-grid: --window 0 inf must be two finite numbers, low first"),
-            (None, ["solve-grid", "--loss", "MSE", "--window", "1", "1"], "solve-grid: window must have positive length"),
+            (None, ["solve-grid", "--loss", "MSE", "--window", "1", "1"],
+             "solve-grid: --window 1 1 must be two finite numbers, low first, with low < high"),
             (TINY_TRAIN.format(loss="MSE"), ["solve-grid", "--loss", "MSE", "--uniform"],
              "solve-grid: --uniform ignores the density of --config"),
             (None, SHIFT + ["density.target.mean=nan"], "shift1d-MSE: gaussian mean and covariance must be finite"),
@@ -423,6 +434,8 @@ class TestConfigErrors:
             (None, ["verify", "--loss", "MSE", "--argmax-tol", "inf"], "verify: --argmax-tol must be >= 0 and finite"),
             (None, ["verify", "--loss", "MSE", "--minimizer-tol", "inf"],
              "verify: --minimizer-tol must be >= 0 and finite"),
+            (TINY_TRAIN.format(loss="Nope"), ["train", "--preset", "shift1d-MSE", "--echo-config", "ECHO"],
+             "train: --preset ignores --config; give one of them"),
         ],
         ids=["solve-no-target", "solve-negative-cov", "solve-no-header", "train-no-header",
              "train-unknown-loss", "train-bad-override", "echo-unknown-key", "train-unknown-hidden-unit",
@@ -440,7 +453,7 @@ class TestConfigErrors:
              "train-nan-ring-sigma", "train-inf-uniform-high", "solve-inf-mean", "solve-negative-init-seed",
              "train-misspelt-section", "train-misspelt-density-section", "solve-misspelt-density-section",
              "train-misspelt-loss-key", "sweep-lambda-override", "solve-inf-tol", "verify-inf-value-tol",
-             "verify-inf-deriv-tol", "verify-inf-argmax-tol", "verify-inf-minimizer-tol"],
+             "verify-inf-deriv-tol", "verify-inf-argmax-tol", "verify-inf-minimizer-tol", "train-preset-with-config"],
     )
     def test_one_line_usage_error_and_nothing_written(self, tmp_path, capsys, config, args, message):
         echo = tmp_path / "echo.cfg"

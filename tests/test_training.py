@@ -1,5 +1,6 @@
 """The adversarial loop: accounting, penalty, metrics, determinism, aborts."""
 
+import copy
 import dataclasses
 import math
 import threading
@@ -10,23 +11,21 @@ import pytest
 
 import ratiogan.training as training
 from ratiogan.catalogue import catalogue_lookup
-from ratiogan.cli import _preset_text
-from ratiogan.config import apply_overrides, train_config_from_text
+from ratiogan.cli import _preset_text, main
+from ratiogan.config import apply_overrides, train_config_from_text, train_config_to_text
 from ratiogan.densities import gaussian, ring, sample, sample_file
 from ratiogan.losses import (
     LossPair,
     NONNEGATIVE,
     SYMMETRIC_UNIT,
     OmegaTransform,
-    RatioNotRecoverableError,
 )
-from ratiogan.nets import NetSpec, backward, forward, init_adam, init_net
+from ratiogan.nets import NetSpec, backward, forward, init_adam, init_net, net_from_json
 from ratiogan.training import (
     TrainConfig,
     TrainResult,
     critic_batches,
     critic_grads,
-    likelihood_ratio_metric,
     metrics_from_text,
     metrics_to_text,
     train,
@@ -251,17 +250,30 @@ class TestFusedMatchesUnfused:
         self.assert_matches(cfg, self.SQUASH_LOSSES["logistic"], monkeypatch)
 
 
-class TestLikelihoodRatioMetric:
+class TestEvaluate:
+    """training.evaluate, the one eval snapshot, called on inputs of the test's choosing."""
+
+    def evaluate(self, loss, disc, train_batch):
+        cfg = shift_config(eval_batch=32)
+        gen = init_net(NetSpec(widths=(1, 4, 1), seed=1))
+        return training.evaluate(cfg, loss, 7, gen, disc, np.random.default_rng(0), 0.5, train_batch)
+
+    def assert_ratio_fields(self, rec, ratio, std):
+        assert (rec.generator_iteration, rec.penalty) == (7, 0.5)
+        for field in ("lr_real_mean", "lr_gen_mean", "lr_real_mean_train", "lr_gen_mean_train"):
+            assert getattr(rec, field) == pytest.approx(ratio, rel=1e-12), field
+        for field in ("lr_real_std", "lr_gen_std"):
+            assert getattr(rec, field) == pytest.approx(0.0, abs=std), field
+
     def test_constant_output_at_matched_level(self):
-        """A discriminator stuck at omega(1) reports ratio exactly 1."""
+        """A discriminator stuck at omega(1) reports ratio exactly 1 on every batch."""
         loss = catalogue_lookup("CrossEntropy").loss
         net = init_net(NetSpec(widths=(1, 4, 1), squash=loss.range.label, seed=0))
         for w in net.weights:
             w[:] = 0.0  # logistic(0) = 0.5 = omega(1)
         x = np.random.default_rng(0).standard_normal((32, 1))
-        mean_r, std_r, mean_g, std_g = likelihood_ratio_metric(loss, net, x, x + 1)
-        assert mean_r == pytest.approx(1.0) and std_r == 0.0
-        assert mean_g == pytest.approx(1.0) and std_g == 0.0
+        rec = self.evaluate(loss, net, (x, x + 1))
+        self.assert_ratio_fields(rec, 1.0, 0.0)
 
     def test_cross_entropy_at_08(self):
         loss = catalogue_lookup("CrossEntropy").loss
@@ -271,14 +283,37 @@ class TestLikelihoodRatioMetric:
         # logistic(b) = 0.8  =>  b = log 4
         net.biases[1][:] = np.log(4.0)
         x = np.zeros((8, 1))
-        mean_r, _, _, _ = likelihood_ratio_metric(loss, net, x, x)
-        assert mean_r == pytest.approx(4.0, rel=1e-12)
+        rec = self.evaluate(loss, net, (x, x + 3))
+        self.assert_ratio_fields(rec, 4.0, 1e-12)
 
-    def test_limit_loss_raises(self):
-        loss = catalogue_lookup("Wasserstein").loss
-        net = init_net(NetSpec(widths=(1, 4, 1), seed=0))
-        with pytest.raises(RatioNotRecoverableError):
-            likelihood_ratio_metric(loss, net, np.ones((4, 1)), np.ones((4, 1)))
+    def test_replays_the_records_of_a_run(self, monkeypatch):
+        """Each eval of a run is evaluate on the arguments train passed it,
+        with the eval stream as it stood at the call."""
+        calls = []
+        real = training.evaluate
+
+        def spy(*args):
+            calls.append(args[:5] + (copy.deepcopy(args[5]),) + args[6:])
+            return real(*args)
+
+        monkeypatch.setattr(training, "evaluate", spy)
+        result = train(shift_config(total_generator_iters=12, eval_every=4))
+        assert [args[2] for args in calls] == [4, 8, 12]
+        assert [real(*args) for args in calls] == result.records
+
+
+class TestFinalSamples:
+    def test_equal_the_sample_file_a_train_command_writes(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(train_config_to_text(shift_config(total_generator_iters=6, eval_every=3, eval_batch=48)))
+        assert main(["--out", str(tmp_path / "out"), "train", "--config", str(cfg)]) == 0
+        rundir = tmp_path / "out" / "run"
+        config = train_config_from_text((rundir / "config.cfg").read_text())
+        generator, _ = net_from_json((rundir / "gen_final.json").read_text())
+        lines = (rundir / "samples_final.csv").read_text().splitlines()
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines])
+        assert rows.shape == (48, 1)
+        np.testing.assert_array_equal(training.final_samples(config, generator), rows)
 
 
 class TestDeterminism:
