@@ -6,22 +6,29 @@ strict upper triangles of xx and yy plus all of xy, so the
 median-heuristic bandwidth is read off those blocks without the pooled
 (m+n)^2 matrix.
 
-Each block is one matmul: ``x @ x.T`` and ``y @ y.T``, which numpy runs
-through the symmetric (syrk) product, and ``x @ y.T``.  Every
-elementwise pass after it runs over row bands of ``_BAND`` rows in the
-matmul's own buffer, so a band stays in cache between the steps of a
-pass and no full-size temporary is made: the distance finish
-``max((|x|^2 + |y|^2) - 2 x.y, 0)``, the count of the median bracket and
-the kernel ``exp(-gamma d)``.  The matmuls and the sums stay whole-block
-because they fix the bits: the general product differs from the syrk
-path in the last bit for some sizes, and a sum taken band by band adds
-in another order.  Elementwise steps give the same bits in any layout,
-so recorded values equal the pooled-matrix numbers.
+A block is read in tiles (``_Dists``).  For one-column samples a tile
+is formed only when a pass reaches it, from the product
+``x[r0:r1] * y[c0:c1].T``: each cell is a single term, so a tile has
+the bits of the whole-block matmul and no m x n array is ever held.
+Wider samples keep the whole-block product, ``x @ x.T`` (which numpy
+runs through the symmetric syrk path) or ``x @ y.T``, and read tiles as
+views of it: a product formed band by band differs from it in the last
+bit at many sizes.  Either way the distance finish
+``max((|x|^2 + |y|^2) - 2 x.y, 0)`` runs on at most ``_BAND`` rows at a
+time, so a band stays in cache.
+
+Two passes read the blocks.  The median counts the pooled pairs tile by
+tile, and reads its strided subsample at the tiles' (row, column)
+positions (``_PooledPairs``).  The kernel sums walk numpy's pairwise-sum
+tree over each row-major block and exponentiate and add each leaf while
+it is hot (``_kernel_sum``), so they equal ``k.sum()`` of the whole
+kernel block bit for bit.  Elementwise steps give the same bits in any
+layout, so recorded values equal the pooled-matrix numbers.
 """
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -30,13 +37,17 @@ __all__ = ["mmd_rbf", "sliced_wasserstein"]
 # rows per band of every elementwise pass: 64 rows of a 2048-wide block
 # (the eval shape) are 1 MiB of float64, inside one core's L2
 _BAND = 64
+_LEAF = 2**17  # most values per leaf of the kernel-sum walk: 1 MiB of float64
 _MEDIAN_SAMPLE = 65536  # subsample size that brackets the median
 _MEDIAN_WIDTH = 4.0  # bracket half-width in units of sqrt(subsample size)
 
 
-def _bands(d: np.ndarray) -> list:
-    """Views of the row bands of a block."""
-    return [d[lo : lo + _BAND] for lo in range(0, len(d), _BAND)]
+def _finish(prod: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """Squared distances max(norms - 2 prod, 0) in the buffer of the
+    products x.y, given the norm sums |x|^2 + |y|^2 (left unchanged)."""
+    prod *= 2.0
+    np.subtract(norms, prod, out=prod)
+    return np.maximum(prod, 0.0, out=prod)
 
 
 def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -48,46 +59,100 @@ def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     for lo in range(0, len(x), _BAND):
         rows = d[lo : lo + _BAND]
         part = norms[: len(rows)]
-        rows *= 2.0
         np.add(x_sq[lo : lo + _BAND, None], y_sq, out=part)
-        np.subtract(part, rows, out=rows)
-        np.maximum(rows, 0.0, out=rows)
+        _finish(rows, part)
     return d
 
 
-def _upper_triangle_bands(d: np.ndarray) -> list:
-    """The strict upper triangle of a square block as row bands: per band
-    of rows, a copy of its small diagonal triangle and a view of the rest."""
-    pieces = []
-    for lo in range(0, len(d), _BAND):
-        hi = min(lo + _BAND, len(d))
-        pieces.append(d[lo:hi, lo:hi][np.triu_indices(hi - lo, k=1)])
-        pieces.append(d[lo:hi, hi:])
-    return pieces
+class _Dists:
+    """The squared distances between the rows of x and those of y, read
+    by tile: formed on demand for one column, views of the whole block
+    otherwise (see the module docstring)."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray):
+        self.shape = (len(x), len(y))
+        self._whole = None if x.shape[1] == 1 else _sq_dists(x, y)
+        if self._whole is None:
+            self._x, self._y = x[:, 0], y[:, 0]
+            self._x_sq, self._y_sq = self._x**2, self._y**2  # the bits of _sq_dists' norms
+
+    def tile(self, r0: int, r1: int, c0: int = 0, c1: Optional[int] = None) -> np.ndarray:
+        """Rows r0:r1 and columns c0:c1 of the block; a view of it when it is
+        held, which the caller may then overwrite."""
+        if self._whole is not None:
+            return self._whole[r0:r1, c0:c1]
+        x, x_sq = self._x[r0:r1, None], self._x_sq[r0:r1, None]
+        return _finish(x * self._y[c0:c1], x_sq + self._y_sq[c0:c1])
+
+    def at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The distances at the positions (rows[i], cols[i])."""
+        if self._whole is not None:
+            return self._whole[rows, cols]
+        return _finish(self._x[rows] * self._y[cols], self._x_sq[rows] + self._y_sq[cols])
 
 
-def _median(pieces) -> np.float64:
-    """np.median of all values of the pieces (arrays of any shape, views
+class _PooledPairs:
+    """The distinct pairs of the pooled sample as tiles of its three
+    blocks, in the order ``_median`` reads them: per band of rows, the
+    strict upper triangle of the diagonal tile of xx and the rest of the
+    band right of it, the same for yy, then every band of xy."""
+
+    def __init__(self, xx: _Dists, yy: _Dists, xy: _Dists):
+        m, n = xy.shape
+        self.total = m * (m - 1) // 2 + n * (n - 1) // 2 + m * n
+        self._tiles = []  # (block, r0, r1, c0, c1, strict upper triangle only)
+        for sq, size in ((xx, m), (yy, n)):
+            for lo in range(0, size, _BAND):
+                hi = min(lo + _BAND, size)
+                self._tiles.append((sq, lo, hi, lo, hi, True))
+                if hi < size:
+                    self._tiles.append((sq, lo, hi, hi, size, False))
+        self._tiles += [(xy, lo, min(lo + _BAND, m), 0, n, False) for lo in range(0, m, _BAND)]
+
+    def pieces(self):
+        """The tiles' values, each formed when the iteration reaches it."""
+        for sq, r0, r1, c0, c1, upper in self._tiles:
+            tile = sq.tile(r0, r1, c0, c1)
+            yield tile[np.triu_indices(r1 - r0, k=1)] if upper else tile
+
+    def strided(self, step: int) -> np.ndarray:
+        """Every step-th value of each piece (in C order), read at its
+        position in the block without forming the tile."""
+        sample = []
+        for sq, r0, r1, c0, c1, upper in self._tiles:
+            if upper:
+                rows, cols = (r0 + i[::step] for i in np.triu_indices(r1 - r0, k=1))
+            else:
+                at = np.arange(0, (r1 - r0) * (c1 - c0), step)
+                rows, cols = r0 + at // (c1 - c0), c0 + at % (c1 - c0)
+            sample.append(sq.at(rows, cols))
+        return np.concatenate(sample)
+
+
+def _median(values) -> np.float64:
+    """np.median of all values held in pieces (arrays of any shape, views
     included), which are left unchanged.
 
-    A fixed-stride subsample of each piece (in C order) brackets the
-    middle order statistics, so only the values inside the bracket are
-    partitioned.  The count makes masks of one piece at a time, so
-    band-sized pieces keep it in cache.  When the counts show the
-    bracket missed the middle, or some value (NaN) fell in no part of
-    it, np.median on a copy decides.
+    ``values`` has ``total``, the number of values; ``strided(step)``,
+    every step-th value of each piece in C order; and ``pieces()``, the
+    pieces themselves, which may be formed as the iteration reaches them.
+    The fixed-stride subsample brackets the middle order statistics, so
+    only the values inside the bracket are partitioned.  The count makes
+    masks of one piece at a time, so band-sized pieces keep it in cache.
+    When the counts show the bracket missed the middle, or some value
+    (NaN) fell in no part of it, np.median on a copy decides.
     """
-    total = sum(v.size for v in pieces)
+    total = values.total
     ks = [total // 2] if total % 2 else [total // 2 - 1, total // 2]
     step = max(1, total // _MEDIAN_SAMPLE)
-    sub = np.sort(np.concatenate([v.flat[::step] for v in pieces]))
+    sub = np.sort(values.strided(step))
     at = ks[0] * sub.size // total
     half = int(_MEDIAN_WIDTH * np.sqrt(sub.size))
     lo = sub[max(at - half, 0)]
     hi = sub[min(at + half, sub.size - 1)]
     below = above = 0
     inside = []
-    for v in pieces:
+    for v in values.pieces():
         below += np.count_nonzero(v < lo)
         above += np.count_nonzero(v > hi)
         inside.append(v[(v >= lo) & (v <= hi)])
@@ -96,7 +161,33 @@ def _median(pieces) -> np.float64:
         ks = [k - below for k in ks]
         inside.partition(ks)
         return np.mean(inside[ks])
-    return np.median(np.concatenate([v.ravel() for v in pieces]), overwrite_input=True)
+    return np.median(np.concatenate([v.ravel() for v in values.pieces()]), overwrite_input=True)
+
+
+def _kernel_sum(sq: _Dists, gamma: float, start: int, size: int) -> np.float64:
+    """The sum of exp(-gamma d) over the values d at flat positions
+    start:start+size of the row-major block, in the bits of ``k.sum()``.
+
+    numpy's pairwise sum splits a run of more than 128 values at half its
+    length, rounded down to a multiple of 8, and adds the sums of the two
+    halves.  The walk follows that tree down to runs of at most _LEAF
+    values; each such leaf is formed, turned into kernel values in place
+    and summed (by the same tree below it) while it is hot.
+    A held block is overwritten by its kernel values.
+
+    This is a module-level function on purpose: a recursive closure nested
+    in mmd_rbf would be a reference cycle (it holds its own cell), keeping
+    the blocks it closes over alive until the cycle collector runs.
+    """
+    if size > _LEAF:
+        half = size // 2 - size // 2 % 8
+        return _kernel_sum(sq, gamma, start, half) + _kernel_sum(sq, gamma, start + half, size - half)
+    n = sq.shape[1]
+    first = start // n
+    leaf = sq.tile(first, (start + size - 1) // n + 1).reshape(-1)[start - first * n :][:size]
+    np.multiply(leaf, -gamma, out=leaf)
+    np.exp(leaf, out=leaf)
+    return leaf.sum()
 
 
 def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: Union[float, str] = "median") -> float:
@@ -115,28 +206,22 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: Union[float, str] = "median
     if m < 2 or n < 2:
         raise ValueError("need at least 2 samples on each side")
 
-    k_xx = _sq_dists(x, x)
-    k_yy = _sq_dists(y, y)
-    k_xy = _sq_dists(x, y)
+    xx, yy, xy = _Dists(x, x), _Dists(y, y), _Dists(x, y)
     if bandwidth == "median":
-        # pooled pairs: upper(xx), all of xy, upper(yy)
-        pieces = _upper_triangle_bands(k_xx) + _upper_triangle_bands(k_yy) + _bands(k_xy)
-        bw = float(np.sqrt(_median(pieces)))
+        bw = float(np.sqrt(_median(_PooledPairs(xx, yy, xy))))
     else:
         bw = float(bandwidth)
     if bw <= 0:
         raise ValueError("degenerate bandwidth")
     gamma = 1.0 / (2.0 * bw * bw)
 
-    for k in (k_xx, k_yy, k_xy):  # squared distances -> kernel values
-        for rows in _bands(k):
-            np.multiply(rows, -gamma, out=rows)
-            np.exp(rows, out=rows)
-    sum_xx = k_xx.sum() - np.trace(k_xx)
-    sum_yy = k_yy.sum() - np.trace(k_yy)
-    return float(
-        sum_xx / (m * (m - 1)) + sum_yy / (n * (n - 1)) - 2.0 * k_xy.mean()
-    )
+    # the traces first: the sums overwrite held blocks
+    trace_xx = np.exp(xx.at(np.arange(m), np.arange(m)) * -gamma).sum()
+    trace_yy = np.exp(yy.at(np.arange(n), np.arange(n)) * -gamma).sum()
+    sum_xx = _kernel_sum(xx, gamma, 0, m * m) - trace_xx
+    sum_yy = _kernel_sum(yy, gamma, 0, n * n) - trace_yy
+    mean_xy = _kernel_sum(xy, gamma, 0, m * n) / (m * n)  # as np.mean divides
+    return float(sum_xx / (m * (m - 1)) + sum_yy / (n * (n - 1)) - 2.0 * mean_xy)
 
 
 def sliced_wasserstein(x: np.ndarray, y: np.ndarray, n_projections: int = 64, seed=0) -> float:

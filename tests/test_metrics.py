@@ -9,7 +9,29 @@ import pytest
 from helpers import pooled_mmd_rbf
 from ratiogan.densities import gaussian, ring, sample
 from ratiogan import metrics
-from ratiogan.metrics import _BAND, _MEDIAN_SAMPLE, _median, mmd_rbf, sliced_wasserstein
+from ratiogan.metrics import (
+    _BAND,
+    _MEDIAN_SAMPLE,
+    _Dists,
+    _kernel_sum,
+    _median,
+    mmd_rbf,
+    sliced_wasserstein,
+)
+
+
+class Listed:
+    """Values held as a list of arrays, in the form _median reads."""
+
+    def __init__(self, arrays):
+        self.arrays = arrays
+        self.total = sum(a.size for a in arrays)
+
+    def strided(self, step):
+        return np.concatenate([a.flat[::step] for a in self.arrays])
+
+    def pieces(self):
+        return iter(self.arrays)
 
 
 class TestMmd:
@@ -70,6 +92,9 @@ class TestMmdMatchesPooledOracle:
             (130, _BAND + 1, 1),  # ... and on the y side
             (2048, 2048, 1),  # the shift1d eval shape
             (2048, 2048, 2),
+            (2047, 2049, 1),  # kernel-sum leaves straddle row ends
+            (1000, 3000, 1),
+            (2049, 2047, 2),
         ],
     )
     def test_equal_to_oracle(self, m, n, dim, bandwidth):
@@ -117,6 +142,31 @@ class TestMmdMatchesPooledOracle:
         assert math.isnan(mmd_rbf(x, y, bandwidth))
 
 
+class TestKernelSumOrder:
+    """The kernel sums follow numpy's pairwise-sum order: a numpy whose
+    rule changes fails here instead of shifting recorded mmd values."""
+
+    @pytest.mark.parametrize("m,n,dim", [(1000, 3000, 1), (2047, 2049, 1), (2047, 2049, 2)])
+    def test_tree_walk_equals_block_sum(self, m, n, dim):
+        rng = np.random.default_rng(m + n + dim)
+        x = rng.standard_normal((m, dim))
+        y = rng.standard_normal((n, dim)) * 2.0
+        k = np.exp(_Dists(x, y).tile(0, m) * -0.3)
+        sq = _Dists(x, y)  # a second source: the walk overwrites a held block
+        tile, rows = sq.tile, []
+        sq.tile = lambda r0, r1: rows.append(r1 - r0) or tile(r0, r1)
+        assert _kernel_sum(sq, 0.3, 0, m * n) == k.sum()
+        assert len(rows) > 1 and sum(rows) > m  # leaves straddle row ends
+
+    def test_one_column_diagonal_sum_is_trace(self):
+        x = np.random.default_rng(8).standard_normal((2047, 1)) * 3.0
+        x[5] = 0.0
+        xx = _Dists(x, x)
+        k = np.exp(xx.tile(0, len(x)) * -0.7)
+        diag = np.exp(xx.at(np.arange(len(x)), np.arange(len(x))) * -0.7)
+        assert diag.sum() == np.trace(k)
+
+
 class TestMedianSelection:
     @pytest.mark.parametrize("size", [1, 2, 3, 10, 9999, 100_000, 100_001])
     def test_equals_numpy_median(self, size):
@@ -124,17 +174,17 @@ class TestMedianSelection:
         v = rng.standard_normal(size) ** 2
         cut = size // 3
         pieces = [v[:cut], v[cut:]]
-        assert _median(pieces) == np.median(v)
+        assert _median(Listed(pieces)) == np.median(v)
 
     def test_pieces_left_unchanged(self):
         v = np.random.default_rng(1).random(50_000)
         before = v.copy()
-        _median([v[:20_000], v[20_000:]])
+        _median(Listed([v[:20_000], v[20_000:]]))
         assert np.array_equal(v, before)
 
     def test_ties_at_bracket_edges(self):
         v = np.random.default_rng(2).integers(0, 5, 100_000).astype(float)
-        assert _median([v]) == np.median(v)
+        assert _median(Listed([v])) == np.median(v)
 
     def test_biased_subsample_falls_back(self, monkeypatch):
         """Every strided sample is 0, so the bracket misses the middle."""
@@ -145,7 +195,7 @@ class TestMedianSelection:
         monkeypatch.setattr(
             metrics.np, "median", lambda a, **kw: fallbacks.append(a.size) or want
         )
-        assert _median([v]) == want
+        assert _median(Listed([v])) == want
         assert fallbacks == [v.size]
 
     def test_band_views_equal_numpy_median(self):
@@ -154,18 +204,18 @@ class TestMedianSelection:
         before = d.copy()
         pieces = [d[:256, 256:], d[256:512, 512:], d[:256, :256][np.triu_indices(256, 1)]]
         want = np.median(np.concatenate([p.ravel() for p in pieces]))
-        assert _median(pieces) == want
+        assert _median(Listed(pieces)) == want
         assert np.array_equal(d, before)
 
     def test_nan_falls_back(self):
         v = np.random.default_rng(5).random(100_000)
         v[12_345] = np.nan
-        assert math.isnan(_median([v[:500], v[500:]]))
+        assert math.isnan(_median(Listed([v[:500], v[500:]])))
 
     def test_infinities(self):
         v = np.random.default_rng(6).random(100_000)
         v[:30_000] = np.inf
-        assert _median([v]) == np.median(v)
+        assert _median(Listed([v])) == np.median(v)
 
 
 class TestSlicedWasserstein:

@@ -526,22 +526,32 @@ class TestEvalThread:
         assert threading.active_count() == before
 
 
+def _one_iteration_peak(preset):
+    """Traced peak of a one-iteration run of a preset (eval_batch 2048)."""
+    text = apply_overrides(_preset_text(preset)[0][1], ["train.total_generator_iters=1"])
+    cfg = train_config_from_text(text)
+    assert cfg.eval_batch == 2048
+    tracemalloc.start()
+    try:
+        serial_train(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 class TestEvalMemory:
     @pytest.mark.parametrize("preset", ["ring2d-B2", "shift1d-MSE"])
     def test_snapshot_peak_is_mmd_blocks_plus_little(self, preset):
         """At eval_batch 2048 the traced peak of a one-iteration run stays
-        below MMD's three 2048x2048 float64 blocks + 8 MiB: the eval's net
-        passes keep no backward cache alive through MMD."""
-        text = apply_overrides(_preset_text(preset)[0][1], ["train.total_generator_iters=1"])
-        cfg = train_config_from_text(text)
-        assert cfg.eval_batch == 2048
-        tracemalloc.start()
-        try:
-            serial_train(cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 3 * 2048**2 * 8 + 8 * 2**20
+        below three 2048x2048 float64 blocks + 8 MiB, the most MMD holds
+        (on two-column samples): the eval's net passes keep no backward
+        cache alive through MMD."""
+        assert _one_iteration_peak(preset) < 3 * 2048**2 * 8 + 8 * 2**20
+
+    def test_one_column_snapshot_holds_no_block(self):
+        """On one-column samples MMD forms its distances a band at a time,
+        so a shift1d run never holds a 2048x2048 block (32 MiB)."""
+        assert _one_iteration_peak("shift1d-MSE") < 16 * 2**20
 
 
 class TestMetricsIO:
