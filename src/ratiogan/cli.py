@@ -54,7 +54,7 @@ from .grid_solver import (
     field_to_text,
     minmax_value,
     solve_minmax_grid,
-    trace_to_text,
+    write_trace,
 )
 from .nets import net_to_json
 from .svgplot import emit_svg_lineplot
@@ -63,7 +63,6 @@ from .verify import (
     check_corollary_value,
     check_derivatives,
     check_theorem1,
-    reports_to_text,
     write_reports,
 )
 
@@ -173,8 +172,13 @@ def _select_losses(selector: str):
         return [entry.loss for entry in iter_catalogue()]
     names = [s.strip() for s in selector.split(",") if s.strip()]
     if not names:
-        raise ValueError(f"--loss {selector!r} names no loss")
-    return [catalogue_lookup(n).loss for n in names]
+        raise UsageError(f"--loss {selector!r} names no loss")
+    losses = [catalogue_lookup(n).loss for n in names]
+    canonical = [loss.name for loss in losses]  # the lookup ignores case, so "mse" repeats "MSE"
+    repeated = [name for i, name in enumerate(canonical) if name in canonical[:i]]
+    if repeated:
+        raise UsageError(f"--loss {selector!r} names {repeated[0]} more than once")
+    return losses
 
 
 def cmd_verify(args) -> int:
@@ -195,9 +199,9 @@ def cmd_verify(args) -> int:
         if loss.phi is not None and loss.psi is not None:
             reports.append(check_derivatives(loss, tol=args.deriv_tol))
     stager = OutputStager(_output_root(args))
-    write_reports(reports, stager.stage("verify_report.txt"), stager.stage("verify_report.jsonl"))
+    text = write_reports(reports, stager.stage("verify_report.txt"), stager.stage("verify_report.jsonl"))
     stager.commit()
-    print(reports_to_text(reports), end="")
+    print(text, end="")
     failed = [r for r in reports if not r.passed]
     print(f"checked {len(losses)} losses; {'FAIL' if failed else 'all checks passed or skipped'}")
     return 1 if failed else 0
@@ -262,7 +266,7 @@ def cmd_solve_grid(args) -> int:
     objective = minmax_value(loss, r_star, f)
 
     stager = OutputStager(_output_root(args))
-    stager.stage("solve_trace.tsv").write_text(trace_to_text(trace))
+    write_trace(trace, stager.stage("solve_trace.tsv"))
     stager.stage("solve_field.tsv").write_text(field_to_text(f, r_star))
     stager.commit()
     print(f"loss={loss.name} n={len(f)} iterations={trace.iterations[-1]}")
@@ -481,23 +485,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="numerically certify the optimality identities")
     p.add_argument("--loss", default="all", help="'all' or comma-separated catalogue names")
-    p.add_argument("--argmax-tol", type=float, default=1e-4)
-    p.add_argument("--minimizer-tol", type=float, default=1e-3)
-    p.add_argument("--value-tol", type=float, default=1e-6)
-    p.add_argument("--deriv-tol", type=float, default=1e-5)
+    p.add_argument("--argmax-tol", type=float, default=1e-4,
+                   help="tolerance of the inner argmax against omega(r) (default 1e-4)")
+    p.add_argument("--minimizer-tol", type=float, default=1e-3,
+                   help="tolerance of the outer minimizer against r = 1 (default 1e-3)")
+    p.add_argument("--value-tol", type=float, default=1e-6,
+                   help="tolerance of the minimum and saddle values (default 1e-6)")
+    p.add_argument("--deriv-tol", type=float, default=1e-5,
+                   help="relative tolerance of the finite-difference slope checks (default 1e-5)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("solve-grid", help="ideal min-max solve on a discrete support")
-    p.add_argument("--loss", required=True)
+    p.add_argument("--loss", required=True, help="catalogue name of a loss with invertible omega")
     p.add_argument("--config", help="config file providing [density.target]")
     p.add_argument("--uniform", action="store_true", help="uniform masses on the window")
-    p.add_argument("--n-points", type=int, default=64)
-    p.add_argument("--window", type=float, nargs=2, default=(-4.0, 4.0))
-    p.add_argument("--init", choices=("random", "ones"), default="random")
-    p.add_argument("--init-seed", type=int, default=0)
-    p.add_argument("--max-iters", type=int, default=20000)
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--log-every", type=int, default=1)
+    p.add_argument("--n-points", type=int, default=64, help="grid nodes per axis (default 64)")
+    p.add_argument("--window", type=float, nargs=2, default=(-4.0, 4.0), metavar=("LOW", "HIGH"),
+                   help="grid window on each axis (default -4 4)")
+    p.add_argument("--init", choices=("random", "ones"), default="random",
+                   help="start from |N(0,1)| values rescaled to mean one, or from the unit field (default random)")
+    p.add_argument("--init-seed", type=int, default=0, help="seed of the random start (default 0)")
+    p.add_argument("--max-iters", type=int, default=20000, help="iteration cap (default 20000)")
+    p.add_argument("--tol", type=float, default=1e-10,
+                   help="converged once an accepted step moves r by less than this (default 1e-10)")
+    p.add_argument("--log-every", type=int, default=1, metavar="K",
+                   help="solve_trace.tsv gets iteration 0, every K-th iteration, "
+                   "the converged iteration and the last one (default 1)")
     p.set_defaults(fn=cmd_solve_grid)
 
     p = sub.add_parser("train", help="adversarial training run(s)")
@@ -511,7 +524,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("report", help="re-render plots from a metrics file")
-    p.add_argument("--metrics", required=True)
+    p.add_argument("--metrics", required=True, help="metrics.tsv of a train run")
     p.set_defaults(fn=cmd_report)
 
     return parser

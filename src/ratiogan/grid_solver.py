@@ -8,12 +8,21 @@ both it and its per-point gradient f_i * psi_tilde(omega(r_i)) come from
 sum(r_i * f_i) = 1.  The minimizer is the constant field r = 1 for every
 invertible pair.  A solve runs under one ``np.errstate(all="ignore")``:
 a candidate with a non-finite cost is rejected, never printed as a warning.
+
+A solve's trace keeps its four columns as compact ``array.array``
+columns, 32 bytes per logged row, and ``write_trace`` formats and writes
+it in joined chunks of ``TRACE_CHUNK_ROWS`` rows, so a long solve holds
+neither boxed floats per row nor the whole file's text.  The file is the
+same, byte for byte, whatever the chunk size: a header, then one line
+per logged row with each float as its repr.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
 
@@ -31,7 +40,7 @@ __all__ = [
     "feasible_from",
     "solve_minmax_grid",
     "minmax_value",
-    "trace_to_text",
+    "write_trace",
     "field_to_text",
 ]
 
@@ -39,6 +48,7 @@ MASS_TOL = 1e-12
 CONSTRAINT_TOL = 1e-8
 PROJECTION_RESIDUAL = 1e-10
 PROJECTION_MAX_ITERS = 1000
+TRACE_CHUNK_ROWS = 2048  # rows formatted, joined and written per write call
 
 
 @dataclass(frozen=True)
@@ -97,19 +107,24 @@ class RatioField:
 @dataclass
 class SolveTrace:
     """Per-logged-step solver history; ``converged`` is set when the solve
-    stopped because an accepted step moved r by less than the tolerance."""
+    stopped because an accepted step moved r by less than the tolerance.
 
-    iterations: list = field(default_factory=list)
-    objectives: list = field(default_factory=list)
-    linf_to_one: list = field(default_factory=list)
-    constraint_residuals: list = field(default_factory=list)
+    Each column is an ``array.array`` (``"q"`` for the iteration, ``"d"``
+    for the rest), so a logged row costs 32 bytes; indexing a column
+    returns the Python int or float that was logged.
+    """
+
+    iterations: array = field(default_factory=lambda: array("q"))
+    objectives: array = field(default_factory=lambda: array("d"))
+    linf_to_one: array = field(default_factory=lambda: array("d"))
+    constraint_residuals: array = field(default_factory=lambda: array("d"))
     converged: bool = False
 
     def log(self, iteration, objective, linf, residual):
-        self.iterations.append(int(iteration))
-        self.objectives.append(float(objective))
-        self.linf_to_one.append(float(linf))
-        self.constraint_residuals.append(float(residual))
+        self.iterations.append(iteration)
+        self.objectives.append(objective)
+        self.linf_to_one.append(linf)
+        self.constraint_residuals.append(residual)
 
 
 class SolverDiverged(RuntimeError):
@@ -286,13 +301,19 @@ def minmax_value(loss: LossPair, r: Union[RatioField, np.ndarray], f: DiscreteDe
     return float(f.mass @ concentrated(loss, values)[0])
 
 
-def trace_to_text(trace: SolveTrace) -> str:
-    lines = ["iteration\tobjective\tlinf_to_one\tconstraint_residual"]
-    for it, obj, linf, res in zip(
-        trace.iterations, trace.objectives, trace.linf_to_one, trace.constraint_residuals
-    ):
-        lines.append(f"{it}\t{obj!r}\t{linf!r}\t{res!r}")
-    return "\n".join(lines) + "\n"
+def write_trace(trace: SolveTrace, path) -> None:
+    """Write the trace as tab-separated text: a header, then one row per
+    logged step with each float as its repr.  Rows are formatted and
+    written TRACE_CHUNK_ROWS at a time, so at most one chunk of the text
+    is held at once."""
+    rows = zip(trace.iterations, trace.objectives, trace.linf_to_one, trace.constraint_residuals)
+    with open(path, "w") as fh:
+        fh.write("iteration\tobjective\tlinf_to_one\tconstraint_residual\n")
+        while chunk := [
+            f"{it}\t{obj!r}\t{linf!r}\t{res!r}\n"
+            for it, obj, linf, res in itertools.islice(rows, TRACE_CHUNK_ROWS)
+        ]:
+            fh.write("".join(chunk))
 
 
 def field_to_text(f: DiscreteDensity, r: RatioField) -> str:

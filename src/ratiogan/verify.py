@@ -271,10 +271,13 @@ def reports_to_records(reports: Sequence[VerificationReport]) -> list:
     return records
 
 
-def write_reports(reports: Sequence[VerificationReport], text_path, jsonl_path) -> None:
-    """Write the line-oriented table and the one-record-per-check file."""
+def write_reports(reports: Sequence[VerificationReport], text_path, jsonl_path) -> str:
+    """Write the line-oriented table and the one-record-per-check file;
+    return the table's text."""
+    text = reports_to_text(reports)
     with open(text_path, "w") as fh:
-        fh.write(reports_to_text(reports))
+        fh.write(text)
     with open(jsonl_path, "w") as fh:
         for record in reports_to_records(reports):
             fh.write(json.dumps(record, sort_keys=True) + "\n")
+    return text

@@ -473,6 +473,17 @@ def old_solve_minmax_grid(loss, f, r_init, max_iters=20000, tol=1e-10, log_every
     return result, trace
 
 
+def old_trace_to_text(trace):
+    """grid_solver's trace text as first written: every line built, joined
+    into one string, then written whole; the byte oracle of write_trace."""
+    lines = ["iteration\tobjective\tlinf_to_one\tconstraint_residual"]
+    for it, obj, linf, res in zip(
+        trace.iterations, trace.objectives, trace.linf_to_one, trace.constraint_residuals
+    ):
+        lines.append(f"{it}\t{obj!r}\t{linf!r}\t{res!r}")
+    return "\n".join(lines) + "\n"
+
+
 def old_reports_to_records(reports):
     """verify.reports_to_records with each row deep-copied by asdict."""
     records = []

@@ -1,5 +1,6 @@
 """CLI behaviors: subcommands, exit codes, file outputs, SVG plots."""
 
+import argparse
 import builtins
 import os
 import subprocess
@@ -120,6 +121,21 @@ class TestVerifyCommand:
     def test_unknown_selector_is_usage_error(self, tmp_path, capsys):
         assert run_cli(tmp_path, "verify", "--loss", "nosuch") == 2
         assert "valid names" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("selector,name", [("mse,MSE", "MSE"), ("B1b, MSE ,b1B", "B1b")])
+    def test_repeated_loss_is_usage_error(self, tmp_path, capsys, selector, name):
+        """A loss named twice, in any case, is refused, not checked twice."""
+        assert run_cli(tmp_path, "verify", "--loss", selector) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"--loss {selector!r} names {name} more than once\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_stdout_is_the_written_table(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "verify", "--loss", "MSE,Hinge") == 0
+        out = capsys.readouterr().out
+        table = (tmp_path / "out" / "verify_report.txt").read_text()
+        assert out == table + "checked 2 losses; all checks passed or skipped\n"
 
 
 class TestSolveGridCommand:
@@ -533,6 +549,21 @@ class TestReportCommand:
             err = capsys.readouterr().err
             assert err == message + "\n"
             assert not (tmp_path / "out").exists()
+
+
+class TestHelp:
+    def test_every_option_has_help(self):
+        """Each option of the top-level parser and of every subcommand says
+        what it does in --help."""
+        parser = build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        missing = [
+            f"{name} {action.option_strings[-1]}"
+            for name, p in [("ratiogan", parser), *subparsers.choices.items()]
+            for action in p._actions
+            if action.option_strings and action.option_strings != ["-h", "--help"] and not action.help
+        ]
+        assert missing == []
 
 
 class TestOutputRootEnv:

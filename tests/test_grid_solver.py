@@ -1,16 +1,19 @@
 """Ideal min-max solve on discrete supports."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from ratiogan import grid_solver
 from ratiogan.catalogue import catalogue_lookup, iter_catalogue
 from ratiogan.densities import gaussian, mixture, pdf, ring
 from ratiogan.grid_solver import (
     DiscreteDensity,
     RatioField,
+    SolveTrace,
     SolverDiverged,
     discretize,
     feasible_from,
@@ -18,11 +21,16 @@ from ratiogan.grid_solver import (
     minmax_value,
     project_feasible,
     solve_minmax_grid,
-    trace_to_text,
+    write_trace,
 )
 from ratiogan.losses import RangeInterval
 
-from helpers import old_clamp_interior, old_project_feasible, old_solve_minmax_grid
+from helpers import (
+    old_clamp_interior,
+    old_project_feasible,
+    old_solve_minmax_grid,
+    old_trace_to_text,
+)
 
 INVERTIBLE = [e.loss for e in iter_catalogue() if e.loss.ratio_invertible]
 
@@ -183,6 +191,14 @@ def bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
+def assert_written_as_before(trace, tmp_path):
+    """write_trace's file equals the first-written text, written whole by
+    Path.write_text, byte for byte."""
+    write_trace(trace, tmp_path / "ours.tsv")
+    (tmp_path / "oracle.tsv").write_text(old_trace_to_text(trace))
+    assert (tmp_path / "ours.tsv").read_bytes() == (tmp_path / "oracle.tsv").read_bytes()
+
+
 def assert_same_trace(ours, oracle):
     for name in ("objectives", "linf_to_one", "constraint_residuals"):
         np.testing.assert_array_equal(bits(getattr(ours, name)), bits(getattr(oracle, name)))
@@ -219,7 +235,7 @@ class TestMatchesFirstWrittenPath:
         assert_same_trace(trace, trace_old)
         np.testing.assert_array_equal(bits(r.values), bits(r_old.values))
 
-    def test_divergence_stop(self):
+    def test_divergence_stop(self, tmp_path):
         f = uniform_density(16)
         r0 = feasible_from(1.0 + np.abs(np.random.default_rng(1).standard_normal(16)), f)
         with pytest.raises(SolverDiverged) as ours:
@@ -228,8 +244,9 @@ class TestMatchesFirstWrittenPath:
             old_solve_minmax_grid(broken_pair(), f, r0, max_iters=200, tol=0.0)
         assert str(ours.value) == str(oracle.value)
         assert_same_trace(ours.value.trace, oracle.value.trace)
+        assert_written_as_before(ours.value.trace, tmp_path)
 
-    def test_convergence_stop(self):
+    def test_convergence_stop(self, tmp_path):
         loss = catalogue_lookup("MSE").loss
         f = uniform_density()
         r0 = feasible_from(np.abs(np.random.default_rng(3).standard_normal(64)), f)
@@ -238,6 +255,66 @@ class TestMatchesFirstWrittenPath:
         assert trace.converged
         assert_same_trace(trace, trace_old)
         np.testing.assert_array_equal(bits(r.values), bits(r_old.values))
+        assert_written_as_before(trace, tmp_path)
+
+
+class TestWriteTrace:
+    """write_trace against the first-written text (tests/helpers.py), and
+    what it holds at once."""
+
+    @pytest.mark.parametrize("log_every", [1, 7])
+    @pytest.mark.parametrize("init_seed", [0, 4, 1000])
+    @pytest.mark.parametrize("name", ["MSE", "B1b", "C2"])
+    def test_cli_default_problem(self, tmp_path, name, init_seed, log_every):
+        loss = catalogue_lookup(name).loss
+        f = discretize(gaussian([0.0], [[1.0]]), 64, (-4.0, 4.0))
+        r0 = feasible_from(np.abs(np.random.default_rng(init_seed).standard_normal(64)), f)
+        _, trace = solve_minmax_grid(loss, f, r0, max_iters=300, log_every=log_every)
+        assert_written_as_before(trace, tmp_path)
+
+    @pytest.mark.parametrize("chunk_rows", [1, 7, 42, 43, 44])
+    def test_chunk_boundaries(self, tmp_path, monkeypatch, chunk_rows):
+        """43 rows, written in chunks that divide them, leave one over, or
+        exceed them."""
+        monkeypatch.setattr(grid_solver, "TRACE_CHUNK_ROWS", chunk_rows)
+        f = uniform_density(8)
+        r0 = feasible_from(np.abs(np.random.default_rng(0).standard_normal(8)), f)
+        _, trace = solve_minmax_grid(catalogue_lookup("MSE").loss, f, r0, max_iters=42, tol=0.0)
+        assert len(trace.iterations) == 43
+        assert_written_as_before(trace, tmp_path)
+
+    def test_logged_values_kept_exactly(self, tmp_path):
+        """Non-finite values, signed zeros, subnormals and numpy scalars read
+        back and print as the values that were logged."""
+        values = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                  0.1 + 0.2, np.float64(1.0) / 3.0, 7]
+        trace = SolveTrace()
+        for i, v in enumerate(values):
+            trace.log(np.int64(i * 1000), v, v, v)
+        assert_written_as_before(trace, tmp_path)
+        assert list(trace.iterations) == [i * 1000 for i in range(len(values))]
+        np.testing.assert_array_equal(bits(trace.objectives), bits(values))
+        assert type(trace.iterations[-1]) is int and type(trace.objectives[-1]) is float
+
+    def test_peak_memory(self, tmp_path):
+        """A 10000-iteration solve that logs every step, then writing its
+        trace, holds at most 32 B per row beyond 1 MiB: the columns are
+        compact and the text is formatted and written one chunk at a time."""
+        f = uniform_density(16)
+        r0 = feasible_from(np.abs(np.random.default_rng(0).standard_normal(16)), f)
+        loss = catalogue_lookup("MSE").loss
+        rows = 10001
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _, trace = solve_minmax_grid(loss, f, r0, max_iters=rows - 1, tol=0.0)
+            write_trace(trace, tmp_path / "trace.tsv")
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.iterations) == rows
+        assert peak < rows * 32 + 2**20
 
 
 class TestSolver:
@@ -381,13 +458,13 @@ class TestMinmaxValue:
 
 
 class TestExports:
-    def test_trace_table(self):
+    def test_trace_table(self, tmp_path):
         loss = catalogue_lookup("MSE").loss
         f = uniform_density(8)
         r0 = feasible_from(np.abs(np.random.default_rng(0).standard_normal(8)), f)
         r, trace = solve_minmax_grid(loss, f, r0, max_iters=100, tol=1e-12)
-        text = trace_to_text(trace)
-        header, first = text.splitlines()[:2]
+        write_trace(trace, tmp_path / "trace.tsv")
+        header, first = (tmp_path / "trace.tsv").read_text().splitlines()[:2]
         assert header.split("\t") == ["iteration", "objective", "linf_to_one", "constraint_residual"]
         assert len(first.split("\t")) == 4
 
