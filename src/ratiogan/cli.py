@@ -168,12 +168,15 @@ def cmd_losses(args) -> int:
 
 
 def _select_losses(selector: str):
-    if selector == "all":
+    if selector.lower() == "all":  # as loss names, without regard to case
         return [entry.loss for entry in iter_catalogue()]
     names = [s.strip() for s in selector.split(",") if s.strip()]
     if not names:
         raise UsageError(f"--loss {selector!r} names no loss")
-    losses = [catalogue_lookup(n).loss for n in names]
+    try:
+        losses = [catalogue_lookup(n).loss for n in names]
+    except KeyError as exc:
+        raise UsageError(f"{exc.args[0]}, or all") from None
     canonical = [loss.name for loss in losses]  # the lookup ignores case, so "mse" repeats "MSE"
     repeated = [name for i, name in enumerate(canonical) if name in canonical[:i]]
     if repeated:
@@ -249,10 +252,10 @@ def cmd_solve_grid(args) -> int:
     for warning in caught:  # a short window's coverage, as one line
         print(f"solve-grid: {warning.message}", file=sys.stderr)
 
-    rng = np.random.default_rng(args.init_seed)
     if args.init == "ones":
         r0 = RatioField(np.ones(len(f)))
     else:
+        rng = np.random.default_rng(args.init_seed)
         r0 = feasible_from(np.abs(rng.standard_normal(len(f))), f)
 
     try:

@@ -10,20 +10,35 @@ A block is read in tiles (``_Dists``).  For one-column samples a tile
 is formed only when a pass reaches it, from the product
 ``x[r0:r1] * y[c0:c1].T``: each cell is a single term, so a tile has
 the bits of the whole-block matmul and no m x n array is ever held.
-Wider samples keep the whole-block product, ``x @ x.T`` (which numpy
-runs through the symmetric syrk path) or ``x @ y.T``, and read tiles as
-views of it: a product formed band by band differs from it in the last
-bit at many sizes.  Either way the distance finish
-``max((|x|^2 + |y|^2) - 2 x.y, 0)`` runs on at most ``_BAND`` rows at a
-time, so a band stays in cache.
+Wider samples form a whole block, ``np.matmul(x, x.T, out=...)`` or
+``np.matmul(x, y.T, out=...)``, in a buffer the call owns (``_Buffer``),
+and read tiles as views of it.  A product formed band by band differs
+from the whole-block one in the last bit at many sizes, and so does a
+general product with a copy of x.T: the square blocks pass x twice so
+that numpy keeps its symmetric syrk path.  Either way the distance
+finish ``max((|x|^2 + |y|^2) - 2 x.y, 0)`` runs on at most ``_BAND``
+rows at a time, in one norms band the call shares.  A held block's
+band is finished when a pass first reaches it, so the pass reads it
+while it is still in cache.
 
 Two passes read the blocks.  The median counts the pooled pairs tile by
-tile, and reads its strided subsample at the tiles' (row, column)
-positions (``_PooledPairs``).  The kernel sums walk numpy's pairwise-sum
-tree over each row-major block and exponentiate and add each leaf while
-it is hot (``_kernel_sum``), so they equal ``k.sum()`` of the whole
-kernel block bit for bit.  Elementwise steps give the same bits in any
-layout, so recorded values equal the pooled-matrix numbers.
+tile (``_PooledPairs``): xy first, in buffer A, then xx in A and yy in
+buffer B.  Both stay held for the kernel pass, which sums yy, then xx,
+then forms xy again in A, so at most two blocks are held at once; with
+a given bandwidth there is no median pass and one buffer serves all
+three blocks in turn.  The kernel sums walk numpy's pairwise-sum tree
+over each row-major block and exponentiate and add each leaf while it
+is hot (``_kernel_sum``), so they equal ``k.sum()`` of the whole kernel
+block bit for bit, and the diagonal traces are read from the held
+block.  Elementwise steps give the same bits in any layout, so recorded
+values equal the pooled-matrix numbers.
+
+The median's strided subsample is read at the tiles' (row, column)
+positions, for wider samples from the coordinates rather than the held
+blocks, whose BLAS bits it need not have: the subsample only places the
+bracket of the middle order statistics.  The value is then decided by
+the exact distances, through the count and partition of those inside
+the bracket, or through np.median when the counts show it missed.
 """
 
 from __future__ import annotations
@@ -50,78 +65,125 @@ def _finish(prod: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return np.maximum(prod, 0.0, out=prod)
 
 
-def _sq_dists(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """max((|x|^2 + |y|^2) - 2 x y^T, 0), finished in the matmul's buffer."""
-    x_sq = (x**2).sum(axis=1)
-    y_sq = (y**2).sum(axis=1)
-    d = x @ y.T
-    norms = np.empty((min(_BAND, len(x)), len(y)))
-    for lo in range(0, len(x), _BAND):
-        rows = d[lo : lo + _BAND]
-        part = norms[: len(rows)]
-        np.add(x_sq[lo : lo + _BAND, None], y_sq, out=part)
-        _finish(rows, part)
-    return d
+class _Buffer:
+    """Room for one whole block of squared distances, the norms band its
+    finish runs in (shared with the call's other buffer), and the key of
+    the block whose distances it holds now.  The key is not the _Dists
+    itself: that would be a reference cycle, keeping the buffers alive
+    after the call until the cycle collector runs."""
+
+    def __init__(self, size: int, norms: np.ndarray):
+        self.data = np.empty(size)
+        self.norms = norms
+        self.holder = None
 
 
 class _Dists:
     """The squared distances between the rows of x and those of y, read
-    by tile: formed on demand for one column, views of the whole block
-    otherwise (see the module docstring)."""
+    by tile: formed on demand for one column (no buffer), held whole in
+    ``buf`` otherwise (see the module docstring)."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray):
-        self.shape = (len(x), len(y))
-        self._whole = None if x.shape[1] == 1 else _sq_dists(x, y)
-        if self._whole is None:
-            self._x, self._y = x[:, 0], y[:, 0]
-            self._x_sq, self._y_sq = self._x**2, self._y**2  # the bits of _sq_dists' norms
+    def __init__(self, x: np.ndarray, y: np.ndarray, buf: Optional[_Buffer] = None):
+        m, n = self.shape = (len(x), len(y))
+        self._buf, self._key = buf, object()
+        if buf is None:
+            x, y = x[:, 0], y[:, 0]
+            self._x_sq, self._y_sq = x**2, y**2  # the bits of (x**2).sum(axis=1)
+        else:
+            self._x_sq, self._y_sq = (x**2).sum(axis=1), (y**2).sum(axis=1)
+            self._block = buf.data[: m * n].reshape(m, n)
+        self._x, self._y = x, y
+
+    def _held(self, r1: int) -> np.ndarray:
+        """The whole block, its product formed in the buffer unless it holds
+        it already, and its rows finished into distances through r1 at least."""
+        buf, block = self._buf, self._block
+        if buf.holder is not self._key:
+            np.matmul(self._x, self._y.T, out=block)  # numpy's syrk when y is x
+            buf.holder, self._done = self._key, 0
+        for lo in range(self._done, r1, _BAND):
+            rows = block[lo : lo + _BAND]
+            part = buf.norms[: rows.size].reshape(rows.shape)
+            # |x|^2 + |y|^2 by a broadcast copy and an in-place add: the bits
+            # of one add with a broadcast column, and faster
+            part[...] = self._x_sq[lo : lo + _BAND, None]
+            part += self._y_sq
+            _finish(rows, part)
+            self._done = lo + len(rows)
+        return block
 
     def tile(self, r0: int, r1: int, c0: int = 0, c1: Optional[int] = None) -> np.ndarray:
         """Rows r0:r1 and columns c0:c1 of the block; a view of it when it is
         held, which the caller may then overwrite."""
-        if self._whole is not None:
-            return self._whole[r0:r1, c0:c1]
+        if self._buf is not None:
+            return self._held(r1)[r0:r1, c0:c1]
         x, x_sq = self._x[r0:r1, None], self._x_sq[r0:r1, None]
         return _finish(x * self._y[c0:c1], x_sq + self._y_sq[c0:c1])
 
     def at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The distances at the positions (rows[i], cols[i])."""
-        if self._whole is not None:
-            return self._whole[rows, cols]
-        return _finish(self._x[rows] * self._y[cols], self._x_sq[rows] + self._y_sq[cols])
+        """The distances at the positions (rows[i], cols[i]).  For wider
+        samples they come from the coordinates, without the block's BLAS
+        bits: fit to bracket the median, not to be recorded."""
+        x, y = self._x[rows], self._y[cols]
+        dot = x * y if self._buf is None else np.einsum("ij,ij->i", x, y)
+        return _finish(dot, self._x_sq[rows] + self._y_sq[cols])
+
+    def diagonal(self) -> np.ndarray:
+        """The distances (i, i) of a square block, in the bits of its tiles."""
+        if self._buf is not None:
+            return self._held(self.shape[0]).diagonal()
+        i = np.arange(self.shape[0])
+        return self.at(i, i)
+
+
+def _blocks(x: np.ndarray, y: np.ndarray, median: bool) -> tuple[_Dists, _Dists, _Dists]:
+    """xx, yy and xy.  Wider samples get one buffer, or for the median two:
+    A for xy and xx, B for yy."""
+    if x.shape[1] == 1:
+        return _Dists(x, x), _Dists(y, y), _Dists(x, y)
+    m, n = len(x), len(y)
+    norms = np.empty(_BAND * max(m, n))
+    a = _Buffer(m * max(m, n) if median else max(m, n) ** 2, norms)
+    b = _Buffer(n * n, norms) if median else a
+    return _Dists(x, x, a), _Dists(y, y, b), _Dists(x, y, a)
 
 
 class _PooledPairs:
     """The distinct pairs of the pooled sample as tiles of its three
-    blocks, in the order ``_median`` reads them: per band of rows, the
-    strict upper triangle of the diagonal tile of xx and the rest of the
-    band right of it, the same for yy, then every band of xy."""
+    blocks, in the order ``_median`` reads them: every band of xy, then
+    per band of rows the strict upper triangle of the diagonal tile of xx
+    and the rest of the band right of it, then the same for yy.  Held
+    blocks end the pass with xx and yy in their buffers."""
 
     def __init__(self, xx: _Dists, yy: _Dists, xy: _Dists):
         m, n = xy.shape
         self.total = m * (m - 1) // 2 + n * (n - 1) // 2 + m * n
-        self._tiles = []  # (block, r0, r1, c0, c1, strict upper triangle only)
+        # (block, r0, r1, c0, c1, indices of the strict upper triangle or None)
+        self._tiles = [(xy, lo, min(lo + _BAND, m), 0, n, None) for lo in range(0, m, _BAND)]
+        uppers = {}  # one index pair per diagonal tile size, for all its tiles
         for sq, size in ((xx, m), (yy, n)):
             for lo in range(0, size, _BAND):
                 hi = min(lo + _BAND, size)
-                self._tiles.append((sq, lo, hi, lo, hi, True))
+                if hi - lo not in uppers:
+                    uppers[hi - lo] = np.triu_indices(hi - lo, k=1)
+                self._tiles.append((sq, lo, hi, lo, hi, uppers[hi - lo]))
                 if hi < size:
-                    self._tiles.append((sq, lo, hi, hi, size, False))
-        self._tiles += [(xy, lo, min(lo + _BAND, m), 0, n, False) for lo in range(0, m, _BAND)]
+                    self._tiles.append((sq, lo, hi, hi, size, None))
 
     def pieces(self):
-        """The tiles' values, each formed when the iteration reaches it."""
+        """The tiles' values, each formed (or its block formed) when the
+        iteration reaches it; a piece is valid until the next is asked for."""
         for sq, r0, r1, c0, c1, upper in self._tiles:
             tile = sq.tile(r0, r1, c0, c1)
-            yield tile[np.triu_indices(r1 - r0, k=1)] if upper else tile
+            yield tile if upper is None else tile[upper]
 
     def strided(self, step: int) -> np.ndarray:
         """Every step-th value of each piece (in C order), read at its
-        position in the block without forming the tile."""
+        position without forming the tile or its block."""
         sample = []
         for sq, r0, r1, c0, c1, upper in self._tiles:
-            if upper:
-                rows, cols = (r0 + i[::step] for i in np.triu_indices(r1 - r0, k=1))
+            if upper is not None:
+                rows, cols = (r0 + i[::step] for i in upper)
             else:
                 at = np.arange(0, (r1 - r0) * (c1 - c0), step)
                 rows, cols = r0 + at // (c1 - c0), c0 + at % (c1 - c0)
@@ -134,13 +196,15 @@ def _median(values) -> np.float64:
     included), which are left unchanged.
 
     ``values`` has ``total``, the number of values; ``strided(step)``,
-    every step-th value of each piece in C order; and ``pieces()``, the
-    pieces themselves, which may be formed as the iteration reaches them.
+    every step-th value of each piece in C order (or an approximation of
+    them); and ``pieces()``, the pieces themselves, which may be formed
+    as the iteration reaches them and reused once the next is asked for.
     The fixed-stride subsample brackets the middle order statistics, so
-    only the values inside the bracket are partitioned.  The count makes
-    masks of one piece at a time, so band-sized pieces keep it in cache.
-    When the counts show the bracket missed the middle, or some value
-    (NaN) fell in no part of it, np.median on a copy decides.
+    only the values inside the bracket are partitioned; the bracket moves
+    which values those are, never the result.  The count makes masks of
+    one piece at a time, so band-sized pieces keep it in cache.  When the
+    counts show the bracket missed the middle, or some value (NaN) fell in
+    no part of it, np.median on a copy decides.
     """
     total = values.total
     ks = [total // 2] if total % 2 else [total // 2 - 1, total // 2]
@@ -161,7 +225,11 @@ def _median(values) -> np.float64:
         ks = [k - below for k in ks]
         inside.partition(ks)
         return np.mean(inside[ks])
-    return np.median(np.concatenate([v.ravel() for v in values.pieces()]), overwrite_input=True)
+    copy, end = np.empty(total), 0
+    for v in values.pieces():  # copied at once: the next piece may reuse its buffer
+        copy[end : end + v.size].reshape(v.shape)[...] = v
+        end += v.size
+    return np.median(copy, overwrite_input=True)
 
 
 def _kernel_sum(sq: _Dists, gamma: float, start: int, size: int) -> np.float64:
@@ -206,7 +274,7 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: Union[float, str] = "median
     if m < 2 or n < 2:
         raise ValueError("need at least 2 samples on each side")
 
-    xx, yy, xy = _Dists(x, x), _Dists(y, y), _Dists(x, y)
+    xx, yy, xy = _blocks(x, y, median=bandwidth == "median")
     if bandwidth == "median":
         bw = float(np.sqrt(_median(_PooledPairs(xx, yy, xy))))
     else:
@@ -215,11 +283,12 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: Union[float, str] = "median
         raise ValueError("degenerate bandwidth")
     gamma = 1.0 / (2.0 * bw * bw)
 
-    # the traces first: the sums overwrite held blocks
-    trace_xx = np.exp(xx.at(np.arange(m), np.arange(m)) * -gamma).sum()
-    trace_yy = np.exp(yy.at(np.arange(n), np.arange(n)) * -gamma).sum()
-    sum_xx = _kernel_sum(xx, gamma, 0, m * m) - trace_xx
+    # yy, xx, then xy (in the buffer of xx); each trace before its sum,
+    # which overwrites a held block
+    trace_yy = np.exp(yy.diagonal() * -gamma).sum()
     sum_yy = _kernel_sum(yy, gamma, 0, n * n) - trace_yy
+    trace_xx = np.exp(xx.diagonal() * -gamma).sum()
+    sum_xx = _kernel_sum(xx, gamma, 0, m * m) - trace_xx
     mean_xy = _kernel_sum(xy, gamma, 0, m * n) / (m * n)  # as np.mean divides
     return float(sum_xx / (m * (m - 1)) + sum_yy / (n * (n - 1)) - 2.0 * mean_xy)
 

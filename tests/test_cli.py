@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import ratiogan
+from ratiogan.catalogue import catalogue_names
 from ratiogan.cli import UsageError, build_parser, main
 from ratiogan.svgplot import emit_svg_lineplot
 from ratiogan.training import METRIC_COLUMNS
@@ -120,7 +121,18 @@ class TestVerifyCommand:
 
     def test_unknown_selector_is_usage_error(self, tmp_path, capsys):
         assert run_cli(tmp_path, "verify", "--loss", "nosuch") == 2
-        assert "valid names" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"unknown loss 'nosuch'; valid names: {', '.join(catalogue_names())}, or all\n"
+        )
+
+    def test_all_ignores_case_like_loss_names(self, tmp_path, capsys):
+        assert run_cli(tmp_path / "lower", "verify", "--loss", "all") == 0
+        lower = capsys.readouterr().out
+        assert run_cli(tmp_path / "upper", "verify", "--loss", "ALL") == 0
+        assert capsys.readouterr().out == lower
+        for name in ("verify_report.txt", "verify_report.jsonl"):
+            upper = (tmp_path / "upper" / "out" / name).read_bytes()
+            assert upper == (tmp_path / "lower" / "out" / name).read_bytes()
 
     @pytest.mark.parametrize("selector,name", [("mse,MSE", "MSE"), ("B1b, MSE ,b1B", "B1b")])
     def test_repeated_loss_is_usage_error(self, tmp_path, capsys, selector, name):
@@ -148,6 +160,15 @@ class TestSolveGridCommand:
         assert linf <= 1e-3
         trace = (tmp_path / "out" / "solve_trace.tsv").read_text()
         assert trace.splitlines()[0].startswith("iteration\t")
+
+    def test_unit_start_builds_no_generator(self, tmp_path, capsys, monkeypatch):
+        """--init ones draws nothing, so it never loads numpy.random."""
+        def refused(*args, **kwargs):
+            raise AssertionError("default_rng called")
+
+        monkeypatch.setattr(np.random, "default_rng", refused)
+        assert run_cli(tmp_path, "solve-grid", "--loss", "MSE", "--init", "ones", "--max-iters", "3") == 0
+        assert (tmp_path / "out" / "solve_field.tsv").exists()
 
     def test_unconverged_solve_exits_one_with_files(self, tmp_path, capsys):
         rc = run_cli(tmp_path, "solve-grid", "--loss", "MSE", "--uniform", "--max-iters", "5")

@@ -1,5 +1,6 @@
 """Two-sample distances: unbiased MMD and sliced Wasserstein."""
 
+import gc
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ from ratiogan.metrics import (
     _BAND,
     _MEDIAN_SAMPLE,
     _Dists,
+    _blocks,
     _kernel_sum,
     _median,
     mmd_rbf,
@@ -95,6 +97,9 @@ class TestMmdMatchesPooledOracle:
             (2047, 2049, 1),  # kernel-sum leaves straddle row ends
             (1000, 3000, 1),
             (2049, 2047, 2),
+            (1000, 129, 2),  # m > n: xy and xx share buffer A of m * m values
+            (129, 1000, 2),  # m < n: buffer A of m * n values
+            (301, 257, 3),
         ],
     )
     def test_equal_to_oracle(self, m, n, dim, bandwidth):
@@ -109,12 +114,27 @@ class TestMmdMatchesPooledOracle:
         y = sample(gaussian([0.0, 0.0], np.eye(2)), 2048, 6)
         assert mmd_rbf(y, x, "median") == pooled_mmd_rbf(y, x, "median")
 
+    @pytest.mark.parametrize("m,n,dim", [(300, 452, 2), (517, 80, 2), (130, 701, 3)])
+    def test_forced_median_fallback(self, monkeypatch, m, n, dim):
+        """With no bracket the median comes from np.median on a copy of all
+        pooled pairs, taken piece by piece before a buffer is reused."""
+        rng = np.random.default_rng(m + n + dim)
+        x = rng.standard_normal((m, dim)) * 1.5
+        y = rng.standard_normal((n, dim)) + 0.4
+        want = pooled_mmd_rbf(x, y, "median")
+        median, sizes = np.median, []
+        monkeypatch.setattr(metrics, "_MEDIAN_WIDTH", 0.0)
+        monkeypatch.setattr(metrics.np, "median", lambda a, **kw: sizes.append(a.size) or median(a, **kw))
+        assert mmd_rbf(x, y, "median") == want
+        assert sizes == [m * (m - 1) // 2 + n * (n - 1) // 2 + m * n]
+
     def test_ring_eval_peak_memory(self):
-        """Beyond its three float64 blocks, the ring2d eval call holds less
-        than 10 MiB at once: every elementwise pass runs in row bands."""
+        """Beyond two float64 blocks, the ring2d eval call holds less than
+        10 MiB at once: xy is formed again in the buffer of xx for its sum,
+        and every elementwise pass runs in row bands."""
         x = sample(ring(8, 2.0, 0.02), 2048, 5)
         y = sample(gaussian([0.0, 0.0], np.eye(2)), 2048, 6)
-        blocks = 3 * 2048 * 2048 * 8
+        blocks = 2 * 2048 * 2048 * 8
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -124,6 +144,22 @@ class TestMmdMatchesPooledOracle:
         finally:
             tracemalloc.stop()
         assert peak < blocks + 10 * 2**20
+
+    @pytest.mark.parametrize("bandwidth", ["median", 0.7])
+    def test_blocks_freed_without_cycle_collector(self, bandwidth):
+        """The call's buffers go when it returns, not at the next gc run."""
+        rng = np.random.default_rng(9)
+        x, y = rng.standard_normal((1000, 2)), rng.standard_normal((1000, 2))
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            mmd_rbf(x, y, bandwidth)
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert left < 2**20
 
     @pytest.mark.parametrize("bandwidth", ["median", 0.0, -1.0])
     def test_degenerate_bandwidth_like_oracle(self, bandwidth):
@@ -151,8 +187,8 @@ class TestKernelSumOrder:
         rng = np.random.default_rng(m + n + dim)
         x = rng.standard_normal((m, dim))
         y = rng.standard_normal((n, dim)) * 2.0
-        k = np.exp(_Dists(x, y).tile(0, m) * -0.3)
-        sq = _Dists(x, y)  # a second source: the walk overwrites a held block
+        k = np.exp(_blocks(x, y, median=False)[2].tile(0, m) * -0.3)
+        sq = _blocks(x, y, median=False)[2]  # a second source: the walk overwrites a held block
         tile, rows = sq.tile, []
         sq.tile = lambda r0, r1: rows.append(r1 - r0) or tile(r0, r1)
         assert _kernel_sum(sq, 0.3, 0, m * n) == k.sum()

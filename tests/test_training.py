@@ -543,10 +543,15 @@ class TestEvalMemory:
     @pytest.mark.parametrize("preset", ["ring2d-B2", "shift1d-MSE"])
     def test_snapshot_peak_is_mmd_blocks_plus_little(self, preset):
         """At eval_batch 2048 the traced peak of a one-iteration run stays
-        below three 2048x2048 float64 blocks + 8 MiB, the most MMD holds
-        (on two-column samples): the eval's net passes keep no backward
-        cache alive through MMD."""
+        below three 2048x2048 float64 blocks + 8 MiB: the eval's net passes
+        keep no backward cache alive through MMD."""
         assert _one_iteration_peak(preset) < 3 * 2048**2 * 8 + 8 * 2**20
+
+    def test_two_column_snapshot_holds_two_blocks(self):
+        """On two-column samples MMD holds at most two 2048x2048 float64
+        blocks at once (xx and yy), so a ring2d run peaks below them
+        + 10 MiB."""
+        assert _one_iteration_peak("ring2d-B2") < 2 * 2048**2 * 8 + 10 * 2**20
 
     def test_one_column_snapshot_holds_no_block(self):
         """On one-column samples MMD forms its distances a band at a time,
