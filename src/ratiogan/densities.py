@@ -61,6 +61,13 @@ class DensitySpec:
         factor.flags.writeable = False
         return factor
 
+    @cached_property
+    def centers(self) -> np.ndarray:
+        """``ring_centers`` of the modes (ring kind), computed once per spec."""
+        centers = ring_centers(self)
+        centers.flags.writeable = False
+        return centers
+
 
 def _as_tuple(x) -> tuple:
     return tuple(float(v) for v in np.atleast_1d(np.asarray(x, dtype=float)))
@@ -184,12 +191,11 @@ def sample(spec: DensitySpec, n: int, seed) -> np.ndarray:
         return spec.rows[rng.integers(0, len(spec.rows), size=n)]
 
     if spec.kind == "ring":
-        centers = ring_centers(spec)
         pairs = 1  # d == 2
         u = rng.random((n, 1 + 2 * pairs))
         comp = np.minimum((u[:, 0] * spec.modes).astype(int), spec.modes - 1)
         z = _box_muller(u[:, 1:])
-        return centers[comp] + spec.sigma * z
+        return spec.centers[comp] + spec.sigma * z
 
     if spec.kind == "mixture":
         pairs = (d + 1) // 2
@@ -235,9 +241,8 @@ def pdf(spec: DensitySpec, x) -> Union[float, np.ndarray]:
         inside = np.all((pts >= lo) & (pts <= hi), axis=1)
         out = inside / float(np.prod(hi - lo))
     elif spec.kind == "ring":
-        centers = ring_centers(spec)
         var = spec.sigma**2
-        sq = ((pts[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
+        sq = ((pts[:, None, :] - spec.centers[None, :, :]) ** 2).sum(axis=2)
         out = np.exp(-0.5 * sq / var).sum(axis=1) / (spec.modes * 2.0 * math.pi * var)
     elif spec.kind == "mixture":
         out = np.zeros(len(pts))

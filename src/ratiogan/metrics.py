@@ -11,27 +11,38 @@ is formed only when a pass reaches it, from the product
 ``x[r0:r1] * y[c0:c1].T``: each cell is a single term, so a tile has
 the bits of the whole-block matmul and no m x n array is ever held.
 Wider samples form a whole block, ``np.matmul(x, x.T, out=...)`` or
-``np.matmul(x, y.T, out=...)``, in a buffer the call owns (``_Buffer``),
-and read tiles as views of it.  A product formed band by band differs
-from the whole-block one in the last bit at many sizes, and so does a
-general product with a copy of x.T: the square blocks pass x twice so
-that numpy keeps its symmetric syrk path.  Either way the distance
-finish ``max((|x|^2 + |y|^2) - 2 x.y, 0)`` runs on at most ``_BAND``
-rows at a time, in one norms band the call shares.  A held block's
-band is finished when a pass first reaches it, so the pass reads it
-while it is still in cache.
+``np.matmul(x, y.T, out=...)``, in the one buffer the call owns
+(``_Buffer``), and read tiles as views of it.  A product formed band by
+band differs from the whole-block one in the last bit at many sizes,
+and so does a general product with a copy of x.T: the square blocks
+pass x twice so that numpy keeps its symmetric syrk path.
+
+A held block's rows lie ``_stride(n)`` values apart, an odd number of
+64-byte lines, not n.  After the syrk numpy copies the lower triangle
+one column at a time; at a power-of-two stride every write of a column
+lands in the same cache sets, and ``x @ x.T`` at 2048 x 2 took 3x as
+long into a contiguous block (OpenBLAS, 2-vCPU Haswell VM).  The
+products have the same bits at any stride.  The distance finish
+``max((|x|^2 + |y|^2) - 2 x.y, 0)`` runs on at most ``_BAND`` rows at a
+time, its norm sums in the call's band; a held block is finished over
+its whole padded rows, which are contiguous: the pad cells are zeroed
+when the block is formed, finished with the rows and never read.  A
+held block's band is finished when a pass first reaches it, so the
+pass reads it while it is still in cache.
 
 Two passes read the blocks.  The median counts the pooled pairs tile by
-tile (``_PooledPairs``): xy first, in buffer A, then xx in A and yy in
-buffer B.  Both stay held for the kernel pass, which sums yy, then xx,
-then forms xy again in A, so at most two blocks are held at once; with
-a given bandwidth there is no median pass and one buffer serves all
-three blocks in turn.  The kernel sums walk numpy's pairwise-sum tree
-over each row-major block and exponentiate and add each leaf while it
-is hot (``_kernel_sum``), so they equal ``k.sum()`` of the whole kernel
-block bit for bit, and the diagonal traces are read from the held
-block.  Elementwise steps give the same bits in any layout, so recorded
-values equal the pooled-matrix numbers.
+tile (``_PooledPairs``), on views of the held block's columns: xy
+first, then xx, then yy, which stays held.  The kernel pass sums yy,
+then forms xx again and sums it, then xy, so one block is held at a
+time; with a given bandwidth there is no median pass and each block is
+formed once.  The kernel sums walk numpy's pairwise-sum tree over each
+row-major block (``_kernel_sum``).  Each leaf's rows are multiplied by
+-gamma, in place for one column and into the band for a held block,
+which keeps its distances; there the leaf is a contiguous run that is
+exponentiated and added while it is hot, so the sums equal ``k.sum()``
+of the whole kernel block bit for bit.  The diagonal traces are read
+from the held block after its sum.  Elementwise steps give the same
+bits in any layout, so recorded values equal the pooled-matrix numbers.
 
 The median's strided subsample is read at the tiles' (row, column)
 positions, for wider samples from the coordinates rather than the held
@@ -57,6 +68,12 @@ _MEDIAN_SAMPLE = 65536  # subsample size that brackets the median
 _MEDIAN_WIDTH = 4.0  # bracket half-width in units of sqrt(subsample size)
 
 
+def _stride(n: int) -> int:
+    """The row stride of a held block of n columns: the least one at or
+    above n that is an odd number of 64-byte lines."""
+    return n + (8 - n) % 16
+
+
 def _finish(prod: np.ndarray, norms: np.ndarray) -> np.ndarray:
     """Squared distances max(norms - 2 prod, 0) in the buffer of the
     products x.y, given the norm sums |x|^2 + |y|^2 (left unchanged)."""
@@ -65,87 +82,106 @@ def _finish(prod: np.ndarray, norms: np.ndarray) -> np.ndarray:
     return np.maximum(prod, 0.0, out=prod)
 
 
-class _Buffer:
-    """Room for one whole block of squared distances, the norms band its
-    finish runs in (shared with the call's other buffer), and the key of
-    the block whose distances it holds now.  The key is not the _Dists
-    itself: that would be a reference cycle, keeping the buffers alive
-    after the call until the cycle collector runs."""
+def _outer(out: np.ndarray, col: np.ndarray, row: np.ndarray, op: np.ufunc) -> np.ndarray:
+    """op(col[:, None], row) in the front of the flat array out, by a
+    broadcast copy and an in-place op: the bits of one op with a
+    broadcast column, and faster at the eval width of 2048."""
+    out = out[: col.size * row.size].reshape(col.size, row.size)
+    out[...] = col[:, None]
+    return op(out, row, out=out)
 
-    def __init__(self, size: int, norms: np.ndarray):
+
+class _Buffer:
+    """The room one call owns: ``data`` for a whole block of squared
+    distances on a padded row stride (none for one-column samples), the
+    ``band`` that both the norm sums of a finish and the scaled rows of a
+    kernel-sum leaf use, and the key of the block the buffer holds now.
+    The key is not the _Dists itself: that would be a reference cycle,
+    keeping the buffer alive after the call until the cycle collector
+    runs."""
+
+    def __init__(self, size: int, band: int):
         self.data = np.empty(size)
-        self.norms = norms
+        self.band = np.empty(band)
         self.holder = None
 
 
 class _Dists:
     """The squared distances between the rows of x and those of y, read
-    by tile: formed on demand for one column (no buffer), held whole in
-    ``buf`` otherwise (see the module docstring)."""
+    by tile: formed on demand for one column, held whole in the buffer
+    otherwise (see the module docstring)."""
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, buf: Optional[_Buffer] = None):
+    def __init__(self, x: np.ndarray, y: np.ndarray, buf: _Buffer):
         m, n = self.shape = (len(x), len(y))
         self._buf, self._key = buf, object()
-        if buf is None:
+        if x.shape[1] == 1:
             x, y = x[:, 0], y[:, 0]
             self._x_sq, self._y_sq = x**2, y**2  # the bits of (x**2).sum(axis=1)
+            self._rows = None
         else:
-            self._x_sq, self._y_sq = (x**2).sum(axis=1), (y**2).sum(axis=1)
-            self._block = buf.data[: m * n].reshape(m, n)
+            self._x_sq = (x**2).sum(axis=1)
+            self._y_sq = np.zeros(_stride(n))  # a pad cell's norm sum is |x|^2
+            self._y_sq[:n] = (y**2).sum(axis=1)
+            self._rows = buf.data[: m * _stride(n)].reshape(m, _stride(n))
         self._x, self._y = x, y
 
     def _held(self, r1: int) -> np.ndarray:
         """The whole block, its product formed in the buffer unless it holds
         it already, and its rows finished into distances through r1 at least."""
-        buf, block = self._buf, self._block
+        buf, rows, n = self._buf, self._rows, self.shape[1]
         if buf.holder is not self._key:
-            np.matmul(self._x, self._y.T, out=block)  # numpy's syrk when y is x
+            rows[:, n:] = 0.0  # the pad: finished with the rows, never read
+            np.matmul(self._x, self._y.T, out=rows[:, :n])  # numpy's syrk when y is x
             buf.holder, self._done = self._key, 0
         for lo in range(self._done, r1, _BAND):
-            rows = block[lo : lo + _BAND]
-            part = buf.norms[: rows.size].reshape(rows.shape)
-            # |x|^2 + |y|^2 by a broadcast copy and an in-place add: the bits
-            # of one add with a broadcast column, and faster
-            part[...] = self._x_sq[lo : lo + _BAND, None]
-            part += self._y_sq
-            _finish(rows, part)
-            self._done = lo + len(rows)
-        return block
+            band = rows[lo : lo + _BAND]
+            _finish(band, _outer(buf.band, self._x_sq[lo : lo + _BAND], self._y_sq, np.add))
+            self._done = lo + len(band)
+        return rows[:, :n]
 
     def tile(self, r0: int, r1: int, c0: int = 0, c1: Optional[int] = None) -> np.ndarray:
-        """Rows r0:r1 and columns c0:c1 of the block; a view of it when it is
-        held, which the caller may then overwrite."""
-        if self._buf is not None:
+        """Rows r0:r1 and columns c0:c1 of the block, which the caller may
+        overwrite: a view of it when it is held, formed anew for one
+        column (no larger than the band, which holds its norm sums)."""
+        if self._rows is not None:
             return self._held(r1)[r0:r1, c0:c1]
-        x, x_sq = self._x[r0:r1, None], self._x_sq[r0:r1, None]
-        return _finish(x * self._y[c0:c1], x_sq + self._y_sq[c0:c1])
+        x, y = self._x[r0:r1], self._y[c0:c1]
+        prod = _outer(np.empty(x.size * y.size), x, y, np.multiply)
+        return _finish(prod, _outer(self._buf.band, self._x_sq[r0:r1], self._y_sq[c0:c1], np.add))
+
+    def scaled(self, r0: int, r1: int, factor: float) -> np.ndarray:
+        """Rows r0:r1 of the block times factor, in a contiguous array the
+        caller may overwrite until the next tile: the tile itself for one
+        column, the front of the band for a held block, which keeps its
+        distances."""
+        tile = self.tile(r0, r1)
+        out = tile if self._rows is None else self._buf.band[: tile.size].reshape(tile.shape)
+        return np.multiply(tile, factor, out=out)
 
     def at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
         """The distances at the positions (rows[i], cols[i]).  For wider
         samples they come from the coordinates, without the block's BLAS
         bits: fit to bracket the median, not to be recorded."""
         x, y = self._x[rows], self._y[cols]
-        dot = x * y if self._buf is None else np.einsum("ij,ij->i", x, y)
+        dot = x * y if self._rows is None else np.einsum("ij,ij->i", x, y)
         return _finish(dot, self._x_sq[rows] + self._y_sq[cols])
 
     def diagonal(self) -> np.ndarray:
         """The distances (i, i) of a square block, in the bits of its tiles."""
-        if self._buf is not None:
+        if self._rows is not None:
             return self._held(self.shape[0]).diagonal()
         i = np.arange(self.shape[0])
         return self.at(i, i)
 
 
-def _blocks(x: np.ndarray, y: np.ndarray, median: bool) -> tuple[_Dists, _Dists, _Dists]:
-    """xx, yy and xy.  Wider samples get one buffer, or for the median two:
-    A for xy and xx, B for yy."""
-    if x.shape[1] == 1:
-        return _Dists(x, x), _Dists(y, y), _Dists(x, y)
-    m, n = len(x), len(y)
-    norms = np.empty(_BAND * max(m, n))
-    a = _Buffer(m * max(m, n) if median else max(m, n) ** 2, norms)
-    b = _Buffer(n * n, norms) if median else a
-    return _Dists(x, x, a), _Dists(y, y, b), _Dists(x, y, a)
+def _blocks(x: np.ndarray, y: np.ndarray) -> tuple[_Dists, _Dists, _Dists]:
+    """xx, yy and xy, sharing one buffer.  Its band holds _BAND padded rows
+    of the widest block, or a kernel-sum leaf with the rest of its first
+    and last rows."""
+    w = max(len(x), len(y))
+    band = max(_BAND * _stride(w), _LEAF + 2 * w)
+    buf = _Buffer(0 if x.shape[1] == 1 else w * _stride(w), band)
+    return _Dists(x, x, buf), _Dists(y, y, buf), _Dists(x, y, buf)
 
 
 class _PooledPairs:
@@ -153,7 +189,7 @@ class _PooledPairs:
     blocks, in the order ``_median`` reads them: every band of xy, then
     per band of rows the strict upper triangle of the diagonal tile of xx
     and the rest of the band right of it, then the same for yy.  Held
-    blocks end the pass with xx and yy in their buffers."""
+    blocks end the pass with yy in the buffer."""
 
     def __init__(self, xx: _Dists, yy: _Dists, xy: _Dists):
         m, n = xy.shape
@@ -214,6 +250,7 @@ def _median(values) -> np.float64:
     half = int(_MEDIAN_WIDTH * np.sqrt(sub.size))
     lo = sub[max(at - half, 0)]
     hi = sub[min(at + half, sub.size - 1)]
+    del sub  # not held through the count, whose end sets the call's peak
     below = above = 0
     inside = []
     for v in values.pieces():
@@ -239,9 +276,10 @@ def _kernel_sum(sq: _Dists, gamma: float, start: int, size: int) -> np.float64:
     numpy's pairwise sum splits a run of more than 128 values at half its
     length, rounded down to a multiple of 8, and adds the sums of the two
     halves.  The walk follows that tree down to runs of at most _LEAF
-    values; each such leaf is formed, turned into kernel values in place
-    and summed (by the same tree below it) while it is hot.
-    A held block is overwritten by its kernel values.
+    values; the rows of each such leaf are formed and scaled by -gamma
+    into a contiguous array (``_Dists.scaled``), and the leaf's run of
+    them is turned into kernel values in place and summed (by the same
+    tree below it) while it is hot.  A held block keeps its distances.
 
     This is a module-level function on purpose: a recursive closure nested
     in mmd_rbf would be a reference cycle (it holds its own cell), keeping
@@ -252,8 +290,8 @@ def _kernel_sum(sq: _Dists, gamma: float, start: int, size: int) -> np.float64:
         return _kernel_sum(sq, gamma, start, half) + _kernel_sum(sq, gamma, start + half, size - half)
     n = sq.shape[1]
     first = start // n
-    leaf = sq.tile(first, (start + size - 1) // n + 1).reshape(-1)[start - first * n :][:size]
-    np.multiply(leaf, -gamma, out=leaf)
+    rows = sq.scaled(first, (start + size - 1) // n + 1, -gamma)
+    leaf = rows.reshape(-1)[start - first * n :][:size]
     np.exp(leaf, out=leaf)
     return leaf.sum()
 
@@ -274,7 +312,7 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: Union[float, str] = "median
     if m < 2 or n < 2:
         raise ValueError("need at least 2 samples on each side")
 
-    xx, yy, xy = _blocks(x, y, median=bandwidth == "median")
+    xx, yy, xy = _blocks(x, y)
     if bandwidth == "median":
         bw = float(np.sqrt(_median(_PooledPairs(xx, yy, xy))))
     else:
@@ -283,12 +321,10 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: Union[float, str] = "median
         raise ValueError("degenerate bandwidth")
     gamma = 1.0 / (2.0 * bw * bw)
 
-    # yy, xx, then xy (in the buffer of xx); each trace before its sum,
-    # which overwrites a held block
-    trace_yy = np.exp(yy.diagonal() * -gamma).sum()
-    sum_yy = _kernel_sum(yy, gamma, 0, n * n) - trace_yy
-    trace_xx = np.exp(xx.diagonal() * -gamma).sum()
-    sum_xx = _kernel_sum(xx, gamma, 0, m * m) - trace_xx
+    # yy (held after the median pass), xx, then xy; each trace after its
+    # sum, whose walk leaves a held block finished
+    sum_yy = _kernel_sum(yy, gamma, 0, n * n) - np.exp(yy.diagonal() * -gamma).sum()
+    sum_xx = _kernel_sum(xx, gamma, 0, m * m) - np.exp(xx.diagonal() * -gamma).sum()
     mean_xy = _kernel_sum(xy, gamma, 0, m * n) / (m * n)  # as np.mean divides
     return float(sum_xx / (m * (m - 1)) + sum_yy / (n * (n - 1)) - 2.0 * mean_xy)
 

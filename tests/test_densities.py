@@ -99,6 +99,13 @@ class TestSampler:
         counts = np.bincount(d2.argmin(axis=1), minlength=8) / len(x)
         assert counts.min() >= 0.08 and counts.max() <= 0.17
 
+    def test_ring_centers_cached_read_only(self):
+        spec = ring(5, 1.5, 0.1)
+        assert spec.centers is spec.centers
+        assert np.array_equal(spec.centers, ring_centers(spec))
+        with pytest.raises(ValueError, match="read-only"):
+            spec.centers[0, 0] = 0.0
+
     def test_mixture_component_split(self):
         spec = mixture([(0.25, gaussian([-5.0], [[0.1]])), (0.75, gaussian([5.0], [[0.1]]))])
         x = sample(spec, 40_000, 21)

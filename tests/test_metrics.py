@@ -13,10 +13,10 @@ from ratiogan import metrics
 from ratiogan.metrics import (
     _BAND,
     _MEDIAN_SAMPLE,
-    _Dists,
     _blocks,
     _kernel_sum,
     _median,
+    _stride,
     mmd_rbf,
     sliced_wasserstein,
 )
@@ -34,6 +34,12 @@ class Listed:
 
     def pieces(self):
         return iter(self.arrays)
+
+
+def whole_block(sq):
+    """Every distance of a block, gathered from tiles of _BAND rows (a
+    tile must fit in the call's band)."""
+    return np.concatenate([sq.tile(r, r + _BAND) for r in range(0, sq.shape[0], _BAND)])
 
 
 class TestMmd:
@@ -129,12 +135,13 @@ class TestMmdMatchesPooledOracle:
         assert sizes == [m * (m - 1) // 2 + n * (n - 1) // 2 + m * n]
 
     def test_ring_eval_peak_memory(self):
-        """Beyond two float64 blocks, the ring2d eval call holds less than
-        10 MiB at once: xy is formed again in the buffer of xx for its sum,
-        and every elementwise pass runs in row bands."""
+        """Beyond one float64 block on its padded row stride (2056), the
+        ring2d eval call holds less than 10 MiB at once: every block is
+        formed in the one buffer, and every elementwise pass runs in row
+        bands."""
         x = sample(ring(8, 2.0, 0.02), 2048, 5)
         y = sample(gaussian([0.0, 0.0], np.eye(2)), 2048, 6)
-        blocks = 2 * 2048 * 2048 * 8
+        blocks = 2048 * 2056 * 8
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
@@ -177,28 +184,95 @@ class TestMmdMatchesPooledOracle:
         assert math.isnan(pooled_mmd_rbf(x, y, bandwidth))
         assert math.isnan(mmd_rbf(x, y, bandwidth))
 
+    def test_seeded_fuzz(self):
+        """Random shapes (m != n), dimensions, kinds of input and
+        bandwidths: the same float, or the same error, as the oracle."""
+        rng = np.random.default_rng(20)
+
+        def outcome(fn, x, y, bandwidth):
+            with np.errstate(all="ignore"):  # inf inputs make inf - inf
+                try:
+                    return repr(fn(x, y, bandwidth))  # tells -0.0 and nan apart
+                except ValueError as err:
+                    return str(err)
+
+        for case in range(40):
+            dim, kind = 1 + case % 3, case % 5
+            m, n = rng.choice(np.arange(2, 600), size=2, replace=False)
+            x = rng.standard_normal((m, dim)) * rng.uniform(0.2, 4.0)
+            y = rng.standard_normal((n, dim)) + rng.uniform(-1.0, 1.0)
+            if kind == 1:  # integers: many tied distances
+                x, y = np.round(x), np.round(y)
+            elif kind == 2:
+                x[rng.integers(0, m, 3)], y[rng.integers(0, n, 3)] = 0.0, -0.0
+            elif kind == 3:
+                x[rng.integers(0, m), rng.integers(0, dim)] = np.nan
+            elif kind == 4:
+                y[rng.integers(0, n), rng.integers(0, dim)] = rng.choice([np.inf, -np.inf])
+            bandwidth = "median" if case % 2 else float(rng.uniform(0.3, 3.0))
+            want = outcome(pooled_mmd_rbf, x, y, bandwidth)
+            assert outcome(mmd_rbf, x, y, bandwidth) == want, (case, m, n, dim, kind, bandwidth)
+
+
+class TestPaddedProducts:
+    """A held block is formed on a padded row stride: numpy passes the
+    stride to BLAS, and the products keep the bits of the contiguous ones.
+    A numpy or BLAS whose results depend on it fails here instead of
+    shifting recorded mmd values."""
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("n", [100, 500, 1000, 2044, 2047, 2048, 2049, 4096])
+    def test_equal_to_contiguous(self, n, dim):
+        rng = np.random.default_rng(n + dim)
+        x, y = rng.standard_normal((n, dim)), rng.standard_normal((n, dim)) * 2.0
+        whole = np.empty((n, n))
+        for stride in sorted({_stride(n), n + 8}):
+            padded = np.empty((n, stride))[:, :n]
+            for b in (x, y):  # x twice: numpy's syrk path
+                np.matmul(x, b.T, out=whole)
+                np.matmul(x, b.T, out=padded)
+                assert np.array_equal(padded, whole), (stride, b is x)
+
 
 class TestKernelSumOrder:
     """The kernel sums follow numpy's pairwise-sum order: a numpy whose
     rule changes fails here instead of shifting recorded mmd values."""
 
-    @pytest.mark.parametrize("m,n,dim", [(1000, 3000, 1), (2047, 2049, 1), (2047, 2049, 2)])
-    def test_tree_walk_equals_block_sum(self, m, n, dim):
+    @staticmethod
+    def _walk(m, n, dim):
+        """The walk's sum, exp(-0.3 d).sum() of the whole block, the rows of
+        each leaf, and whether the block's distances outlived the walk."""
         rng = np.random.default_rng(m + n + dim)
         x = rng.standard_normal((m, dim))
         y = rng.standard_normal((n, dim)) * 2.0
-        k = np.exp(_blocks(x, y, median=False)[2].tile(0, m) * -0.3)
-        sq = _blocks(x, y, median=False)[2]  # a second source: the walk overwrites a held block
+        sq = _blocks(x, y)[2]
+        dists = whole_block(sq)
         tile, rows = sq.tile, []
         sq.tile = lambda r0, r1: rows.append(r1 - r0) or tile(r0, r1)
-        assert _kernel_sum(sq, 0.3, 0, m * n) == k.sum()
+        walked = _kernel_sum(sq, 0.3, 0, m * n)
+        del sq.tile
+        return walked, np.exp(dists * -0.3).sum(), rows, np.array_equal(whole_block(sq), dists)
+
+    @pytest.mark.parametrize("m,n,dim", [(1000, 3000, 1), (2047, 2049, 1), (2047, 2049, 2)])
+    def test_tree_walk_equals_block_sum(self, m, n, dim):
+        walked, want, rows, kept = self._walk(m, n, dim)
+        assert walked == want
         assert len(rows) > 1 and sum(rows) > m  # leaves straddle row ends
+        assert kept  # a held block keeps its distances
+
+    def test_held_eval_shape(self):
+        """At the ring2d eval shape every leaf is 64 whole rows of the held
+        block, multiplied out of its padded rows into the band."""
+        walked, want, rows, kept = self._walk(2048, 2048, 2)
+        assert walked == want
+        assert rows == [_BAND] * (2048 // _BAND)
+        assert kept
 
     def test_one_column_diagonal_sum_is_trace(self):
         x = np.random.default_rng(8).standard_normal((2047, 1)) * 3.0
         x[5] = 0.0
-        xx = _Dists(x, x)
-        k = np.exp(xx.tile(0, len(x)) * -0.7)
+        xx = _blocks(x, x)[0]
+        k = np.exp(whole_block(xx) * -0.7)
         diag = np.exp(xx.at(np.arange(len(x)), np.arange(len(x))) * -0.7)
         assert diag.sum() == np.trace(k)
 

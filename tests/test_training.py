@@ -548,10 +548,10 @@ class TestEvalMemory:
         assert _one_iteration_peak(preset) < 3 * 2048**2 * 8 + 8 * 2**20
 
     def test_two_column_snapshot_holds_two_blocks(self):
-        """On two-column samples MMD holds at most two 2048x2048 float64
-        blocks at once (xx and yy), so a ring2d run peaks below them
-        + 10 MiB."""
-        assert _one_iteration_peak("ring2d-B2") < 2 * 2048**2 * 8 + 10 * 2**20
+        """On two-column samples MMD holds fewer than two 2048x2048 float64
+        blocks: one at a time, on a padded row stride of 2056, so a ring2d
+        run peaks below that block + 10 MiB."""
+        assert _one_iteration_peak("ring2d-B2") < 2048 * 2056 * 8 + 10 * 2**20
 
     def test_one_column_snapshot_holds_no_block(self):
         """On one-column samples MMD forms its distances a band at a time,
