@@ -89,9 +89,14 @@ def _act_eval(name: str, z: np.ndarray, second_from: Optional[int] = None):
         d2 *= d1[second_from:]
         return a, d1, d2
     if name == "relu":
+        if second_from is not None:  # the second derivative vanishes a.e.: no penalty pass to feed
+            raise ValueError(
+                "exact penalty pass needs a twice-differentiable hidden activation; "
+                "use smooth_leaky (or tanh)"
+            )
         a = np.maximum(z, 0.0)
         d1 = (z > 0.0).astype(float)
-        return a, d1, None  # second derivative vanishes a.e.
+        return a, d1, None
     if name in ("softplus", "logistic"):
         # the sigmoid in tanh form, once; not the copysign form above,
         # which can differ from it in the last bit
@@ -178,7 +183,7 @@ def forward(net: DenseNet, batch: np.ndarray, second_from: Optional[int] = None)
     """Affine-activation chain; the cache holds what backward needs: layer
     inputs and activation slopes.  ``second_from`` also caches the second
     derivatives of the rows from that index on, the rows a penalty pass
-    differentiates twice.
+    differentiates twice; a relu net, which has none, is refused.
     """
     a = np.asarray(batch, dtype=float)
     if a.ndim != 2 or a.shape[1] != net.spec.widths[0]:
@@ -279,11 +284,6 @@ def weighted_norm_param_grads(net: DenseNet, cache: dict, directions: np.ndarray
     reverse pass over the primal and tangent variables yields the
     gradient.  Needs a twice-differentiable hidden activation.
     """
-    if net.spec.hidden == "relu":
-        raise ValueError(
-            "exact penalty pass needs a twice-differentiable hidden activation; "
-            "use smooth_leaky (or tanh)"
-        )
     s = cache["second_from"]
     d1s = [d1[s:] for d1 in cache["d1"]]
     d2s = cache["d2"]

@@ -1,13 +1,16 @@
 """Adversarial training on synthetic densities with online ratio monitoring.
 
-Each generator iteration runs ``critic_iters`` discriminator ascent
-steps on mean(phi(D(x))) + mean(psi(D(G(z)))) minus the gradient
-penalty, then one generator descent step on mean(psi(D(G(z)))) (only
-the psi term depends on the generator).  Every ``eval_every`` iterations
-``evaluate`` takes a snapshot on fresh evaluation batches: objectives,
-the discriminator-implied likelihood-ratio statistics (for invertible
-losses; both fresh-batch and training-batch variants are recorded), and
-two-sample distances between generated and target samples.  The five
+Each generator iteration runs ``critic_phase``, ``critic_iters``
+discriminator ascent steps on mean(phi(D(x))) + mean(psi(D(G(z))))
+minus the gradient penalty, then ``generator_step``, one descent step on
+mean(psi(D(G(z)))) (only the psi term depends on the generator).  A
+non-finite step in either ends the run through one exit: "<reason> at
+iteration N", with the nets and Adam states of the last eval.  Every
+``eval_every`` iterations ``evaluate`` takes a snapshot on fresh
+evaluation batches: objectives, the discriminator-implied
+likelihood-ratio statistics (for invertible losses; both fresh-batch and
+training-batch variants are recorded), and two-sample distances between
+generated and target samples.  The five
 ``TrainConfig.seeds`` feed, in order: generator init, discriminator init,
 the training draws, the eval draws and SWD directions, and the draws of
 ``final_samples``, the finished generator's sample file.
@@ -53,6 +56,8 @@ __all__ = [
     "train",
     "critic_batches",
     "critic_grads",
+    "critic_phase",
+    "generator_step",
     "gradient_penalty",
     "evaluate",
     "final_samples",
@@ -181,6 +186,8 @@ def gradient_penalty(disc: DenseNet, cache: dict, input_grads: np.ndarray, varia
     else:  # "mean"; TrainConfig.validate admits no other name
         value = lam * np.mean(excess**2)
         coeffs = 2.0 * lam * excess / len(norms)
+    if not coeffs.any():  # no row above one: the second-order pass would give exact zeros
+        return float(value), np.zeros_like(disc.params)
     safe = np.where(norms > 0.0, norms, 1.0)
     directions = (coeffs / safe)[:, None] * input_grads  # zero rows where the norm vanishes
     return float(value), weighted_norm_param_grads(disc, cache, directions)
@@ -221,6 +228,42 @@ def critic_grads(
     penalty_value, p_grads = gradient_penalty(disc, cache, input_grads[second_from:], variant, lam)
     grads += p_grads
     return d_real, d_fake, penalty_value, grads
+
+
+def critic_phase(loss: LossPair, disc: DenseNet, disc_state: AdamState, variant: str, lam: float, steps):
+    """Discriminator ascent steps, one critic_grads pass and one Adam update
+    per (x, y, u) in steps: real rows, fake rows from any source, and the
+    interpolation weights (None at a zero lambda).  Returns (penalty, (x, y))
+    of the last step, or the reason the phase stopped at a non-finite step,
+    before that step's update."""
+    phi_v, psi_v = loss.values()
+    with np.errstate(all="ignore"):  # the reason reports a non-finite step: numpy need not warn too
+        for x, y, u in steps:
+            d_real, d_fake, penalty, grads = critic_grads(disc, loss, x, y, u, variant, lam)
+            if not math.isfinite(float(np.mean(phi_v(d_real[:, 0])) + np.mean(psi_v(d_fake[:, 0])) - penalty)):
+                return "non-finite discriminator objective"
+            if not np.isfinite(grads).all():
+                return "non-finite discriminator gradient"
+            adam_step(disc_state, disc, grads)
+    return penalty, (x, y)
+
+
+def generator_step(loss: LossPair, gen: DenseNet, gen_state: AdamState, disc: DenseNet, z: np.ndarray):
+    """One generator descent step on mean(psi(D(G(z)))) against a fixed
+    discriminator.  Returns None, or the reason it stopped at a non-finite
+    step, before the update."""
+    with np.errstate(all="ignore"):
+        y, gen_cache = forward(gen, z)
+        d_fake, disc_cache = forward(disc, y)
+        if not math.isfinite(float(np.mean(loss.values()[1](d_fake[:, 0])))):
+            return "non-finite generator objective"
+        # only the input gradient is needed: no parameter sums
+        _, input_grads = backward(disc, disc_cache, loss.psi_prime(d_fake) / len(z), param_rows=0)
+        gen_grads, _ = backward(gen, gen_cache, input_grads, batch_grad=False)
+        if not np.isfinite(gen_grads).all():
+            return "non-finite generator gradient"
+        adam_step(gen_state, gen, gen_grads)
+    return None
 
 
 def _ratio_stats(loss: LossPair, d_real: np.ndarray, d_fake: np.ndarray) -> tuple:
@@ -312,7 +355,6 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
     config.validate()
     if loss is None:
         loss = catalogue_lookup(config.loss_name).loss
-    phi_v, psi_v = loss.values()
 
     generator, discriminator, train_seed, eval_seed = build_networks(config, loss)
     gen_state = init_adam(generator, config.learning_rate, config.beta1, config.beta2)
@@ -330,64 +372,25 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
     records: List[MetricRecord] = []
     checkpoints: list = []
     last_good = (_snapshot(generator, gen_state), _snapshot(discriminator, disc_state))
-    last_penalty = 0.0
     pending = None  # the eval in flight: at most one
     b = config.batch_size
 
-    def collect():
-        """Wait for the eval in flight, if any, and append its record."""
-        nonlocal pending
-        if pending is not None:
-            future, pending = pending, None
-            records.append(future.result())
-
-    def finish(players, abort_reason: Optional[str] = None) -> TrainResult:
-        """Wait for the eval in flight; the result with players ((generator, Adam
-        state), (discriminator, Adam state)): live at the end, last_good on an abort."""
-        collect()
-        (gen, gen_st), (disc, disc_st) = players
-        return TrainResult(gen, disc, records, gen_st, disc_st, checkpoints, abort_reason)
-
     for iteration in range(1, config.total_generator_iters + 1):
-        # -- critic phase -------------------------------------------------
         batches = critic_batches(config, train_rng)
-        # the abort path checks each step's results: numpy need not warn too
+        # the generator is fixed during the critic phase: one pass for all steps
         with np.errstate(all="ignore"):
-            # the generator is fixed during the critic phase: one pass for all steps
-            ys, _ = forward(generator, np.vstack([z for _, z, _ in batches]))
-            for step, (x, _, u) in enumerate(batches):
-                y = ys[step * b : (step + 1) * b]
-                d_real, d_fake, penalty_value, grads = critic_grads(
-                    discriminator, loss, x, y, u, config.penalty_variant, config.lam
-                )
-                disc_obj = float(
-                    np.mean(phi_v(d_real[:, 0])) + np.mean(psi_v(d_fake[:, 0])) - penalty_value
-                )
-                if not math.isfinite(disc_obj):
-                    return finish(last_good, f"non-finite discriminator objective at iteration {iteration}")
-                if not np.isfinite(grads).all():
-                    return finish(last_good, f"non-finite discriminator gradient at iteration {iteration}")
-                adam_step(disc_state, discriminator, grads)
-                last_penalty = penalty_value
-        train_batch = (x, y)  # the last critic step's; the generator phase rebinds y
-
-        # -- generator phase ----------------------------------------------
-        with np.errstate(all="ignore"):
-            z = sample(config.h_spec, b, train_rng)
-            y, gen_cache = forward(generator, z)
-            d_fake, disc_cache = forward(discriminator, y)
-            gen_obj = float(np.mean(psi_v(d_fake[:, 0])))
-            if not math.isfinite(gen_obj):
-                return finish(last_good, f"non-finite generator objective at iteration {iteration}")
-            # only the input gradient is needed: no parameter sums
-            _, input_grads = backward(discriminator, disc_cache, loss.psi_prime(d_fake) / b, param_rows=0)
-            gen_grads, _ = backward(generator, gen_cache, input_grads, batch_grad=False)
-            if not np.isfinite(gen_grads).all():
-                return finish(last_good, f"non-finite generator gradient at iteration {iteration}")
-            adam_step(gen_state, generator, gen_grads)
-
+            ys = forward(generator, np.vstack([z for _, z, _ in batches]))[0]
+        steps = ((x, ys[k * b : (k + 1) * b], u) for k, (x, _, u) in enumerate(batches))
+        outcome = critic_phase(loss, discriminator, disc_state, config.penalty_variant, config.lam, steps)
+        if not isinstance(outcome, str):
+            last_penalty, train_batch = outcome
+            outcome = generator_step(loss, generator, gen_state, discriminator, sample(config.h_spec, b, train_rng))
+        if outcome is not None:
+            (generator, gen_state), (discriminator, disc_state) = last_good  # the last eval's, kept whole
+            break
         if iteration % config.eval_every == 0 or iteration == config.total_generator_iters:
-            collect()
+            if pending is not None:
+                records.append(pending.result())
             last_good = (_snapshot(generator, gen_state), _snapshot(discriminator, disc_state))
             # copy_context: the eval runs under the caller's numpy error state
             pending = evaluator.submit(contextvars.copy_context().run, evaluate, config, loss, iteration,
@@ -396,7 +399,11 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
             checkpoints.append(
                 (iteration, net_to_json(generator, gen_state), net_to_json(discriminator, disc_state))
             )
-    return finish(((generator, gen_state), (discriminator, disc_state)))
+
+    if pending is not None:  # the one exit, also on an abort: wait for the eval in flight
+        records.append(pending.result())
+    return TrainResult(generator, discriminator, records, gen_state, disc_state, checkpoints,
+                       None if outcome is None else f"{outcome} at iteration {iteration}")
 
 
 def _cell(value) -> str:

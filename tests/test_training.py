@@ -20,12 +20,14 @@ from ratiogan.losses import (
     SYMMETRIC_UNIT,
     OmegaTransform,
 )
-from ratiogan.nets import NetSpec, backward, forward, init_adam, init_net, net_from_json
+from ratiogan.nets import NetSpec, adam_step, backward, forward, init_adam, init_net, net_from_json
 from ratiogan.training import (
     TrainConfig,
     TrainResult,
     critic_batches,
     critic_grads,
+    critic_phase,
+    generator_step,
     metrics_from_text,
     metrics_to_text,
     train,
@@ -195,6 +197,28 @@ class TestGradientPenalty:
         np.testing.assert_array_equal(grads, alone)
 
 
+class TestPenaltySkip:
+    """gradient_penalty skips the second-order pass when no row is penalised."""
+
+    @pytest.mark.parametrize("variant", ["max", "mean"])
+    @pytest.mark.parametrize("case,passes", [("none_above_one", 0), ("steep", 1)])
+    def test_pass_runs_only_when_a_row_is_above_one(self, variant, case, passes, monkeypatch):
+        calls = []
+        real = training.weighted_norm_param_grads
+
+        def counting(*args):
+            calls.append(None)
+            return real(*args)
+
+        monkeypatch.setattr(training, "weighted_norm_param_grads", counting)
+        net, cache, input_grads = TestGradientPenalty.penalty_case(case)
+        value, grads = training.gradient_penalty(net, cache, input_grads, variant, 10.0)
+        assert len(calls) == passes
+        if passes == 0:
+            assert value == 0.0 and grads.shape == net.params.shape
+            assert not grads.view(np.int64).any()  # +0.0 in every entry, as the full pass gives
+
+
 class TestFusedMatchesUnfused:
     """train's fused critic pass, flat parameters and flat Adam reproduce the
     unfused per-layer loop (tests/helpers.unfused_train) bit for bit."""
@@ -248,6 +272,58 @@ class TestFusedMatchesUnfused:
             total_generator_iters=3, eval_every=100, critic_iters=3,
         )
         self.assert_matches(cfg, self.SQUASH_LOSSES["logistic"], monkeypatch)
+
+
+class TestPhases:
+    """critic_phase and generator_step, called on inputs of the test's choosing."""
+
+    MSE = catalogue_lookup("MSE").loss
+
+    @staticmethod
+    def steep_critic():
+        disc = init_net(NetSpec(widths=(1, 16, 16, 1), squash="[0,inf)", seed=5))
+        disc.params *= 3.0  # input-gradient norms above 1: the penalty binds
+        return disc, init_adam(disc, 1e-3, 0.5, 0.9)
+
+    @pytest.mark.parametrize("lam,variant", [(0.0, "max"), (10.0, "max"), (10.0, "mean")])
+    def test_critic_phase_on_an_analytic_g_equals_a_hand_rolled_loop(self, lam, variant):
+        """Fake rows drawn from g = N(1, 1) directly, with no generator: the
+        phase is critic_grads and adam_step per step, bit for bit."""
+        rng = np.random.default_rng(8)
+        steps = [
+            (rng.normal(4.0, 1.0, (32, 1)), rng.normal(1.0, 1.0, (32, 1)), rng.random((32, 1)) if lam else None)
+            for _ in range(5)
+        ]
+        disc, state = self.steep_critic()
+        penalty, (x, y) = critic_phase(self.MSE, disc, state, variant, lam, iter(steps))
+        want, want_state = self.steep_critic()
+        for step_x, step_y, u in steps:
+            _, _, want_penalty, grads = critic_grads(want, self.MSE, step_x, step_y, u, variant, lam)
+            adam_step(want_state, want, grads)
+        assert (penalty > 0.0) == (lam > 0.0)
+        assert penalty == want_penalty and x is steps[-1][0] and y is steps[-1][1]
+        for got, expected in ((disc.params, want.params), (state.m, want_state.m), (state.v, want_state.v)):
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        assert state.step_count == want_state.step_count == 5
+
+    def test_generator_step_against_a_frozen_discriminator(self):
+        gen = init_net(NetSpec(widths=(1, 8, 1), hidden="tanh", seed=2))
+        gen_state = init_adam(gen, 1e-3, 0.5, 0.9)
+        disc, _ = self.steep_critic()
+        frozen = disc.params.copy()
+        z = np.random.default_rng(9).standard_normal((32, 1))
+        want = init_net(NetSpec(widths=(1, 8, 1), hidden="tanh", seed=2))
+        want_state = init_adam(want, 1e-3, 0.5, 0.9)
+        y, gen_cache = forward(want, z)
+        d_fake, disc_cache = forward(disc, y)
+        _, input_grads = backward(disc, disc_cache, self.MSE.psi_prime(d_fake) / 32, param_rows=0)
+        adam_step(want_state, want, backward(want, gen_cache, input_grads, batch_grad=False)[0])
+        assert generator_step(self.MSE, gen, gen_state, disc, z) is None
+        np.testing.assert_array_equal(disc.params.view(np.int64), frozen.view(np.int64))
+        for got, expected in ((gen.params, want.params), (gen_state.m, want_state.m), (gen_state.v, want_state.v)):
+            np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+        assert gen_state.step_count == 1
+        assert not np.array_equal(gen.params, init_net(gen.spec).params)
 
 
 class TestEvaluate:
@@ -435,6 +511,44 @@ class TestAbort:
             np.testing.assert_array_equal(got[1].m, want[1].m)
             np.testing.assert_array_equal(got[1].v, want[1].v)
             assert got[1].step_count == want[1].step_count
+
+
+class TestAbortMessages:
+    """A non-finite objective ends the run with its exact reason, and the
+    nets and Adam states of the last eval, as the gradient aborts do."""
+
+    @staticmethod
+    def poisoned_at(name, call):
+        """MSE whose phi or psi gives NaN on its call-th call with a training
+        batch's 64 rows (eval batches here have 128 rows, so evals never count)."""
+        mse = catalogue_lookup("MSE").loss
+        clean = getattr(mse, name)
+        calls = []
+
+        def values(z):
+            out = clean(z)
+            if len(z) == 64:
+                calls.append(None)
+                if len(calls) == call:
+                    return np.full_like(out, np.nan)
+            return out
+
+        return dataclasses.replace(mse, **{name: values})
+
+    # 5 critic steps and one generator step an iteration: phi is called once a
+    # critic step, psi once a critic step and once a generator step
+    @pytest.mark.parametrize("name,call,reason", [
+        ("phi", 16, "non-finite discriminator objective at iteration 4"),
+        ("psi", 24, "non-finite generator objective at iteration 4"),
+    ])
+    def test_objective_abort_keeps_the_state_of_the_last_eval(self, name, call, reason):
+        cfg = shift_config(total_generator_iters=10, eval_every=2, critic_iters=5, eval_batch=128)
+        with np.errstate(all="ignore"):
+            result = train(cfg, loss=self.poisoned_at(name, call))
+        assert result.abort_reason == reason
+        clean = train(dataclasses.replace(cfg, total_generator_iters=2))
+        assert [r.generator_iteration for r in result.records] == [2]
+        assert_same_run(result, dataclasses.replace(clean, abort_reason=reason))
 
 
 class TestTrainResult:
