@@ -18,12 +18,18 @@ variable (default ``./out``).
 A training run uses up to two Python threads (trainer and eval) and one
 BLAS thread: ``import ratiogan`` sets OPENBLAS_NUM_THREADS=1 unless it or
 OMP_NUM_THREADS is set already; set either to choose another count.
+
+``import ratiogan.cli`` loads numpy, the loss catalogue, ``config`` (its
+SECTIONS name the ``--set`` sections in the help) and ``densities``, and
+no other module of the package.  The rest is imported at the top of the
+function that runs it: a command, or a helper that ``report`` or a
+``--jobs`` worker process runs as well.  So ``verify`` and ``solve-grid``
+never load the trainer, the networks or the plotting code.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import configparser
 import contextlib
 import math
@@ -31,10 +37,11 @@ import os
 import sys
 import warnings
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .catalogue import catalogue_lookup, catalogue_names, iter_catalogue
+from .catalogue import catalogue_lookup, iter_catalogue
 from .config import (
     SECTIONS,
     apply_overrides,
@@ -45,26 +52,9 @@ from .config import (
     unknown_sections,
 )
 from .densities import gaussian
-from .grid_solver import (
-    DiscreteDensity,
-    RatioField,
-    SolverDiverged,
-    discretize,
-    feasible_from,
-    field_to_text,
-    minmax_value,
-    solve_minmax_grid,
-    write_trace,
-)
-from .nets import net_to_json
-from .svgplot import emit_svg_lineplot
-from .training import TrainConfig, final_samples, metrics_from_text, metrics_to_text, train
-from .verify import (
-    check_corollary_value,
-    check_derivatives,
-    check_theorem1,
-    write_reports,
-)
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 ENV_OUT = "RATIOGAN_OUT"
 
@@ -185,6 +175,8 @@ def _select_losses(selector: str):
 
 
 def cmd_verify(args) -> int:
+    from .verify import check_corollary_value, check_derivatives, check_theorem1, write_reports
+
     with _rejected_as_usage():
         losses = _select_losses(args.loss)
     reports = []
@@ -215,6 +207,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_solve_grid(args) -> int:
+    from .grid_solver import (
+        DiscreteDensity,
+        RatioField,
+        SolverDiverged,
+        discretize,
+        feasible_from,
+        field_to_text,
+        minmax_value,
+        solve_minmax_grid,
+        write_trace,
+    )
+
     if args.uniform and args.config:
         raise UsageError("solve-grid: --uniform ignores the density of --config; give one of them")
     lo, hi = args.window
@@ -376,6 +380,8 @@ def _metric_plots(records) -> list:
 
 
 def _plot_metrics(plots, stager):
+    from .svgplot import emit_svg_lineplot
+
     for file, series, title, y_label, reference_y in plots:
         emit_svg_lineplot(series, stager.stage("plots/" + file), title=title,
                           x_label="generator iteration", y_label=y_label, reference_y=reference_y)
@@ -391,6 +397,10 @@ def _checked_config(text: str, overrides) -> TrainConfig:
 
 
 def _run_one_training(run_name: str, config: TrainConfig, root: Path) -> int:
+    # a --jobs worker process runs this without cmd_train, so it imports its own modules
+    from .nets import net_to_json
+    from .training import final_samples, metrics_to_text, train
+
     stager = OutputStager(root / run_name)
     stager.stage("config.cfg").write_text(train_config_to_text(config))
     result = train(config)
@@ -419,6 +429,8 @@ def _run_one_training(run_name: str, config: TrainConfig, root: Path) -> int:
 
 
 def cmd_train(args) -> int:
+    import concurrent.futures
+
     if args.preset and args.config:
         raise UsageError("train: --preset ignores --config; give one of them")
     if args.preset:
@@ -457,6 +469,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .training import metrics_from_text
+
     path = Path(args.metrics)
     if not path.exists():
         raise UsageError(f"metrics file {path} does not exist")

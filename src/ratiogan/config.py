@@ -39,13 +39,17 @@ A density section may hold the keys of any kind, and no other key.
 from __future__ import annotations
 
 import configparser
+import functools
 import io
 from dataclasses import MISSING, fields
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .densities import DensitySpec, gaussian, mixture, ring, sample_file, uniform
-from .training import TrainConfig
+
+if TYPE_CHECKING:
+    from .training import TrainConfig
 
 __all__ = [
     "SECTIONS",
@@ -179,9 +183,16 @@ def _widths(text: str) -> tuple:
     return tuple(int(v) for v in text.replace(",", " ").split())
 
 
-# Every TrainConfig field with a default, in field order, keyed by
-# (section, key); its cast follows the type of the default.
-_KEYS = {_section_key(f.name): f for f in fields(TrainConfig) if f.default is not MISSING}
+@functools.cache
+def _train_keys() -> dict:
+    """Every TrainConfig field with a default, in field order, keyed by
+    (section, key); its cast follows the type of the default.  Read on first
+    use, so loading this module does not load the trainer."""
+    from .training import TrainConfig
+
+    return {_section_key(f.name): f for f in fields(TrainConfig) if f.default is not MISSING}
+
+
 _CASTS = {float: float, int: int, str: str, tuple: _widths}
 
 
@@ -191,6 +202,9 @@ def _to_text(value) -> str:
 
 def train_config_from_text(text: str) -> TrainConfig:
     """Build a TrainConfig; unknown sections and keys, and missing sections, are errors."""
+    from .training import TrainConfig
+
+    keys = _train_keys()
     parser = parse_config_text(text)
     problems = unknown_sections(parser)
     if not parser.has_section("loss") or not parser.has_option("loss", "name"):
@@ -208,7 +222,7 @@ def train_config_from_text(text: str) -> TrainConfig:
         for key, value in parser.items(section):
             if (section, key) == ("loss", "name"):
                 continue
-            field = _KEYS.get((section, key))
+            field = keys.get((section, key))
             if field is None:
                 problems.append(f"unknown [{section}] key {key!r}")
                 continue
@@ -239,7 +253,7 @@ def train_config_to_text(config: TrainConfig) -> str:
     """Echo mode: canonical text that re-parses to an equal configuration."""
     sections = {section: {} for section in SECTIONS}
     sections["loss"]["name"] = config.loss_name
-    for (section, key), field in _KEYS.items():
+    for (section, key), field in _train_keys().items():
         sections[section][key] = _to_text(getattr(config, field.name))
     sections["density.target"] = density_to_section(config.f_spec)
     sections["density.origin"] = density_to_section(config.h_spec)

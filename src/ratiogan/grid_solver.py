@@ -68,8 +68,11 @@ class DiscreteDensity:
             raise ValueError("negative mass")
         if abs(self.mass.sum() - 1.0) > MASS_TOL:
             raise ValueError(f"total mass {self.mass.sum()!r} not 1 within {MASS_TOL}")
+        # rows sorted, then neighbours compared: ±0 are equal and a NaN row is
+        # distinct, as with np.unique(axis=0), which would load numpy.ma
         pts = self.support.reshape(len(self.support), -1)
-        if len(np.unique(pts, axis=0)) != len(pts):
+        pts = pts[np.lexsort(pts.T[::-1])]
+        if np.any(np.all(pts[1:] == pts[:-1], axis=1)):
             raise ValueError("support points must be distinct")
 
     def __len__(self):

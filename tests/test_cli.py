@@ -66,6 +66,43 @@ class TestBlasThreadDefault:
         assert blas_threads_after_import(OMP_NUM_THREADS="2") == "None"
 
 
+def modules_loaded_after(code):
+    """The names in sys.modules of a fresh interpreter after it runs code."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ratiogan.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", code + "\nimport sys; print(' '.join(sys.modules))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return set(done.stdout.splitlines()[-1].split())
+
+
+TRAINING_STACK = ("ratiogan.training", "ratiogan.nets", "ratiogan.metrics", "ratiogan.svgplot")
+
+
+class TestImports:
+    """A process loads only the modules of the command it runs."""
+
+    def test_cli_import_loads_no_command_module(self):
+        loaded = modules_loaded_after("import ratiogan.cli")
+        unwanted = (*TRAINING_STACK, "ratiogan.grid_solver", "ratiogan.verify", "concurrent.futures")
+        assert [m for m in unwanted if m in loaded] == []
+
+    def test_verify_loads_no_training_stack(self, tmp_path):
+        loaded = modules_loaded_after(
+            f"from ratiogan.cli import main; main(['--out', {str(tmp_path)!r}, 'verify', '--loss', 'MSE'])"
+        )
+        assert "ratiogan.verify" in loaded
+        assert [m for m in TRAINING_STACK if m in loaded] == []
+
+    def test_solve_grid_loads_no_training_stack_or_masked_arrays(self, tmp_path):
+        loaded = modules_loaded_after(
+            f"from ratiogan.cli import main; "
+            f"main(['--out', {str(tmp_path)!r}, 'solve-grid', '--loss', 'MSE', '--max-iters', '5'])"
+        )
+        assert "ratiogan.grid_solver" in loaded
+        assert [m for m in (*TRAINING_STACK, "numpy.ma") if m in loaded] == []
+
+
 class TestLossesCommand:
     def test_lists_thirteen_rows(self, tmp_path, capsys):
         assert run_cli(tmp_path, "losses") == 0
@@ -180,13 +217,13 @@ class TestSolveGridCommand:
         assert not list((tmp_path / "out").glob("*.incomplete"))
 
     def test_diverged_solve_is_one_line(self, tmp_path, capsys, monkeypatch):
-        import ratiogan.cli as cli
+        import ratiogan.grid_solver as grid_solver
         from ratiogan.grid_solver import SolverDiverged, SolveTrace
 
         def diverge(*args, **kwargs):
             raise SolverDiverged("objective increased for 50 consecutive iterations", SolveTrace())
 
-        monkeypatch.setattr(cli, "solve_minmax_grid", diverge)
+        monkeypatch.setattr(grid_solver, "solve_minmax_grid", diverge)
         assert run_cli(tmp_path, "solve-grid", "--loss", "MSE", "--uniform") == 1
         err = capsys.readouterr().err
         assert err == "solve-grid: objective increased for 50 consecutive iterations\n"
@@ -368,6 +405,18 @@ class TestTrainCommand:
         for _, text in runs:
             lams.append(train_config_from_text(text).lam)
         assert lams == [0.01, 0.1, 1.0, 10.0]
+
+    def test_sweep_jobs_match_one_process(self, tmp_path, capsys):
+        """Each run of a --jobs sweep writes the files it writes launched alone."""
+        tiny = ["--set", "train.total_generator_iters=2", "--set", "train.eval_every=1",
+                "--set", "train.eval_batch=16"]
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(["--out", str(out), "train", "--preset", "lambda-sweep", *tiny, "--jobs", jobs]) == 0
+            outputs.append({p.relative_to(out): p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()})
+        assert len([p for p in outputs[0] if p.name == "metrics.tsv"]) == 4
+        assert outputs[1] == outputs[0]
 
     def test_unknown_preset(self, tmp_path, capsys):
         assert run_cli(tmp_path, "train", "--preset", "nope") == 2

@@ -52,6 +52,24 @@ class TestDiscreteDensity:
         with pytest.raises(ValueError, match="distinct"):
             DiscreteDensity(support=np.array([0.0, 1.0, 1.0]), mass=np.full(3, 1 / 3))
 
+    @pytest.mark.parametrize(
+        "rows, distinct",
+        [
+            ([[0.0, 1.0], [1.0, 0.0], [0.0, 1.0]], False),  # duplicates not next to each other
+            ([[0.0, 1.0], [-0.0, 1.0]], False),  # ±0 compare equal
+            ([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]], True),  # rows share coordinates, not all of them
+            ([[np.nan, 1.0], [np.nan, 1.0]], True),  # a NaN row equals no row, as with np.unique
+        ],
+    )
+    def test_duplicate_rows_rejected_in_2d(self, rows, distinct):
+        support = np.array(rows)
+        mass = np.full(len(rows), 1 / len(rows))
+        if distinct:
+            assert len(DiscreteDensity(support=support, mass=mass)) == len(rows)
+        else:
+            with pytest.raises(ValueError, match="distinct"):
+                DiscreteDensity(support=support, mass=mass)
+
 
 class TestRatioField:
     def test_negative_values_rejected(self):
