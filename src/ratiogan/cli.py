@@ -227,7 +227,7 @@ def cmd_solve_grid(args) -> int:
     with _rejected_as_usage():
         loss = catalogue_lookup(args.loss).loss
     if not loss.ratio_invertible:
-        raise UsageError(f"ideal solver requires invertible omega; {loss.name} has none")
+        raise UsageError(f"solve-grid: ideal solver requires invertible omega; {loss.name} has none")
 
     if args.config:
         with _rejected_as_usage("solve-grid"):
@@ -241,7 +241,7 @@ def cmd_solve_grid(args) -> int:
     else:
         density = gaussian([0.0], [[1.0]])
     if density.kind == "file":
-        raise UsageError("solve-grid needs an analytic density, not a sample file")
+        raise UsageError("solve-grid: needs an analytic density, not a sample file")
 
     with _rejected_as_usage("solve-grid"), warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -270,7 +270,7 @@ def cmd_solve_grid(args) -> int:
         print(f"solve-grid: {exc}", file=sys.stderr)
         return 1
     linf = float(np.abs(r_star.values - 1.0).max())
-    objective = minmax_value(loss, r_star, f)
+    value = minmax_value(loss, r_star, f)  # the saddle value: raw psi, not the trace's normalized cost
 
     stager = OutputStager(_output_root(args))
     write_trace(trace, stager.stage("solve_trace.tsv"))
@@ -278,7 +278,7 @@ def cmd_solve_grid(args) -> int:
     stager.commit()
     print(f"loss={loss.name} n={len(f)} iterations={trace.iterations[-1]}")
     print(f"linf(r - 1) = {linf:.3e}")
-    print(f"objective   = {objective!r}")
+    print(f"minmax value = {value!r}")
     print(f"converged   = {'yes' if trace.converged else f'no (tol {args.tol:g} not met)'}")
     return 0 if trace.converged else 1
 
@@ -439,7 +439,7 @@ def cmd_train(args) -> int:
     elif args.config:
         runs = [(Path(args.config).stem, args.config_text)]
     else:
-        raise UsageError("train needs --config or --preset")
+        raise UsageError("train: needs --config or --preset")
 
     if args.echo_config and len(runs) > 1:
         raise UsageError(f"--echo-config takes one run; {args.preset} has {len(runs)}")

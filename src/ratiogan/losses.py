@@ -230,52 +230,39 @@ def probe_points(loss: LossPair, n: int = 200) -> np.ndarray:
     return np.linspace(-5.0, 5.0, n)
 
 
-def _adaptive_simpson(f, a: float, b: float, tol: float) -> float:
-    """Adaptive Simpson quadrature with the standard 15x error rule.
-
-    The tolerance is relative to the integral's own magnitude, so
-    integrands spanning many decades (exponential weights probed over
-    wide windows) terminate instead of chasing absolute digits float64
-    cannot represent.
-    """
-    if a == b:
-        return 0.0
-
-    def recurse(x0, f0, x2, f2, x1, f1, whole, tol, depth):
-        xl = 0.5 * (x0 + x1)
-        xr = 0.5 * (x1 + x2)
-        fl = f(xl)
-        fr = f(xr)
-        left = (x1 - x0) / 6.0 * (f0 + 4.0 * fl + f1)
-        right = (x2 - x1) / 6.0 * (f1 + 4.0 * fr + f2)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(x0, f0, x1, f1, xl, fl, left, 0.5 * tol, depth - 1) + recurse(
-            x1, f1, x2, f2, xr, fr, right, 0.5 * tol, depth - 1
-        )
-
-    lo, hi, sign = (a, b, 1.0) if a < b else (b, a, -1.0)
-    mid = 0.5 * (lo + hi)
-    flo, fhi, fmid = f(lo), f(hi), f(mid)
-    whole = (hi - lo) / 6.0 * (flo + 4.0 * fmid + fhi)
-    scale = max(1.0, abs(whole))
-    return sign * recurse(lo, flo, hi, fhi, mid, fmid, whole, tol * scale, 48)
+# Tanh-sinh rule on [-1, 1] (Takahasi & Mori 1974): nodes tanh(u_k),
+# u_k = pi/2 sinh(k/32) for |k/32| <= 6, packed densely at both ends, where a
+# clamped weight such as z^-2 or 1/(1-z) spikes.  A node is placed by its
+# distance e^-|u|/cosh(u) from the nearer end, which keeps its digits where
+# 1 - tanh(u) would round to 0.
+_TS_T = np.arange(-192, 193) / 32.0
+_TS_U = 0.5 * np.pi * np.sinh(_TS_T)
+_TS_GAP = np.exp(-np.abs(_TS_U)) / np.cosh(_TS_U)
+_TS_WEIGHT = (np.pi / 64.0) * np.cosh(_TS_T) / np.cosh(_TS_U) ** 2
+_TS_CHUNK = 512  # points per deriv call, so a call holds 512 x 385 nodes
 
 
-def antiderivative_from(deriv: Callable, anchor: float, tol: float = 1e-8) -> Callable:
-    """Antiderivative of ``deriv`` vanishing at ``anchor``, by quadrature.
+def antiderivative_from(deriv: Callable, anchor: float) -> Callable:
+    """Antiderivative of ``deriv`` vanishing at ``anchor``: one tanh-sinh
+    rule over [anchor, z], with ``deriv`` applied elementwise to the nodes
+    of many points z at once.  A NaN or infinite z gives NaN.
 
     Used as the closed-form surrogate for derivative-only pairs.
     """
 
-    def scalar(z: float) -> float:
-        return _adaptive_simpson(lambda t: float(deriv(t)), anchor, float(z), tol)
-
     def F(z):
         arr = np.asarray(z, dtype=float)
-        if arr.ndim == 0:
-            return scalar(float(arr))
-        return np.asarray([scalar(v) for v in arr.ravel()]).reshape(arr.shape)
+        flat = arr.ravel()
+        out = np.full(flat.shape, np.nan)
+        live = np.flatnonzero(np.isfinite(flat))
+        for k in range(0, len(live), _TS_CHUNK):
+            rows = live[k : k + _TS_CHUNK]
+            ends = flat[rows, None]
+            half = 0.5 * (ends - anchor)
+            nodes = np.where(_TS_T < 0.0, anchor + half * _TS_GAP, ends - half * _TS_GAP)
+            # summed row by row: a point's value does not depend on its chunk
+            out[rows] = half[:, 0] * np.sum(deriv(nodes) * _TS_WEIGHT, axis=-1)
+        return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
     return F
 

@@ -32,8 +32,7 @@ def _fmt(x: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list:
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round tick values over [lo, hi]; the caller widens an empty span first."""
     raw = (hi - lo) / max(n - 1, 1)
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):

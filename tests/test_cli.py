@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import ratiogan
-from ratiogan.catalogue import catalogue_names
+from ratiogan.catalogue import catalogue_lookup, catalogue_names
 from ratiogan.cli import UsageError, build_parser, main
 from ratiogan.svgplot import emit_svg_lineplot
 from ratiogan.training import METRIC_COLUMNS
@@ -122,6 +122,19 @@ class TestLossesCommand:
         names = [l.split()[0] for l in out.splitlines()[1:] if l.strip()]
         assert names == ["Hinge", "Wasserstein"]
 
+    def test_range_filter(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "losses", "--filter", "range=[0,1]") == 0
+        out = capsys.readouterr().out
+        names = [l.split()[0] for l in out.splitlines()[1:] if l.strip()]
+        assert names == ["CrossEntropy", "C2"]
+
+    def test_notes_follow_their_rows(self, tmp_path, capsys):
+        assert run_cli(tmp_path, "losses", "--filter", "subclass=C", "--notes") == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [l.split()[0] for l in lines[::2]] == ["CrossEntropy", "C2"]
+        assert [l.split()[0] for l in lines[1::2]] == ["note:", "note:"]
+        assert lines[3].endswith("note: " + catalogue_lookup("C2").derivation_note)
+
     def test_package_runs_as_a_module(self, tmp_path, capsys):
         """``python -m ratiogan losses`` is the ``ratiogan losses`` command."""
         env = {**os.environ, "PYTHONPATH": str(Path(ratiogan.__file__).parents[1])}
@@ -197,6 +210,21 @@ class TestSolveGridCommand:
         assert linf <= 1e-3
         trace = (tmp_path / "out" / "solve_trace.tsv").read_text()
         assert trace.splitlines()[0].startswith("iteration\t")
+
+    def test_summary_lines(self, tmp_path, capsys):
+        """The printed value is the saddle value under the raw psi; the
+        trace's objective column is the psi-normalized cost, another number."""
+        rc = run_cli(tmp_path, "solve-grid", "--loss", "C2", "--n-points", "3", "--window", "-1", "1",
+                     "--max-iters", "3")
+        assert rc == 1
+        assert capsys.readouterr().out == (
+            "loss=C2 n=3 iterations=3\n"
+            "linf(r - 1) = 1.321e+00\n"
+            "minmax value = 0.3761595841595639\n"
+            "converged   = no (tol 1e-10 not met)\n"
+        )
+        last = (tmp_path / "out" / "solve_trace.tsv").read_text().splitlines()[-1].split("\t")
+        assert last[:2] == ["3", "-0.12384041584043605"]
 
     def test_unit_start_builds_no_generator(self, tmp_path, capsys, monkeypatch):
         """--init ones draws nothing, so it never loads numpy.random."""
@@ -572,6 +600,21 @@ class TestConfigErrors:
         assert capsys.readouterr().err == "--echo-config takes one run; lambda-sweep has 4\n"
         assert not echo.exists()
 
+    @pytest.mark.parametrize("args,message", [
+        (["solve-grid", "--loss", "Hinge"], "solve-grid: ideal solver requires invertible omega; Hinge has none"),
+        (["solve-grid", "--loss", "MSE", "--config", "FILE_TARGET"],
+         "solve-grid: needs an analytic density, not a sample file"),
+        (["train"], "train: needs --config or --preset"),
+    ], ids=["solve-limit-loss", "solve-file-target", "train-no-run"])
+    def test_message_names_its_command(self, tmp_path, capsys, monkeypatch, args, message):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "samples.csv").write_text("1.0\n2.0\n3.0\n")
+        (tmp_path / "file.cfg").write_text("[density.target]\nkind = file\npath = samples.csv\n")
+        args = [str(tmp_path / "file.cfg") if a == "FILE_TARGET" else a for a in args]
+        assert run_cli(tmp_path, *args) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+        assert not (tmp_path / "out").exists()
+
 
 class TestReportCommand:
     def test_rerenders_plots_identically(self, tmp_path):
@@ -592,6 +635,17 @@ class TestReportCommand:
         a = (rundir / "plots" / "objectives.svg").read_bytes()
         b = (tmp_path / "re" / "plots" / "objectives.svg").read_bytes()
         assert a == b
+
+    def test_one_record_spans_a_unit_iteration_axis(self, tmp_path, capsys):
+        metrics = tmp_path / "one.tsv"
+        row = "\t".join(["5"] + ["1.0"] * (len(METRIC_COLUMNS) - 1))
+        metrics.write_text("\t".join(METRIC_COLUMNS) + "\n" + row + "\n")
+        assert run_cli(tmp_path, "report", "--metrics", str(metrics)) == 0
+        assert capsys.readouterr().out == f"re-rendered plots for 1 records into {tmp_path / 'out' / 'plots'}\n"
+        plots = sorted(p.name for p in (tmp_path / "out" / "plots").iterdir())
+        assert plots == ["distances.svg", "likelihood_ratio.svg", "objectives.svg", "penalty.svg"]
+        svg = (tmp_path / "out" / "plots" / "penalty.svg").read_text()
+        assert ">5<" in svg and ">6<" in svg  # the x ticks of [5, 6]
 
     def test_missing_metrics_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"

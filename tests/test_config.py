@@ -174,3 +174,15 @@ class TestOverrides:
         text = apply_overrides(BASE, ["density.origin.sigmma=0.5"])
         with pytest.raises(ValueError, match=r"unknown \[density.origin\] key 'sigmma'"):
             train_config_from_text(text)
+
+    @pytest.mark.parametrize("component,problem", [
+        ("0.5 gaussian 1.0", "expected 'weight gaussian <mean..> <stddev..>'"),
+        ("0.5 uniform 0.0 1.0", "expected 'weight gaussian <mean..> <stddev..>'"),
+        ("0.5 gaussian 0.0 1.0 2.0", "mean/stddev arity mismatch"),
+    ])
+    def test_malformed_mixture_component_named(self, component, problem):
+        components = f"density.target.components=0.5 gaussian -2.0 1.0 | {component}"
+        text = apply_overrides(BASE, ["density.target.kind=mixture", components])
+        with pytest.raises(ValueError) as caught:
+            train_config_from_text(text)
+        assert str(caught.value) == f"mixture component {component!r}: {problem}"

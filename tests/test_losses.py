@@ -326,7 +326,7 @@ class TestConcentrated:
 
 class TestAntiderivative:
     def test_matches_closed_form(self):
-        F = antiderivative_from(lambda t: 3.0 * t**2, 1.0, tol=1e-10)
+        F = antiderivative_from(lambda t: 3.0 * t**2, 1.0)
         for z in (-2.0, 0.0, 0.5, 4.0):
             assert float(F(z)) == pytest.approx(z**3 - 1.0, abs=1e-8)
 
@@ -334,6 +334,56 @@ class TestAntiderivative:
         F = antiderivative_from(lambda t: np.cos(t), 0.0)
         z = np.linspace(-3, 3, 7)
         np.testing.assert_allclose(F(z), np.sin(z), atol=1e-8)
+
+    def test_scalar_in_float_out_and_zero_at_the_anchor(self):
+        F = antiderivative_from(lambda t: np.exp(-t), 0.5)
+        assert type(F(2.0)) is float and F(0.5) == 0.0
+        assert F(np.array([[0.5, 2.0]])).shape == (1, 2)
+
+    def test_non_finite_points_give_nan_without_evaluating_them(self):
+        """NaN and +-inf map to NaN with no numpy warning (warnings are errors
+        here), and the derivative never sees a non-finite node."""
+        seen = []
+
+        def deriv(t):
+            seen.append(np.isfinite(t).all())
+            return 1.0 / (t * t)
+
+        F = antiderivative_from(deriv, 1.0)
+        out = F(np.array([np.nan, 2.0, np.inf, -np.inf, 0.5]))
+        assert np.isnan(out[[0, 2, 3]]).all()
+        np.testing.assert_allclose(out[[1, 4]], [0.5, -1.0], rtol=1e-12)
+        assert math.isnan(F(np.nan)) and math.isnan(F(-np.inf))
+        assert all(seen)
+
+    def test_many_points_match_one_at_a_time(self):
+        """Points are integrated in blocks; a point's value does not depend
+        on the block it falls in."""
+        F = antiderivative_from(lambda t: np.exp(-t), 0.0)
+        z = np.linspace(-3.0, 6.0, 1100)
+        many = F(z)
+        np.testing.assert_array_equal(many[[0, 511, 512, 1099]], [F(z[0]), F(z[511]), F(z[512]), F(z[1099])])
+        np.testing.assert_allclose(many, 1.0 - np.exp(-z), rtol=1e-13, atol=1e-15)
+
+
+INVERTIBLE_ROWS = [e.loss for e in iter_catalogue() if e.loss.ratio_invertible]
+
+
+class TestCatalogueRebuiltFromOmegaRho:
+    @pytest.mark.parametrize("row", INVERTIBLE_ROWS, ids=lambda loss: loss.name)
+    def test_quadrature_values_match_the_closed_forms(self, row):
+        """make_loss_pair(omega, rho) of each invertible row gives phi and psi
+        equal to the row's closed forms less their value at omega(1), on the
+        probe grid and at the clamped interior of each finite range end, where
+        rho may spike (z^-2, 1/(1-z))."""
+        assert len(INVERTIBLE_ROWS) == 11
+        rebuilt = make_loss_pair(row.omega, row.rho)
+        ends = [end + step for end, step in ((row.range.lower, 1e-6), (row.range.upper, -1e-6)) if math.isfinite(end)]
+        z = np.concatenate([probe_points(row, 200), ends])
+        z1 = row.omega_at_one
+        for got, closed in zip(rebuilt.values(), (row.phi, row.psi)):
+            ref = closed(z) - closed(z1)
+            assert np.max(np.abs(got(z) - ref) / np.maximum(1.0, np.abs(ref))) <= 1e-10
 
 
 class TestRatioFromDiscriminator:

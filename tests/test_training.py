@@ -17,8 +17,10 @@ from ratiogan.densities import gaussian, ring, sample, sample_file
 from ratiogan.losses import (
     LossPair,
     NONNEGATIVE,
+    REALS,
     SYMMETRIC_UNIT,
     OmegaTransform,
+    make_loss_pair,
 )
 from ratiogan.nets import NetSpec, adam_step, backward, forward, init_adam, init_net, net_from_json
 from ratiogan.training import (
@@ -511,6 +513,40 @@ class TestAbort:
             np.testing.assert_array_equal(got[1].m, want[1].m)
             np.testing.assert_array_equal(got[1].v, want[1].v)
             assert got[1].step_count == want[1].step_count
+
+
+def log_omega_exp_weight():
+    """The paper's construction from log-omega and rho = e^-z: a
+    derivative-only pair, whose phi and psi come from quadrature."""
+    omega = OmegaTransform(forward=np.log, inverse=np.exp, range=REALS, description="log r")
+    return make_loss_pair(omega, lambda z: np.exp(-np.asarray(z, dtype=float)), name="log-exp")
+
+
+class TestDerivativeOnlyPair:
+    def test_short_run_finishes_with_finite_metrics(self):
+        loss = log_omega_exp_weight()
+        result = train(shift_config(total_generator_iters=12, eval_every=6), loss=loss)
+        assert not result.aborted
+        assert [r.generator_iteration for r in result.records] == [6, 12]
+        for rec in result.records:
+            values = [getattr(rec, col) for col in training.METRIC_COLUMNS]
+            assert all(math.isfinite(v) for v in values)
+
+    def test_non_finite_real_batch_ends_the_critic_phase(self):
+        """A NaN real row gives a NaN discriminator output; the quadrature phi
+        maps it to NaN at once, so the phase returns its reason."""
+        loss = log_omega_exp_weight()
+        disc = init_net(NetSpec(widths=(1, 8, 1), squash=loss.range.label, seed=5))
+        state = init_adam(disc, 1e-3, 0.5, 0.9)
+        x = np.random.default_rng(3).normal(4.0, 1.0, (16, 1))
+        x[7, 0] = np.nan
+        y = np.zeros((16, 1))
+        before = disc.params.copy()
+        assert critic_phase(loss, disc, state, "max", 0.0, iter([(x, y, None)])) == (
+            "non-finite discriminator objective"
+        )
+        np.testing.assert_array_equal(disc.params, before)
+        assert state.step_count == 0
 
 
 class TestAbortMessages:
