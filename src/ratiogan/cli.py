@@ -71,14 +71,15 @@ class UsageError(Exception):
 
 
 @contextlib.contextmanager
-def _rejected_as_usage(prefix: str = ""):
+def _rejected_as_usage(prefix: str):
     """Raise a CONFIG_ERRORS exception from the block as a UsageError, after
-    the prefix; a KeyError gives its message, without the quotes str() adds."""
+    the prefix (the command or run name); a KeyError gives its message,
+    without the quotes str() adds."""
     try:
         yield
     except CONFIG_ERRORS as exc:
         message = exc.args[0] if isinstance(exc, KeyError) else str(exc)
-        raise UsageError(f"{prefix}: {message}" if prefix else message) from None
+        raise UsageError(f"{prefix}: {message}") from None
 
 
 class OutputStager:
@@ -162,22 +163,22 @@ def _select_losses(selector: str):
         return [entry.loss for entry in iter_catalogue()]
     names = [s.strip() for s in selector.split(",") if s.strip()]
     if not names:
-        raise UsageError(f"--loss {selector!r} names no loss")
+        raise ValueError(f"--loss {selector!r} names no loss")
     try:
         losses = [catalogue_lookup(n).loss for n in names]
     except KeyError as exc:
-        raise UsageError(f"{exc.args[0]}, or all") from None
+        raise ValueError(f"{exc.args[0]}, or all") from None
     canonical = [loss.name for loss in losses]  # the lookup ignores case, so "mse" repeats "MSE"
     repeated = [name for i, name in enumerate(canonical) if name in canonical[:i]]
     if repeated:
-        raise UsageError(f"--loss {selector!r} names {repeated[0]} more than once")
+        raise ValueError(f"--loss {selector!r} names {repeated[0]} more than once")
     return losses
 
 
 def cmd_verify(args) -> int:
     from .verify import check_corollary_value, check_derivatives, check_theorem1, write_reports
 
-    with _rejected_as_usage():
+    with _rejected_as_usage("verify"):
         losses = _select_losses(args.loss)
     reports = []
     for loss in losses:
@@ -224,7 +225,7 @@ def cmd_solve_grid(args) -> int:
     lo, hi = args.window
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise UsageError(f"solve-grid: --window {lo:g} {hi:g} must be two finite numbers, low first, with low < high")
-    with _rejected_as_usage():
+    with _rejected_as_usage("solve-grid"):
         loss = catalogue_lookup(args.loss).loss
     if not loss.ratio_invertible:
         raise UsageError(f"solve-grid: ideal solver requires invertible omega; {loss.name} has none")
@@ -434,7 +435,7 @@ def cmd_train(args) -> int:
     if args.preset and args.config:
         raise UsageError("train: --preset ignores --config; give one of them")
     if args.preset:
-        with _rejected_as_usage():
+        with _rejected_as_usage("train"):
             runs = _preset_text(args.preset)
     elif args.config:
         runs = [(Path(args.config).stem, args.config_text)]
@@ -442,7 +443,7 @@ def cmd_train(args) -> int:
         raise UsageError("train: needs --config or --preset")
 
     if args.echo_config and len(runs) > 1:
-        raise UsageError(f"--echo-config takes one run; {args.preset} has {len(runs)}")
+        raise UsageError(f"train: --echo-config takes one run; {args.preset} has {len(runs)}")
 
     # every run is checked before anything is echoed, staged or trained
     names, configs = [name for name, _ in runs], []
@@ -473,7 +474,7 @@ def cmd_report(args) -> int:
 
     path = Path(args.metrics)
     if not path.exists():
-        raise UsageError(f"metrics file {path} does not exist")
+        raise UsageError(f"report: metrics file {path} does not exist")
     with _rejected_as_usage("report"):
         records = metrics_from_text(path.read_text())
         plots = _metric_plots(records)

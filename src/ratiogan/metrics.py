@@ -1,16 +1,16 @@
 """Two-sample distances for monitoring desk-scale training runs.
 
-``mmd_rbf`` works on three distance blocks, xx (m x m), yy (n x n) and
-xy (m x n).  The distinct pairs of the pooled sample are exactly the
-strict upper triangles of xx and yy plus all of xy, so the
-median-heuristic bandwidth is read off those blocks without the pooled
-(m+n)^2 matrix.
+``mmd_rbf`` takes its kernel bandwidth from the caller.  A training run
+fixes one per run, the median distance of disjoint pairs of one target
+draw (``median_pair_distance``), so every snapshot is read under the
+same kernel.  The call works on three distance blocks, xx (m x m), yy
+(n x n) and xy (m x n), never on the pooled (m+n)^2 matrix.
 
-A block is read in tiles (``_Dists``).  For one-column samples a tile
-is formed only when a pass reaches it, from the product
-``x[r0:r1] * y[c0:c1].T``: each cell is a single term, so a tile has
-the bits of the whole-block matmul and no m x n array is ever held.
-Wider samples form a whole block, ``np.matmul(x, x.T, out=...)`` or
+A block is read in row tiles (``_Dists``).  For one-column samples a
+tile is formed only when the kernel pass reaches it, from the product
+``x[r0:r1] * y.T``: each cell is a single term, so a tile has the bits
+of the whole-block matmul and no m x n array is ever held.  Wider
+samples form a whole block, ``np.matmul(x, x.T, out=...)`` or
 ``np.matmul(x, y.T, out=...)``, in the one buffer the call owns
 (``_Buffer``), and read tiles as views of it.  A product formed band by
 band differs from the whole-block one in the last bit at many sizes,
@@ -27,45 +27,31 @@ products have the same bits at any stride.  The distance finish
 time, its norm sums in the call's band; a held block is finished over
 its whole padded rows, which are contiguous: the pad cells are zeroed
 when the block is formed, finished with the rows and never read.  A
-held block's band is finished when a pass first reaches it, so the
-pass reads it while it is still in cache.
+held block's band is finished when the kernel pass first reaches it, so
+the pass reads it while it is still in cache.
 
-Two passes read the blocks.  The median counts the pooled pairs tile by
-tile (``_PooledPairs``), on views of the held block's columns: xy
-first, then xx, then yy, which stays held.  The kernel pass sums yy,
-then forms xx again and sums it, then xy, so one block is held at a
-time; with a given bandwidth there is no median pass and each block is
-formed once.  The kernel sums walk numpy's pairwise-sum tree over each
-row-major block (``_kernel_sum``).  Each leaf's rows are multiplied by
--gamma, in place for one column and into the band for a held block,
-which keeps its distances; there the leaf is a contiguous run that is
-exponentiated and added while it is hot, so the sums equal ``k.sum()``
-of the whole kernel block bit for bit.  The diagonal traces are read
-from the held block after its sum.  Elementwise steps give the same
-bits in any layout, so recorded values equal the pooled-matrix numbers.
-
-The median's strided subsample is read at the tiles' (row, column)
-positions, for wider samples from the coordinates rather than the held
-blocks, whose BLAS bits it need not have: the subsample only places the
-bracket of the middle order statistics.  The value is then decided by
-the exact distances, through the count and partition of those inside
-the bracket, or through np.median when the counts show it missed.
+The kernel pass sums yy, then xx, then xy, each block formed once, when
+the pass first reaches it, so one block is held at a time.  The kernel
+sums walk numpy's pairwise-sum tree over each row-major block
+(``_kernel_sum``).  Each leaf's rows are multiplied by -gamma, in place
+for one column and into the band for a held block, which keeps its
+distances; there the leaf is a contiguous run that is exponentiated and
+added while it is hot, so the sums equal ``k.sum()`` of the whole kernel
+block bit for bit.  The diagonal traces are read from the held block
+after its sum.  Elementwise steps give the same bits in any layout, so
+recorded values equal the pooled-matrix numbers.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Union
-
 import numpy as np
 
-__all__ = ["mmd_rbf", "sliced_wasserstein"]
+__all__ = ["median_pair_distance", "mmd_rbf", "sliced_wasserstein"]
 
 # rows per band of every elementwise pass: 64 rows of a 2048-wide block
 # (the eval shape) are 1 MiB of float64, inside one core's L2
 _BAND = 64
 _LEAF = 2**17  # most values per leaf of the kernel-sum walk: 1 MiB of float64
-_MEDIAN_SAMPLE = 65536  # subsample size that brackets the median
-_MEDIAN_WIDTH = 4.0  # bracket half-width in units of sqrt(subsample size)
 
 
 def _stride(n: int) -> int:
@@ -93,27 +79,24 @@ def _outer(out: np.ndarray, col: np.ndarray, row: np.ndarray, op: np.ufunc) -> n
 
 class _Buffer:
     """The room one call owns: ``data`` for a whole block of squared
-    distances on a padded row stride (none for one-column samples), the
-    ``band`` that both the norm sums of a finish and the scaled rows of a
-    kernel-sum leaf use, and the key of the block the buffer holds now.
-    The key is not the _Dists itself: that would be a reference cycle,
-    keeping the buffer alive after the call until the cycle collector
-    runs."""
+    distances on a padded row stride (none for one-column samples), and
+    the ``band`` that both the norm sums of a finish and the scaled rows
+    of a kernel-sum leaf use."""
 
     def __init__(self, size: int, band: int):
         self.data = np.empty(size)
         self.band = np.empty(band)
-        self.holder = None
 
 
 class _Dists:
     """The squared distances between the rows of x and those of y, read
     by tile: formed on demand for one column, held whole in the buffer
-    otherwise (see the module docstring)."""
+    otherwise (see the module docstring).  The blocks that share a buffer
+    are read one after another: forming one overwrites the one before."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, buf: _Buffer):
         m, n = self.shape = (len(x), len(y))
-        self._buf, self._key = buf, object()
+        self._buf, self._done = buf, None  # rows finished so far; None until formed
         if x.shape[1] == 1:
             x, y = x[:, 0], y[:, 0]
             self._x_sq, self._y_sq = x**2, y**2  # the bits of (x**2).sum(axis=1)
@@ -126,28 +109,28 @@ class _Dists:
         self._x, self._y = x, y
 
     def _held(self, r1: int) -> np.ndarray:
-        """The whole block, its product formed in the buffer unless it holds
-        it already, and its rows finished into distances through r1 at least."""
-        buf, rows, n = self._buf, self._rows, self.shape[1]
-        if buf.holder is not self._key:
+        """The whole block, its product formed in the buffer when first asked
+        for, and its rows finished into distances through r1 at least."""
+        rows, n = self._rows, self.shape[1]
+        if self._done is None:
             rows[:, n:] = 0.0  # the pad: finished with the rows, never read
             np.matmul(self._x, self._y.T, out=rows[:, :n])  # numpy's syrk when y is x
-            buf.holder, self._done = self._key, 0
+            self._done = 0
         for lo in range(self._done, r1, _BAND):
             band = rows[lo : lo + _BAND]
-            _finish(band, _outer(buf.band, self._x_sq[lo : lo + _BAND], self._y_sq, np.add))
+            _finish(band, _outer(self._buf.band, self._x_sq[lo : lo + _BAND], self._y_sq, np.add))
             self._done = lo + len(band)
         return rows[:, :n]
 
-    def tile(self, r0: int, r1: int, c0: int = 0, c1: Optional[int] = None) -> np.ndarray:
-        """Rows r0:r1 and columns c0:c1 of the block, which the caller may
-        overwrite: a view of it when it is held, formed anew for one
-        column (no larger than the band, which holds its norm sums)."""
+    def tile(self, r0: int, r1: int) -> np.ndarray:
+        """Rows r0:r1 of the block, which the caller may overwrite: a view
+        of it when it is held, formed anew for one column (no larger than
+        the band, which holds its norm sums)."""
         if self._rows is not None:
-            return self._held(r1)[r0:r1, c0:c1]
-        x, y = self._x[r0:r1], self._y[c0:c1]
-        prod = _outer(np.empty(x.size * y.size), x, y, np.multiply)
-        return _finish(prod, _outer(self._buf.band, self._x_sq[r0:r1], self._y_sq[c0:c1], np.add))
+            return self._held(r1)[r0:r1]
+        x = self._x[r0:r1]
+        prod = _outer(np.empty(x.size * self._y.size), x, self._y, np.multiply)
+        return _finish(prod, _outer(self._buf.band, self._x_sq[r0:r1], self._y_sq, np.add))
 
     def scaled(self, r0: int, r1: int, factor: float) -> np.ndarray:
         """Rows r0:r1 of the block times factor, in a contiguous array the
@@ -158,20 +141,11 @@ class _Dists:
         out = tile if self._rows is None else self._buf.band[: tile.size].reshape(tile.shape)
         return np.multiply(tile, factor, out=out)
 
-    def at(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """The distances at the positions (rows[i], cols[i]).  For wider
-        samples they come from the coordinates, without the block's BLAS
-        bits: fit to bracket the median, not to be recorded."""
-        x, y = self._x[rows], self._y[cols]
-        dot = x * y if self._rows is None else np.einsum("ij,ij->i", x, y)
-        return _finish(dot, self._x_sq[rows] + self._y_sq[cols])
-
     def diagonal(self) -> np.ndarray:
         """The distances (i, i) of a square block, in the bits of its tiles."""
         if self._rows is not None:
             return self._held(self.shape[0]).diagonal()
-        i = np.arange(self.shape[0])
-        return self.at(i, i)
+        return _finish(self._x * self._y, self._x_sq + self._y_sq)
 
 
 def _blocks(x: np.ndarray, y: np.ndarray) -> tuple[_Dists, _Dists, _Dists]:
@@ -182,91 +156,6 @@ def _blocks(x: np.ndarray, y: np.ndarray) -> tuple[_Dists, _Dists, _Dists]:
     band = max(_BAND * _stride(w), _LEAF + 2 * w)
     buf = _Buffer(0 if x.shape[1] == 1 else w * _stride(w), band)
     return _Dists(x, x, buf), _Dists(y, y, buf), _Dists(x, y, buf)
-
-
-class _PooledPairs:
-    """The distinct pairs of the pooled sample as tiles of its three
-    blocks, in the order ``_median`` reads them: every band of xy, then
-    per band of rows the strict upper triangle of the diagonal tile of xx
-    and the rest of the band right of it, then the same for yy.  Held
-    blocks end the pass with yy in the buffer."""
-
-    def __init__(self, xx: _Dists, yy: _Dists, xy: _Dists):
-        m, n = xy.shape
-        self.total = m * (m - 1) // 2 + n * (n - 1) // 2 + m * n
-        # (block, r0, r1, c0, c1, indices of the strict upper triangle or None)
-        self._tiles = [(xy, lo, min(lo + _BAND, m), 0, n, None) for lo in range(0, m, _BAND)]
-        uppers = {}  # one index pair per diagonal tile size, for all its tiles
-        for sq, size in ((xx, m), (yy, n)):
-            for lo in range(0, size, _BAND):
-                hi = min(lo + _BAND, size)
-                if hi - lo not in uppers:
-                    uppers[hi - lo] = np.triu_indices(hi - lo, k=1)
-                self._tiles.append((sq, lo, hi, lo, hi, uppers[hi - lo]))
-                if hi < size:
-                    self._tiles.append((sq, lo, hi, hi, size, None))
-
-    def pieces(self):
-        """The tiles' values, each formed (or its block formed) when the
-        iteration reaches it; a piece is valid until the next is asked for."""
-        for sq, r0, r1, c0, c1, upper in self._tiles:
-            tile = sq.tile(r0, r1, c0, c1)
-            yield tile if upper is None else tile[upper]
-
-    def strided(self, step: int) -> np.ndarray:
-        """Every step-th value of each piece (in C order), read at its
-        position without forming the tile or its block."""
-        sample = []
-        for sq, r0, r1, c0, c1, upper in self._tiles:
-            if upper is not None:
-                rows, cols = (r0 + i[::step] for i in upper)
-            else:
-                at = np.arange(0, (r1 - r0) * (c1 - c0), step)
-                rows, cols = r0 + at // (c1 - c0), c0 + at % (c1 - c0)
-            sample.append(sq.at(rows, cols))
-        return np.concatenate(sample)
-
-
-def _median(values) -> np.float64:
-    """np.median of all values held in pieces (arrays of any shape, views
-    included), which are left unchanged.
-
-    ``values`` has ``total``, the number of values; ``strided(step)``,
-    every step-th value of each piece in C order (or an approximation of
-    them); and ``pieces()``, the pieces themselves, which may be formed
-    as the iteration reaches them and reused once the next is asked for.
-    The fixed-stride subsample brackets the middle order statistics, so
-    only the values inside the bracket are partitioned; the bracket moves
-    which values those are, never the result.  The count makes masks of
-    one piece at a time, so band-sized pieces keep it in cache.  When the
-    counts show the bracket missed the middle, or some value (NaN) fell in
-    no part of it, np.median on a copy decides.
-    """
-    total = values.total
-    ks = [total // 2] if total % 2 else [total // 2 - 1, total // 2]
-    step = max(1, total // _MEDIAN_SAMPLE)
-    sub = np.sort(values.strided(step))
-    at = ks[0] * sub.size // total
-    half = int(_MEDIAN_WIDTH * np.sqrt(sub.size))
-    lo = sub[max(at - half, 0)]
-    hi = sub[min(at + half, sub.size - 1)]
-    del sub  # not held through the count, whose end sets the call's peak
-    below = above = 0
-    inside = []
-    for v in values.pieces():
-        below += np.count_nonzero(v < lo)
-        above += np.count_nonzero(v > hi)
-        inside.append(v[(v >= lo) & (v <= hi)])
-    inside = np.concatenate(inside)
-    if below + inside.size + above == total and below <= ks[0] and ks[-1] < below + inside.size:
-        ks = [k - below for k in ks]
-        inside.partition(ks)
-        return np.mean(inside[ks])
-    copy, end = np.empty(total), 0
-    for v in values.pieces():  # copied at once: the next piece may reuse its buffer
-        copy[end : end + v.size].reshape(v.shape)[...] = v
-        end += v.size
-    return np.median(copy, overwrite_input=True)
 
 
 def _kernel_sum(sq: _Dists, gamma: float, start: int, size: int) -> np.float64:
@@ -296,13 +185,21 @@ def _kernel_sum(sq: _Dists, gamma: float, start: int, size: int) -> np.float64:
     return leaf.sum()
 
 
-def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: Union[float, str] = "median") -> float:
-    """Unbiased squared maximum mean discrepancy with a Gaussian kernel.
+def median_pair_distance(sample: np.ndarray) -> float:
+    """The median distance between rows i and h + i of a sample, i < h =
+    len(sample) // 2: the median heuristic's kernel bandwidth (Gretton et
+    al. 2012, "A kernel two-sample test") from h disjoint pairs, in O(h)."""
+    h = len(sample) // 2
+    return float(np.median(np.linalg.norm(sample[:h] - sample[h : 2 * h], axis=1)))
+
+
+def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
+    """Unbiased squared maximum mean discrepancy with a Gaussian kernel of
+    the given bandwidth (a number > 0).
 
     Diagonal terms are excluded from the within-sample sums, so the
     estimator is unbiased and may dip slightly negative for close
-    distributions.  ``"median"`` sets the bandwidth to the median
-    pairwise distance of the pooled sample.
+    distributions.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
@@ -312,17 +209,13 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: Union[float, str] = "median
     if m < 2 or n < 2:
         raise ValueError("need at least 2 samples on each side")
 
-    xx, yy, xy = _blocks(x, y)
-    if bandwidth == "median":
-        bw = float(np.sqrt(_median(_PooledPairs(xx, yy, xy))))
-    else:
-        bw = float(bandwidth)
-    if bw <= 0:
+    if not bandwidth > 0:
         raise ValueError("degenerate bandwidth")
-    gamma = 1.0 / (2.0 * bw * bw)
+    gamma = 1.0 / (2.0 * bandwidth * bandwidth)
 
-    # yy (held after the median pass), xx, then xy; each trace after its
-    # sum, whose walk leaves a held block finished
+    # yy, xx, then xy, each formed once; each trace after its sum, whose
+    # walk leaves a held block finished
+    xx, yy, xy = _blocks(x, y)
     sum_yy = _kernel_sum(yy, gamma, 0, n * n) - np.exp(yy.diagonal() * -gamma).sum()
     sum_xx = _kernel_sum(xx, gamma, 0, m * m) - np.exp(xx.diagonal() * -gamma).sum()
     mean_xy = _kernel_sum(xy, gamma, 0, m * n) / (m * n)  # as np.mean divides

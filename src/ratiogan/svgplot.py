@@ -40,12 +40,8 @@ def _ticks(lo: float, hi: float, n: int = 6) -> list:
             step = mult * mag
             break
     start = math.ceil(lo / step) * step
-    ticks = []
-    t = start
-    while t <= hi + 1e-12 * abs(step):
-        ticks.append(0.0 if abs(t) < 1e-15 else t)
-        t += step
-    return ticks
+    count = math.floor((hi - start) / step + 1e-12) + 1  # not a loop on t: at 1e17, t + 5 rounds to t
+    return [0.0 if abs(t) < 1e-15 else t for t in (start + k * step for k in range(count))]
 
 
 def emit_svg_lineplot(
@@ -82,8 +78,9 @@ def emit_svg_lineplot(
     y_lo, y_hi = min(all_y), max(all_y)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_lo, y_hi = y_lo - 0.5, y_hi + 0.5
+    if y_hi == y_lo:  # widen by half the value, so that a large one is not absorbed
+        half = 0.5 * max(abs(y_lo), 1.0)
+        y_lo, y_hi = y_lo - half, y_hi + half
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 

@@ -10,10 +10,13 @@ iteration N", with the nets and Adam states of the last eval.  Every
 evaluation batches: objectives, the discriminator-implied
 likelihood-ratio statistics (for invertible losses; both fresh-batch and
 training-batch variants are recorded), and two-sample distances between
-generated and target samples.  The five
+generated and target samples: MMD under the run's one Gaussian kernel
+and SWD along the run's one set of directions.  The six
 ``TrainConfig.seeds`` feed, in order: generator init, discriminator init,
-the training draws, the eval draws and SWD directions, and the draws of
-``final_samples``, the finished generator's sample file.
+the training draws, the eval draws and SWD directions, the draws of
+``final_samples``, the finished generator's sample file, and the target
+draw whose median pair distance is the run's MMD bandwidth
+(``TrainConfig.mmd_bandwidth``).
 
 Each snapshot runs on one eval thread while training goes on, on copies
 of the nets and with its own random generator, so records are as if run
@@ -35,7 +38,7 @@ import numpy as np
 from .catalogue import catalogue_lookup
 from .densities import DensitySpec, sample
 from .losses import LossPair, ratio_from_discriminator
-from .metrics import mmd_rbf, sliced_wasserstein
+from .metrics import median_pair_distance, mmd_rbf, sliced_wasserstein
 from .nets import (
     AdamState,
     net_to_json,
@@ -66,6 +69,7 @@ __all__ = [
 ]
 
 DEFAULT_HIDDEN_WIDTHS = (64, 64)
+MMD_REFERENCE_PAIRS = 2048  # disjoint target pairs whose median distance is a run's MMD bandwidth
 
 
 @dataclass(frozen=True)
@@ -92,8 +96,15 @@ class TrainConfig:
 
     @property
     def seeds(self) -> tuple:
-        """The run's five seeds, from one SeedSequence; the module docstring names their streams."""
-        return tuple(int(s) for s in np.random.SeedSequence(self.seed).generate_state(5))
+        """The run's six seeds, from one SeedSequence; the module docstring names their streams."""
+        return tuple(int(s) for s in np.random.SeedSequence(self.seed).generate_state(6))
+
+    @property
+    def mmd_bandwidth(self) -> float:
+        """The run's MMD kernel bandwidth: the median distance of
+        MMD_REFERENCE_PAIRS disjoint pairs of one target draw, fixed per run
+        so that every snapshot's mmd is read under the same kernel."""
+        return median_pair_distance(sample(self.f_spec, 2 * MMD_REFERENCE_PAIRS, self.seeds[5]))
 
     def validate(self):
         if self.critic_iters < 1:
@@ -132,6 +143,9 @@ class TrainConfig:
                 "discriminator.hidden = relu has no second derivative for the gradient "
                 "penalty; use smooth_leaky or tanh, or set lambda = 0"
             )
+        bandwidth = self.mmd_bandwidth
+        if not bandwidth > 0:
+            raise ValueError(f"the MMD bandwidth, the target's median pair distance, is {bandwidth!r}; it must be > 0")
 
 
 @dataclass(frozen=True)
@@ -293,7 +307,7 @@ def critic_batches(config: TrainConfig, rng: np.random.Generator) -> list:
 def build_networks(config: TrainConfig, loss: LossPair):
     """Generator (identity output) and discriminator (loss-prescribed squash)."""
     d_x = config.f_spec.dim
-    gen_seed, disc_seed, train_seed, eval_seed, _ = config.seeds
+    gen_seed, disc_seed, train_seed, eval_seed = config.seeds[:4]
     gen_spec = NetSpec(
         widths=(config.h_spec.dim, *config.gen_hidden_widths, d_x),
         hidden=config.gen_hidden,
@@ -335,7 +349,7 @@ def evaluate(config: TrainConfig, loss: LossPair, iteration: int, generator: Den
         lr_gen_std=lr_fields[3],
         lr_real_mean_train=train_lr[0],
         lr_gen_mean_train=train_lr[2],
-        mmd=mmd_rbf(y_eval, x_eval, "median"),
+        mmd=mmd_rbf(y_eval, x_eval, config.mmd_bandwidth),
         swd=sliced_wasserstein(y_eval, x_eval, 64, seed=config.seeds[3]),  # fixed: snapshots stay comparable
     )
 

@@ -49,25 +49,15 @@ def _pooled_sq_dists(x, y):
     return np.maximum(x_sq + y_sq - 2.0 * (x @ y.T), 0.0)
 
 
-def pooled_mmd_rbf(x, y, bandwidth="median"):
-    """Oracle for metrics.mmd_rbf: the bandwidth from the pooled matrix.
-
-    The median-heuristic bandwidth is the median of the strict upper
-    triangle of the full (m+n)^2 distance matrix of the pooled sample;
-    the three kernel blocks are then built from scratch.
-    """
+def pooled_mmd_rbf(x, y, bandwidth):
+    """Oracle for metrics.mmd_rbf: the three kernel blocks built from
+    scratch, each as one whole matrix."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     m, n = len(x), len(y)
-    if bandwidth == "median":
-        pooled = np.vstack([x, y])
-        d = _pooled_sq_dists(pooled, pooled)
-        bw = float(np.sqrt(np.median(d[np.triu_indices(len(pooled), k=1)])))
-    else:
-        bw = float(bandwidth)
-    if bw <= 0:
+    if not bandwidth > 0:
         raise ValueError("degenerate bandwidth")
-    gamma = 1.0 / (2.0 * bw * bw)
+    gamma = 1.0 / (2.0 * bandwidth * bandwidth)
     k_xx = np.exp(-gamma * _pooled_sq_dists(x, x))
     k_yy = np.exp(-gamma * _pooled_sq_dists(y, y))
     k_xy = np.exp(-gamma * _pooled_sq_dists(x, y))

@@ -172,7 +172,7 @@ class TestVerifyCommand:
     def test_unknown_selector_is_usage_error(self, tmp_path, capsys):
         assert run_cli(tmp_path, "verify", "--loss", "nosuch") == 2
         assert capsys.readouterr().err == (
-            f"unknown loss 'nosuch'; valid names: {', '.join(catalogue_names())}, or all\n"
+            f"verify: unknown loss 'nosuch'; valid names: {', '.join(catalogue_names())}, or all\n"
         )
 
     def test_all_ignores_case_like_loss_names(self, tmp_path, capsys):
@@ -190,7 +190,7 @@ class TestVerifyCommand:
         assert run_cli(tmp_path, "verify", "--loss", selector) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"--loss {selector!r} names {name} more than once\n"
+        assert captured.err == f"verify: --loss {selector!r} names {name} more than once\n"
         assert not (tmp_path / "out").exists()
 
     def test_stdout_is_the_written_table(self, tmp_path, capsys):
@@ -495,7 +495,7 @@ class TestConfigErrors:
              "solve-grid: --n-points must be >= 2"),
             (None, ["solve-grid", "--loss", "MSE", "--uniform", "--window", "1", "1"],
              "solve-grid: --window 1 1 must be two finite numbers, low first, with low < high"),
-            (None, ["verify", "--loss", ","], "--loss ',' names no loss"),
+            (None, ["verify", "--loss", ","], "verify: --loss ',' names no loss"),
             (None, ["solve-grid", "--loss", "MSE", "--max-iters", "0"], "solve-grid: --max-iters must be >= 1"),
             (None, ["solve-grid", "--loss", "MSE", "--max-iters", "-3"], "solve-grid: --max-iters must be >= 1"),
             (None, ["solve-grid", "--loss", "MSE", "--tol", "-1"], "solve-grid: --tol must be >= 0"),
@@ -597,7 +597,7 @@ class TestConfigErrors:
     def test_echo_config_refuses_a_multi_run_preset(self, tmp_path, capsys):
         echo = tmp_path / "echo.cfg"
         assert run_cli(tmp_path, "train", "--preset", "lambda-sweep", "--echo-config", str(echo)) == 2
-        assert capsys.readouterr().err == "--echo-config takes one run; lambda-sweep has 4\n"
+        assert capsys.readouterr().err == "train: --echo-config takes one run; lambda-sweep has 4\n"
         assert not echo.exists()
 
     @pytest.mark.parametrize("args,message", [
@@ -612,6 +612,19 @@ class TestConfigErrors:
         (tmp_path / "file.cfg").write_text("[density.target]\nkind = file\npath = samples.csv\n")
         args = [str(tmp_path / "file.cfg") if a == "FILE_TARGET" else a for a in args]
         assert run_cli(tmp_path, *args) == 2
+        assert capsys.readouterr() == ("", message + "\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_one_row_sample_file_target_has_no_mmd_bandwidth(self, tmp_path, capsys, monkeypatch):
+        """Every pair of a one-row target is at distance 0, so the run's MMD
+        kernel would have no width: refused before anything is staged."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "one.csv").write_text("4.0\n")
+        gaussian_target = "kind = gaussian\nmean = 4.0\ncov = 1.0\n"
+        config = TINY_TRAIN.format(loss="MSE").replace(gaussian_target, "kind = file\npath = one.csv\n", 1)
+        (tmp_path / "run.cfg").write_text(config)
+        assert run_cli(tmp_path, "train", "--config", str(tmp_path / "run.cfg")) == 2
+        message = "run: the MMD bandwidth, the target's median pair distance, is 0.0; it must be > 0"
         assert capsys.readouterr() == ("", message + "\n")
         assert not (tmp_path / "out").exists()
 
@@ -647,6 +660,18 @@ class TestReportCommand:
         svg = (tmp_path / "out" / "plots" / "penalty.svg").read_text()
         assert ">5<" in svg and ">6<" in svg  # the x ticks of [5, 6]
 
+    def test_constant_large_column_gets_a_span(self, tmp_path, capsys):
+        """A penalty of 1e17 on every row absorbs no fixed widening: the y
+        span is widened relative to the value, and every plot is written."""
+        metrics = tmp_path / "large.tsv"
+        rows = ["\t".join([str(it)] + ["1e17" if col == "penalty" else "1.0" for col in METRIC_COLUMNS[1:]])
+                for it in (1, 2)]
+        metrics.write_text("\n".join(["\t".join(METRIC_COLUMNS), *rows]) + "\n")
+        assert run_cli(tmp_path, "report", "--metrics", str(metrics)) == 0
+        plots = sorted(p.name for p in (tmp_path / "out" / "plots").iterdir())
+        assert plots == ["distances.svg", "likelihood_ratio.svg", "objectives.svg", "penalty.svg"]
+        assert ">1e+17<" in (tmp_path / "out" / "plots" / "penalty.svg").read_text()
+
     def test_missing_metrics_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
         empty.write_text("")
@@ -662,7 +687,7 @@ class TestReportCommand:
                                       for col in METRIC_COLUMNS[1:]]) for it in (1, 2)]
         partly_empty.write_text("\n".join([header, *rows]) + "\n")
         for path, message in (
-            ("nope.tsv", "metrics file nope.tsv does not exist"),
+            ("nope.tsv", "report: metrics file nope.tsv does not exist"),
             (empty, "report: empty metrics file"),
             (wrong, "report: unexpected metrics columns: ('iteration', 'loss')"),
             (header_only, "report: no metric records to plot"),
@@ -711,6 +736,13 @@ class TestSvgPlot:
         emit_svg_lineplot(series, p1, title="t", reference_y=1.0)
         emit_svg_lineplot(series, p2, title="t", reference_y=1.0)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_span_below_the_values_resolution_ends(self, tmp_path):
+        """At 1e17 a tick step of 5 is below one unit in the last place: the
+        ticks are counted, not stepped until they pass the top."""
+        path = tmp_path / "p.svg"
+        emit_svg_lineplot([("s", [1, 2], [1e17, 1e17 + 16])], path)
+        assert path.read_text().count("text-anchor=\"end\"") <= 6  # y tick labels
 
     def test_empty_series_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="no series"):

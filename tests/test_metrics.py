@@ -9,31 +9,21 @@ import pytest
 
 from helpers import pooled_mmd_rbf
 from ratiogan.densities import gaussian, ring, sample
-from ratiogan import metrics
 from ratiogan.metrics import (
     _BAND,
-    _MEDIAN_SAMPLE,
     _blocks,
     _kernel_sum,
-    _median,
     _stride,
+    median_pair_distance,
     mmd_rbf,
     sliced_wasserstein,
 )
 
 
-class Listed:
-    """Values held as a list of arrays, in the form _median reads."""
-
-    def __init__(self, arrays):
-        self.arrays = arrays
-        self.total = sum(a.size for a in arrays)
-
-    def strided(self, step):
-        return np.concatenate([a.flat[::step] for a in self.arrays])
-
-    def pieces(self):
-        return iter(self.arrays)
+def kernel_width(bandwidth, target):
+    """A test's bandwidth: the number given, or for "median" the median
+    pair distance of the target sample, as a training run fixes its own."""
+    return median_pair_distance(target) if bandwidth == "median" else bandwidth
 
 
 def whole_block(sq):
@@ -62,7 +52,7 @@ class TestMmd:
     def test_median_heuristic_runs(self):
         x = sample(gaussian([0.0], [[1.0]]), 200, 1)
         y = sample(gaussian([2.0], [[1.0]]), 200, 2)
-        val = mmd_rbf(x, y, "median")
+        val = mmd_rbf(x, y, median_pair_distance(y))
         assert 0.0 < val < 2.0
 
     def test_degenerate_bandwidth_rejected(self):
@@ -70,7 +60,13 @@ class TestMmd:
         with pytest.raises(ValueError, match="bandwidth"):
             mmd_rbf(x, x, 0.0)
         with pytest.raises(ValueError, match="bandwidth"):
-            mmd_rbf(x, x, "median")  # all-equal points give median distance 0
+            mmd_rbf(x, x, median_pair_distance(x))  # all-equal points give median distance 0
+
+    def test_string_bandwidth_rejected(self):
+        """The bandwidth is a number: there is no per-call heuristic."""
+        x = np.arange(10.0).reshape(5, 2)
+        with pytest.raises(TypeError):
+            mmd_rbf(x, x + 1.0, "median")
 
     def test_needs_two_samples(self):
         with pytest.raises(ValueError, match="at least 2"):
@@ -79,6 +75,18 @@ class TestMmd:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="arity"):
             mmd_rbf(np.ones((5, 1)), np.ones((5, 2)), 1.0)
+
+
+class TestMedianPairDistance:
+    def test_pairs_rows_across_halves(self):
+        """Rows i and h + i are paired; an odd last row is left out."""
+        sample_ = np.array([[0.0], [0.0], [1.0], [3.0], [4.0], [100.0]])
+        assert median_pair_distance(sample_) == 4.0  # distances 3, 4 and 99
+        assert median_pair_distance(sample_[:5]) == 2.0  # distances 1 and 3; row 4 unpaired
+
+    def test_euclidean_distance(self):
+        sample_ = np.array([[0.0, 0.0], [3.0, 4.0]])
+        assert median_pair_distance(sample_) == 5.0
 
 
 class TestMmdMatchesPooledOracle:
@@ -112,27 +120,16 @@ class TestMmdMatchesPooledOracle:
         rng = np.random.default_rng(m * 7 + n * 3 + dim)
         x = rng.standard_normal((m, dim)) * 1.5
         y = rng.standard_normal((n, dim)) + 0.4
+        bandwidth = kernel_width(bandwidth, y)
         assert mmd_rbf(x, y, bandwidth) == pooled_mmd_rbf(x, y, bandwidth)
 
     def test_ring_eval_shape(self):
-        """The ring2d eval call: 2048 generated vs 2048 target points."""
+        """The ring2d eval call: 2048 generated vs 2048 target points, at
+        the target's median pair distance."""
         x = sample(ring(8, 2.0, 0.02), 2048, 5)
         y = sample(gaussian([0.0, 0.0], np.eye(2)), 2048, 6)
-        assert mmd_rbf(y, x, "median") == pooled_mmd_rbf(y, x, "median")
-
-    @pytest.mark.parametrize("m,n,dim", [(300, 452, 2), (517, 80, 2), (130, 701, 3)])
-    def test_forced_median_fallback(self, monkeypatch, m, n, dim):
-        """With no bracket the median comes from np.median on a copy of all
-        pooled pairs, taken piece by piece before a buffer is reused."""
-        rng = np.random.default_rng(m + n + dim)
-        x = rng.standard_normal((m, dim)) * 1.5
-        y = rng.standard_normal((n, dim)) + 0.4
-        want = pooled_mmd_rbf(x, y, "median")
-        median, sizes = np.median, []
-        monkeypatch.setattr(metrics, "_MEDIAN_WIDTH", 0.0)
-        monkeypatch.setattr(metrics.np, "median", lambda a, **kw: sizes.append(a.size) or median(a, **kw))
-        assert mmd_rbf(x, y, "median") == want
-        assert sizes == [m * (m - 1) // 2 + n * (n - 1) // 2 + m * n]
+        bandwidth = median_pair_distance(x)
+        assert mmd_rbf(y, x, bandwidth) == pooled_mmd_rbf(y, x, bandwidth)
 
     def test_ring_eval_peak_memory(self):
         """Beyond one float64 block on its padded row stride (2056), the
@@ -141,12 +138,13 @@ class TestMmdMatchesPooledOracle:
         bands."""
         x = sample(ring(8, 2.0, 0.02), 2048, 5)
         y = sample(gaussian([0.0, 0.0], np.eye(2)), 2048, 6)
+        bandwidth = median_pair_distance(x)
         blocks = 2048 * 2056 * 8
         tracemalloc.start()
         try:
             tracemalloc.reset_peak()
             before = tracemalloc.get_traced_memory()[0]
-            mmd_rbf(y, x, "median")
+            mmd_rbf(y, x, bandwidth)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -157,6 +155,7 @@ class TestMmdMatchesPooledOracle:
         """The call's buffers go when it returns, not at the next gc run."""
         rng = np.random.default_rng(9)
         x, y = rng.standard_normal((1000, 2)), rng.standard_normal((1000, 2))
+        bandwidth = kernel_width(bandwidth, y)
         gc.disable()
         tracemalloc.start()
         try:
@@ -171,6 +170,7 @@ class TestMmdMatchesPooledOracle:
     @pytest.mark.parametrize("bandwidth", ["median", 0.0, -1.0])
     def test_degenerate_bandwidth_like_oracle(self, bandwidth):
         x = np.zeros((6, 2))
+        bandwidth = kernel_width(bandwidth, x)  # all-equal points give median distance 0
         for fn in (mmd_rbf, pooled_mmd_rbf):
             with pytest.raises(ValueError, match="degenerate bandwidth"):
                 fn(x, x, bandwidth)
@@ -181,6 +181,7 @@ class TestMmdMatchesPooledOracle:
         x = rng.standard_normal((40, 2))
         y = rng.standard_normal((30, 2))
         x[7, 1] = np.nan
+        bandwidth = kernel_width(bandwidth, y)
         assert math.isnan(pooled_mmd_rbf(x, y, bandwidth))
         assert math.isnan(mmd_rbf(x, y, bandwidth))
 
@@ -209,7 +210,7 @@ class TestMmdMatchesPooledOracle:
                 x[rng.integers(0, m), rng.integers(0, dim)] = np.nan
             elif kind == 4:
                 y[rng.integers(0, n), rng.integers(0, dim)] = rng.choice([np.inf, -np.inf])
-            bandwidth = "median" if case % 2 else float(rng.uniform(0.3, 3.0))
+            bandwidth = median_pair_distance(y) if case % 2 else float(rng.uniform(0.3, 3.0))
             want = outcome(pooled_mmd_rbf, x, y, bandwidth)
             assert outcome(mmd_rbf, x, y, bandwidth) == want, (case, m, n, dim, kind, bandwidth)
 
@@ -273,59 +274,8 @@ class TestKernelSumOrder:
         x[5] = 0.0
         xx = _blocks(x, x)[0]
         k = np.exp(whole_block(xx) * -0.7)
-        diag = np.exp(xx.at(np.arange(len(x)), np.arange(len(x))) * -0.7)
+        diag = np.exp(xx.diagonal() * -0.7)
         assert diag.sum() == np.trace(k)
-
-
-class TestMedianSelection:
-    @pytest.mark.parametrize("size", [1, 2, 3, 10, 9999, 100_000, 100_001])
-    def test_equals_numpy_median(self, size):
-        rng = np.random.default_rng(size)
-        v = rng.standard_normal(size) ** 2
-        cut = size // 3
-        pieces = [v[:cut], v[cut:]]
-        assert _median(Listed(pieces)) == np.median(v)
-
-    def test_pieces_left_unchanged(self):
-        v = np.random.default_rng(1).random(50_000)
-        before = v.copy()
-        _median(Listed([v[:20_000], v[20_000:]]))
-        assert np.array_equal(v, before)
-
-    def test_ties_at_bracket_edges(self):
-        v = np.random.default_rng(2).integers(0, 5, 100_000).astype(float)
-        assert _median(Listed([v])) == np.median(v)
-
-    def test_biased_subsample_falls_back(self, monkeypatch):
-        """Every strided sample is 0, so the bracket misses the middle."""
-        v = np.random.default_rng(3).uniform(1.0, 2.0, 20 * _MEDIAN_SAMPLE)
-        v[:: v.size // _MEDIAN_SAMPLE] = 0.0
-        want = np.median(v)
-        fallbacks = []
-        monkeypatch.setattr(
-            metrics.np, "median", lambda a, **kw: fallbacks.append(a.size) or want
-        )
-        assert _median(Listed([v])) == want
-        assert fallbacks == [v.size]
-
-    def test_band_views_equal_numpy_median(self):
-        """2-D, non-contiguous pieces (row bands of a block) are read in place."""
-        d = np.random.default_rng(4).random((600, 600))
-        before = d.copy()
-        pieces = [d[:256, 256:], d[256:512, 512:], d[:256, :256][np.triu_indices(256, 1)]]
-        want = np.median(np.concatenate([p.ravel() for p in pieces]))
-        assert _median(Listed(pieces)) == want
-        assert np.array_equal(d, before)
-
-    def test_nan_falls_back(self):
-        v = np.random.default_rng(5).random(100_000)
-        v[12_345] = np.nan
-        assert math.isnan(_median(Listed([v[:500], v[500:]])))
-
-    def test_infinities(self):
-        v = np.random.default_rng(6).random(100_000)
-        v[:30_000] = np.inf
-        assert _median(Listed([v])) == np.median(v)
 
 
 class TestSlicedWasserstein:

@@ -87,6 +87,14 @@ class TestConfigValidation:
         shift_config(disc_hidden="relu", lam=0.0).validate()
 
 
+class TestSeeds:
+    def test_first_five_seeds_kept(self):
+        """The sixth seed, the MMD reference draw's, moves none of the others."""
+        seeds = shift_config(seed=20260811).seeds
+        assert len(seeds) == 6
+        assert seeds[:5] == (1770542308, 259286681, 4289647316, 1497963579, 2331888737)
+
+
 class TestLoopAccounting:
     def test_step_counters(self):
         """One generator iteration is critic_iters discriminator steps plus one."""
@@ -656,14 +664,15 @@ class TestEvalThread:
         seen = []
         mmd = training.mmd_rbf
 
-        def spy(*args, **kwargs):
-            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["divide"]))
-            return mmd(*args, **kwargs)
+        def spy(x, y, bandwidth):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()["divide"], bandwidth))
+            return mmd(x, y, bandwidth)
 
         monkeypatch.setattr(training, "mmd_rbf", spy)
+        config = shift_config()
         with np.errstate(divide="ignore"):
-            train(shift_config())
-        assert seen == [(False, "ignore")] * 2
+            train(config)
+        assert seen == [(False, "ignore", config.mmd_bandwidth)] * 2  # one kernel for every eval
 
     def test_eval_exception_propagates_and_leaves_no_thread(self, monkeypatch):
         def broken(*args, **kwargs):
