@@ -35,7 +35,6 @@ import contextlib
 import math
 import os
 import sys
-import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -209,6 +208,7 @@ def cmd_verify(args) -> int:
 
 def cmd_solve_grid(args) -> int:
     from .grid_solver import (
+        FULL_COVERAGE,
         DiscreteDensity,
         RatioField,
         SolverDiverged,
@@ -244,8 +244,7 @@ def cmd_solve_grid(args) -> int:
     if density.kind == "file":
         raise UsageError("solve-grid: needs an analytic density, not a sample file")
 
-    with _rejected_as_usage("solve-grid"), warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _rejected_as_usage("solve-grid"):
         if args.uniform:
             f = DiscreteDensity(
                 support=np.linspace(lo, hi, args.n_points),
@@ -254,8 +253,8 @@ def cmd_solve_grid(args) -> int:
         else:
             window = (lo, hi) if density.dim == 1 else ((lo, hi),) * 2
             f = discretize(density, args.n_points, window)
-    for warning in caught:  # a short window's coverage, as one line
-        print(f"solve-grid: {warning.message}", file=sys.stderr)
+    if f.coverage < FULL_COVERAGE:  # a short window's coverage, as one line
+        print(f"solve-grid: window captures {f.coverage:.4f} < {FULL_COVERAGE} of the density mass", file=sys.stderr)
 
     if args.init == "ones":
         r0 = RatioField(np.ones(len(f)))
@@ -392,7 +391,6 @@ def _checked_config(text: str, overrides) -> TrainConfig:
     """One run's config with the overrides applied, checked as far as
     possible without training: raises CONFIG_ERRORS."""
     config = train_config_from_text(apply_overrides(text, overrides))
-    config.validate()
     catalogue_lookup(config.loss_name)
     return config
 

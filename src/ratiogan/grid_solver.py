@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Sequence, Union
@@ -49,6 +48,7 @@ CONSTRAINT_TOL = 1e-8
 PROJECTION_RESIDUAL = 1e-10
 PROJECTION_MAX_ITERS = 1000
 TRACE_CHUNK_ROWS = 2048  # rows formatted, joined and written per write call
+FULL_COVERAGE = 0.99  # solve-grid reports a window that captures less of the density mass
 
 
 @dataclass(frozen=True)
@@ -146,7 +146,8 @@ def discretize(
     ``density`` is a pdf callable or a spec for ``ratiogan.densities.pdf``,
     called once on the whole grid: (n,) points in 1D, (n*n, 2) in 2D.
     ``window`` is (lo, hi) in 1D or ((xlo, xhi), (ylo, yhi)) in 2D;
-    ``n_points`` counts grid nodes per axis.
+    ``n_points`` counts grid nodes per axis.  The mass the window captures
+    is kept as ``coverage``; less than half of it is an error.
     """
     if n_points < 2:
         raise ValueError("need at least 2 grid points")
@@ -180,10 +181,6 @@ def discretize(
     coverage = float(masses.sum())
     if coverage < 0.5:
         raise ValueError(f"window captures only {coverage:.3f} of the density mass")
-    if coverage < 0.99:
-        warnings.warn(
-            f"window captures {coverage:.4f} < 0.99 of the density mass", stacklevel=2
-        )
     return DiscreteDensity(support=support, mass=masses / coverage, coverage=coverage)
 
 

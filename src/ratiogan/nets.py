@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from .losses import CANONICAL_RANGES, NONNEGATIVE, REALS, SYMMETRIC_UNIT, UNIT
+from .losses import CANONICAL_RANGES, NONNEGATIVE, REALS, SYMMETRIC_UNIT, UNIT, _sigmoid
 
 __all__ = [
     "NetSpec",
@@ -100,7 +100,7 @@ def _act_eval(name: str, z: np.ndarray, second_from: Optional[int] = None):
     if name in ("softplus", "logistic"):
         # the sigmoid in tanh form, once; not the copysign form above,
         # which can differ from it in the last bit
-        sig = 0.5 * (1.0 + np.tanh(0.5 * z))
+        sig = _sigmoid(z)
         if name == "softplus":
             a, d1 = np.logaddexp(0.0, z), sig
             d2 = None if second_from is None else d1[second_from:] * (1.0 - d1[second_from:])

@@ -8,6 +8,7 @@ hashed element ids.
 from __future__ import annotations
 
 import math
+from sys import float_info
 from typing import Optional, Sequence, Tuple
 
 __all__ = ["emit_svg_lineplot"]
@@ -32,16 +33,17 @@ def _fmt(x: float) -> str:
 
 
 def _ticks(lo: float, hi: float, n: int = 6) -> list:
-    """Round tick values over [lo, hi]; the caller widens an empty span first."""
-    raw = (hi - lo) / max(n - 1, 1)
+    """Round tick values over [lo, hi]; the caller widens an empty span first.  Differences of
+    halves, exact for normal floats, give the ticks of plain differences without overflow."""
+    raw = (0.5 * hi - 0.5 * lo) / (0.5 * max(n - 1, 1))
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 2.5, 5.0, 10.0):
         if raw <= mult * mag:
             step = mult * mag
             break
-    start = math.ceil(lo / step) * step
-    count = math.floor((hi - start) / step + 1e-12) + 1  # not a loop on t: at 1e17, t + 5 rounds to t
-    return [0.0 if abs(t) < 1e-15 else t for t in (start + k * step for k in range(count))]
+    half_start, half_step = 0.5 * math.ceil(lo / step) * step, 0.5 * step
+    count = math.floor((0.5 * hi - half_start) / half_step + 1e-12) + 1  # not a loop on t: at 1e17, t + 5 rounds to t
+    return [0.0 if abs(t) < 1e-15 else t for t in (2.0 * (half_start + k * half_step) for k in range(count))]
 
 
 def emit_svg_lineplot(
@@ -80,9 +82,9 @@ def emit_svg_lineplot(
         x_hi = x_lo + 1.0
     if y_hi == y_lo:  # widen by half the value, so that a large one is not absorbed
         half = 0.5 * max(abs(y_lo), 1.0)
-        y_lo, y_hi = y_lo - half, y_hi + half
-    pad = 0.05 * (y_hi - y_lo)
-    y_lo, y_hi = y_lo - pad, y_hi + pad
+        y_lo, y_hi = max(y_lo - half, -float_info.max), min(y_hi + half, float_info.max)
+    pad = 0.1 * (0.5 * y_hi - 0.5 * y_lo)  # 5% of the span, from halves: no limit, span or pad overflows
+    y_lo, y_hi = max(y_lo - pad, -float_info.max), min(y_hi + pad, float_info.max)
 
     plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
     plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
@@ -91,7 +93,7 @@ def emit_svg_lineplot(
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
 
     def sy(y: float) -> float:
-        return MARGIN_TOP + (y_hi - y) / (y_hi - y_lo) * plot_h
+        return MARGIN_TOP + (0.5 * y_hi - 0.5 * y) / (0.5 * y_hi - 0.5 * y_lo) * plot_h
 
     out = []
     out.append(

@@ -11,12 +11,12 @@ evaluation batches: objectives, the discriminator-implied
 likelihood-ratio statistics (for invertible losses; both fresh-batch and
 training-batch variants are recorded), and two-sample distances between
 generated and target samples: MMD under the run's one Gaussian kernel
-and SWD along the run's one set of directions.  The six
-``TrainConfig.seeds`` feed, in order: generator init, discriminator init,
+and SWD along the run's one set of directions.  A ``TrainConfig`` is
+checked when it is built, which computes its seeds and bandwidth once.
+Its six ``seeds`` feed, in order: generator init, discriminator init,
 the training draws, the eval draws and SWD directions, the draws of
 ``final_samples``, the finished generator's sample file, and the target
-draw whose median pair distance is the run's MMD bandwidth
-(``TrainConfig.mmd_bandwidth``).
+draw whose median pair distance is the run's ``mmd_bandwidth``.
 
 Each snapshot runs on one eval thread while training goes on, on copies
 of the nets and with its own random generator, so records are as if run
@@ -31,6 +31,7 @@ import contextvars
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -74,6 +75,8 @@ MMD_REFERENCE_PAIRS = 2048  # disjoint target pairs whose median distance is a r
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run's settings, checked when built (by ``replace`` too), which computes its seeds and MMD bandwidth once."""
+
     loss_name: str
     f_spec: DensitySpec  # target density; kind "file" holds a CSV sample file's rows
     h_spec: DensitySpec  # origin density feeding the generator
@@ -94,19 +97,7 @@ class TrainConfig:
     seed: int = 0
     checkpoint_every: int = 0  # 0 = final checkpoint only
 
-    @property
-    def seeds(self) -> tuple:
-        """The run's six seeds, from one SeedSequence; the module docstring names their streams."""
-        return tuple(int(s) for s in np.random.SeedSequence(self.seed).generate_state(6))
-
-    @property
-    def mmd_bandwidth(self) -> float:
-        """The run's MMD kernel bandwidth: the median distance of
-        MMD_REFERENCE_PAIRS disjoint pairs of one target draw, fixed per run
-        so that every snapshot's mmd is read under the same kernel."""
-        return median_pair_distance(sample(self.f_spec, 2 * MMD_REFERENCE_PAIRS, self.seeds[5]))
-
-    def validate(self):
+    def __post_init__(self):
         if self.critic_iters < 1:
             raise ValueError("critic_iters must be >= 1")
         if self.batch_size < 2:
@@ -146,6 +137,18 @@ class TrainConfig:
         bandwidth = self.mmd_bandwidth
         if not bandwidth > 0:
             raise ValueError(f"the MMD bandwidth, the target's median pair distance, is {bandwidth!r}; it must be > 0")
+
+    @cached_property
+    def seeds(self) -> tuple:
+        """The run's six seeds, from one SeedSequence; the module docstring names their streams."""
+        return tuple(int(s) for s in np.random.SeedSequence(self.seed).generate_state(6))
+
+    @cached_property
+    def mmd_bandwidth(self) -> float:
+        """The run's MMD kernel bandwidth: the median distance of
+        MMD_REFERENCE_PAIRS disjoint pairs of one target draw, fixed per run
+        so that every snapshot's mmd is read under the same kernel."""
+        return median_pair_distance(sample(self.f_spec, 2 * MMD_REFERENCE_PAIRS, self.seeds[5]))
 
 
 @dataclass(frozen=True)
@@ -197,7 +200,7 @@ def gradient_penalty(disc: DenseNet, cache: dict, input_grads: np.ndarray, varia
         value = lam * excess[k] ** 2
         coeffs = np.zeros_like(norms)
         coeffs[k] = 2.0 * lam * excess[k]
-    else:  # "mean"; TrainConfig.validate admits no other name
+    else:  # "mean"; a TrainConfig admits no other name
         value = lam * np.mean(excess**2)
         coeffs = 2.0 * lam * excess / len(norms)
     if not coeffs.any():  # no row above one: the second-order pass would give exact zeros
@@ -366,7 +369,6 @@ def train(config: TrainConfig, loss: Optional[LossPair] = None) -> TrainResult:
 
 
 def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolExecutor) -> TrainResult:
-    config.validate()
     if loss is None:
         loss = catalogue_lookup(config.loss_name).loss
 

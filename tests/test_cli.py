@@ -672,6 +672,18 @@ class TestReportCommand:
         assert plots == ["distances.svg", "likelihood_ratio.svg", "objectives.svg", "penalty.svg"]
         assert ">1e+17<" in (tmp_path / "out" / "plots" / "penalty.svg").read_text()
 
+    @pytest.mark.parametrize("values", [("1.7e308", "1.7e308"), ("-1.7e308", "1.7e308")], ids=["constant", "both-signs"])
+    def test_extreme_column_plots(self, tmp_path, values):
+        """Near the largest float, no widened or padded y span overflows."""
+        metrics = tmp_path / "extreme.tsv"
+        rows = ["\t".join([str(it)] + [value if col == "penalty" else "1.0" for col in METRIC_COLUMNS[1:]])
+                for it, value in zip((1, 2), values)]
+        metrics.write_text("\n".join(["\t".join(METRIC_COLUMNS), *rows]) + "\n")
+        assert run_cli(tmp_path, "report", "--metrics", str(metrics)) == 0
+        plots = sorted(p.name for p in (tmp_path / "out" / "plots").iterdir())
+        assert plots == ["distances.svg", "likelihood_ratio.svg", "objectives.svg", "penalty.svg"]
+        assert ">1e+308<" in (tmp_path / "out" / "plots" / "penalty.svg").read_text()
+
     def test_missing_metrics_file(self, tmp_path, capsys):
         empty = tmp_path / "empty.tsv"
         empty.write_text("")

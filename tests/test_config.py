@@ -63,12 +63,12 @@ class TestParsing:
 
     def test_sample_file_target(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "data.csv").write_text("1.0\n2.5\n")
+        (tmp_path / "data.csv").write_text("1.0\n2.5\n4.0\n")  # median pair distance > 0: a valid config
         text = BASE.replace("kind = gaussian\nmean = 4.0\ncov = 1.0", "kind = file\npath = data.csv", 1)
         cfg = train_config_from_text(text)
         assert cfg.f_spec == sample_file("data.csv")
         assert cfg.f_spec.kind == "file" and cfg.f_spec.path == "data.csv" and cfg.f_spec.dim == 1
-        np.testing.assert_array_equal(cfg.f_spec.rows, [[1.0], [2.5]])
+        np.testing.assert_array_equal(cfg.f_spec.rows, [[1.0], [2.5], [4.0]])
 
     def test_origin_must_be_analytic(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)

@@ -11,6 +11,7 @@ from ratiogan import grid_solver
 from ratiogan.catalogue import catalogue_lookup, iter_catalogue
 from ratiogan.densities import gaussian, mixture, pdf, ring
 from ratiogan.grid_solver import (
+    FULL_COVERAGE,
     DiscreteDensity,
     RatioField,
     SolveTrace,
@@ -111,9 +112,10 @@ class TestDiscretize:
         left = d.mass[d.support < 0.0].sum()
         assert left == pytest.approx(0.5, abs=1e-6)
 
-    def test_low_coverage_warns(self):
-        with pytest.warns(UserWarning, match="captures"):
-            discretize(gaussian([0.0], [[1.0]]), 64, (-1.0, 1.0))  # ~68% mass
+    def test_low_coverage_is_recorded(self):
+        d = discretize(gaussian([0.0], [[1.0]]), 64, (-1.0, 1.0))
+        assert d.coverage == pytest.approx(0.69, abs=0.01)  # below FULL_COVERAGE: solve-grid reports it
+        assert d.coverage < FULL_COVERAGE
 
     def test_very_low_coverage_errors(self):
         with pytest.raises(ValueError, match="captures"):

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import pickle
 import threading
 import tracemalloc
 
@@ -51,40 +52,47 @@ def shift_config(**overrides):
     return TrainConfig(**base)
 
 
+BAD_VALUES = [
+    ("critic_iters", 0, "critic_iters"),
+    ("batch_size", 1, "batch_size"),
+    ("lam", -1.0, "lambda"),
+    ("total_generator_iters", 0, "total_generator_iters"),
+    ("penalty_variant", "soft", "variant"),
+    ("eval_batch", 1, "eval_batch must be >= 2"),
+    ("disc_hidden", "swish", "discriminator: unknown activation 'swish'"),
+    ("gen_hidden_widths", (0,), "generator: layer widths must be >= 1"),
+    ("disc_hidden_widths", (), "discriminator: need at least one hidden layer"),
+    ("beta2", 1.0, r"beta2 must be in \[0, 1\)"),
+    ("beta1", 1.5, r"beta1 must be in \[0, 1\)"),
+    ("learning_rate", -1.0, "learning_rate must be positive"),
+    ("learning_rate", 0.0, "learning_rate must be positive"),
+    ("seed", -1, "seed must be >= 0"),
+    ("lam", math.nan, "lambda must be nonnegative and finite"),
+    ("lam", math.inf, "lambda must be nonnegative and finite"),
+    ("learning_rate", math.inf, "learning_rate must be positive and finite"),
+    ("checkpoint_every", -5, "checkpoint_every must be >= 0"),
+]
+
+
 class TestConfigValidation:
-    @pytest.mark.parametrize(
-        "field,value,msg",
-        [
-            ("critic_iters", 0, "critic_iters"),
-            ("batch_size", 1, "batch_size"),
-            ("lam", -1.0, "lambda"),
-            ("total_generator_iters", 0, "total_generator_iters"),
-            ("penalty_variant", "soft", "variant"),
-            ("eval_batch", 1, "eval_batch must be >= 2"),
-            ("disc_hidden", "swish", "discriminator: unknown activation 'swish'"),
-            ("gen_hidden_widths", (0,), "generator: layer widths must be >= 1"),
-            ("disc_hidden_widths", (), "discriminator: need at least one hidden layer"),
-            ("beta2", 1.0, r"beta2 must be in \[0, 1\)"),
-            ("beta1", 1.5, r"beta1 must be in \[0, 1\)"),
-            ("learning_rate", -1.0, "learning_rate must be positive"),
-            ("learning_rate", 0.0, "learning_rate must be positive"),
-            ("seed", -1, "seed must be >= 0"),
-            ("lam", math.nan, "lambda must be nonnegative and finite"),
-            ("lam", math.inf, "lambda must be nonnegative and finite"),
-            ("learning_rate", math.inf, "learning_rate must be positive and finite"),
-            ("checkpoint_every", -5, "checkpoint_every must be >= 0"),
-        ],
-    )
+    @pytest.mark.parametrize("field,value,msg", BAD_VALUES)
     def test_rejects_bad_values(self, field, value, msg):
         with pytest.raises(ValueError, match=msg):
-            shift_config(**{field: value}).validate()
+            shift_config(**{field: value})
+
+    @pytest.mark.parametrize("field,value,msg", BAD_VALUES)
+    def test_replace_rejects_bad_values(self, field, value, msg):
+        """dataclasses.replace builds a new config, so it is checked again."""
+        config = shift_config()
+        with pytest.raises(ValueError, match=msg):
+            dataclasses.replace(config, **{field: value})
 
     def test_rejects_rectifier_with_penalty(self):
         with pytest.raises(ValueError, match="relu"):
-            shift_config(disc_hidden="relu", lam=10.0).validate()
+            shift_config(disc_hidden="relu", lam=10.0)
 
     def test_accepts_rectifier_without_penalty(self):
-        shift_config(disc_hidden="relu", lam=0.0).validate()
+        shift_config(disc_hidden="relu", lam=0.0)
 
 
 class TestSeeds:
@@ -93,6 +101,35 @@ class TestSeeds:
         seeds = shift_config(seed=20260811).seeds
         assert len(seeds) == 6
         assert seeds[:5] == (1770542308, 259286681, 4289647316, 1497963579, 2331888737)
+
+
+class TestRunConstants:
+    def test_one_bandwidth_draw_per_cli_run(self, tmp_path, monkeypatch):
+        """The construction check draws the bandwidth; four evals read it."""
+        calls = []
+        median = training.median_pair_distance
+
+        def spy(sample_):
+            calls.append(len(sample_))
+            return median(sample_)
+
+        monkeypatch.setattr(training, "median_pair_distance", spy)
+        overrides = ["train.total_generator_iters=8", "train.eval_every=2", "train.eval_batch=64",
+                     "train.lambda=0.0"]
+        argv = ["--out", str(tmp_path / "out"), "train", "--preset", "ring2d-B2"]
+        assert main([*argv, *(arg for o in overrides for arg in ("--set", o))]) == 0
+        metrics = metrics_from_text((tmp_path / "out" / "ring2d-B2" / "metrics.tsv").read_text())
+        assert [r.generator_iteration for r in metrics] == [2, 4, 6, 8]
+        assert calls == [2 * training.MMD_REFERENCE_PAIRS]
+
+    def test_pickle_keeps_run_constants(self, monkeypatch):
+        """A --jobs worker unpickles the config's seeds and bandwidth; it draws none."""
+        config = shift_config()
+        monkeypatch.setattr(training, "median_pair_distance", None)  # a draw would fail
+        copy_ = pickle.loads(pickle.dumps(config))
+        assert copy_ == config
+        assert vars(copy_)["seeds"] == config.seeds
+        assert vars(copy_)["mmd_bandwidth"] == config.mmd_bandwidth
 
 
 class TestLoopAccounting:
