@@ -33,7 +33,9 @@ Density kinds: gaussian (mean, cov: scalar, diagonal, or ';'-separated
 rows), ring (modes, radius, sigma), uniform (low, high), mixture
 (components = weight gaussian <mean..> <diag-stddevs..> | ...), file
 (path = samples.csv, target only; read once when the config is parsed).
-A density section may hold the keys of any kind, and no other key.
+Gaussian, uniform and mixture take any dimension and a ring is 2-D;
+solve-grid grids are 1-D or 2-D only.  A density section may hold the
+keys of any kind, and no other key.
 """
 
 from __future__ import annotations

@@ -1,4 +1,8 @@
-"""Synthetic origin/target densities with exact samplers, pdfs, and ratios.
+"""Synthetic origin/target densities with exact samplers, log-densities and ratios.
+
+``log_pdf`` holds each kind's formula once, in log space; ``pdf`` is its exp and
+``true_log_ratio`` is log g - log f, finite where both densities underflow.
+Gaussian, uniform and mixture take any dimension, a ring is 2-D.
 
 Sampling is reproducible by construction: uniforms come from numpy's
 seeded PCG64 stream and normals are produced by Box-Muller in a fixed
@@ -28,6 +32,7 @@ __all__ = [
     "uniform",
     "sample_file",
     "sample",
+    "log_pdf",
     "pdf",
     "true_log_ratio",
     "load_samples",
@@ -76,8 +81,6 @@ def _as_tuple(x) -> tuple:
 def gaussian(mean, cov) -> DensitySpec:
     mean_t = _as_tuple(mean)
     dim = len(mean_t)
-    if dim not in (1, 2):
-        raise ValueError("only 1D and 2D densities are supported")
     cov_arr = np.asarray(cov, dtype=float)
     if cov_arr.ndim == 0:
         cov_arr = cov_arr * np.eye(dim)
@@ -132,8 +135,6 @@ def uniform(low, high) -> DensitySpec:
     low_t, high_t = _as_tuple(low), _as_tuple(high)
     if len(low_t) != len(high_t):
         raise ValueError("box corners must share a dimension")
-    if len(low_t) not in (1, 2):
-        raise ValueError("only 1D and 2D densities are supported")
     if not np.isfinite(low_t + high_t).all():
         raise ValueError("box corners must be finite")
     if any(h <= l for l, h in zip(low_t, high_t)):
@@ -214,57 +215,56 @@ def sample(spec: DensitySpec, n: int, seed) -> np.ndarray:
     raise ValueError(f"unknown density kind {spec.kind!r}")
 
 
-def _gaussian_logpdf(spec: DensitySpec, x: np.ndarray) -> np.ndarray:
-    mean = np.asarray(spec.mean)
-    cov = np.asarray(spec.cov)
-    diff = x - mean
-    inv = np.linalg.inv(cov)
-    det = np.linalg.det(cov)
-    # summed over j, then i, per row: a batch gives each point its one-point value
-    quad = ((diff[:, :, None] * inv) * diff[:, None, :]).sum(axis=2).sum(axis=1)
-    return -0.5 * (quad + spec.dim * math.log(2.0 * math.pi) + math.log(det))
-
-
-def pdf(spec: DensitySpec, x) -> Union[float, np.ndarray]:
-    """Exact density at a point (dim,) or batch (n, dim)."""
+def log_pdf(spec: DensitySpec, x) -> Union[float, np.ndarray]:
+    """Exact log-density at a point (dim,) or batch (n, dim); -inf off the support."""
     x_arr = np.asarray(x, dtype=float)
     scalar_input = x_arr.ndim == 0 or (x_arr.ndim == 1 and spec.dim == len(x_arr))
-    pts = np.atleast_2d(x_arr.reshape(-1, spec.dim) if x_arr.ndim > 0 else x_arr.reshape(1, 1))
-    if pts.shape[1] != spec.dim:
-        raise ValueError(f"point dimension {pts.shape[1]} != density dimension {spec.dim}")
+    pts = x_arr.reshape(-1, 1) if spec.dim == 1 and x_arr.ndim < 2 else np.atleast_2d(x_arr)
+    if pts.ndim != 2 or pts.shape[1] != spec.dim:
+        raise ValueError(f"point shape {x_arr.shape} does not fit density dimension {spec.dim}")
 
     if spec.kind == "gaussian":
-        out = np.exp(_gaussian_logpdf(spec, pts))
+        diff = pts - np.asarray(spec.mean)
+        cov = np.asarray(spec.cov)
+        inv = np.linalg.inv(cov)
+        # summed over j, then i, per row: a batch gives each point its one-point value
+        quad = ((diff[:, :, None] * inv) * diff[:, None, :]).sum(axis=2).sum(axis=1)
+        out = -0.5 * (quad + spec.dim * math.log(2.0 * math.pi) + math.log(np.linalg.det(cov)))
     elif spec.kind == "uniform":
         lo = np.asarray(spec.low)
         hi = np.asarray(spec.high)
         inside = np.all((pts >= lo) & (pts <= hi), axis=1)
-        out = inside / float(np.prod(hi - lo))
+        out = np.where(inside, -float(np.log(hi - lo).sum()), -math.inf)
     elif spec.kind == "ring":
         var = spec.sigma**2
         sq = ((pts[:, None, :] - spec.centers[None, :, :]) ** 2).sum(axis=2)
-        out = np.exp(-0.5 * sq / var).sum(axis=1) / (spec.modes * 2.0 * math.pi * var)
+        out = np.logaddexp.reduce(-0.5 * sq / var, axis=1) - math.log(spec.modes * 2.0 * math.pi * var)
     elif spec.kind == "mixture":
-        out = np.zeros(len(pts))
-        for w, sub in zip(spec.weights, spec.components):
-            out = out + w * np.exp(_gaussian_logpdf(sub, pts))
+        terms = [math.log(w) + log_pdf(sub, pts) for w, sub in zip(spec.weights, spec.components)]
+        out = np.logaddexp.reduce(np.column_stack(terms), axis=1)
+    elif spec.kind == "file":
+        raise ValueError(f"a sample-file target ({spec.path}) has no density")
     else:
         raise ValueError(f"unknown density kind {spec.kind!r}")
 
     return float(out[0]) if scalar_input else out
 
 
-def true_log_ratio(f_spec: DensitySpec, g_spec: DensitySpec, x) -> float:
-    """log g(x) - log f(x): the oracle for discriminator-derived estimates."""
-    fx = pdf(f_spec, x)
-    gx = pdf(g_spec, x)
-    if np.ndim(fx) != 0:
-        raise ValueError("true_log_ratio takes a single point")
-    if fx == 0.0:
-        raise ValueError(f"ratio undefined: target density vanishes at {x}")
-    if gx == 0.0:
-        return -math.inf
-    return math.log(gx) - math.log(fx)
+def pdf(spec: DensitySpec, x) -> Union[float, np.ndarray]:
+    """exp(log_pdf): the density at a point (dim,) or batch (n, dim)."""
+    out = np.exp(log_pdf(spec, x))
+    return float(out) if out.ndim == 0 else out
+
+
+def true_log_ratio(f_spec: DensitySpec, g_spec: DensitySpec, x) -> Union[float, np.ndarray]:
+    """log g(x) - log f(x) at a point or batch: the oracle for discriminator-derived
+    estimates.  -inf where only g vanishes; an error where f does."""
+    log_f = log_pdf(f_spec, x)
+    vanishes = np.flatnonzero(np.atleast_1d(log_f) == -math.inf)
+    if len(vanishes):
+        point = np.asarray(x, dtype=float).reshape(-1, f_spec.dim)[vanishes[0]]
+        raise ValueError(f"ratio undefined: target density vanishes at {point.tolist()}")
+    return log_pdf(g_spec, x) - log_f
 
 
 def load_samples(path) -> np.ndarray:

@@ -23,10 +23,11 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
+from .densities import DensitySpec, pdf
 from .losses import LossPair, concentrated, normalize_psi
 
 __all__ = [
@@ -136,36 +137,30 @@ class SolverDiverged(RuntimeError):
         self.trace = trace
 
 
-def discretize(
-    density: Union[Callable, "object"],
-    n_points: int,
-    window: Sequence,
-) -> DiscreteDensity:
-    """Evaluate a density on a regular grid and renormalize to unit mass.
+def discretize(density: DensitySpec, n_points: int, window: Sequence) -> DiscreteDensity:
+    """Evaluate a density's ``pdf`` on a regular grid and renormalize to unit mass.
 
-    ``density`` is a pdf callable or a spec for ``ratiogan.densities.pdf``,
-    called once on the whole grid: (n,) points in 1D, (n*n, 2) in 2D.
-    ``window`` is (lo, hi) in 1D or ((xlo, xhi), (ylo, yhi)) in 2D;
-    ``n_points`` counts grid nodes per axis.  The mass the window captures
-    is kept as ``coverage``; less than half of it is an error.
+    The pdf is called once on the whole grid: (n,) points in 1D, (n*n, 2) in 2D;
+    a grid is 1-D or 2-D only.  ``window`` is (lo, hi) in 1D or
+    ((xlo, xhi), (ylo, yhi)) in 2D; ``n_points`` counts grid nodes per axis.
+    The mass the window captures is kept as ``coverage``; less than half of
+    it is an error.
     """
+    if density.dim not in (1, 2):
+        raise ValueError(f"grids are 1-D or 2-D only, not {density.dim}-D")
     if n_points < 2:
         raise ValueError("need at least 2 grid points")
-    if callable(density):
-        pdf_fn = density
-    else:
-        from .densities import pdf as density_pdf
-
-        pdf_fn = lambda x: density_pdf(density, x)
 
     window = np.asarray(window, dtype=float)
-    if window.ndim == 1:
+    if window.shape != (2,) * density.dim:
+        raise ValueError("window must be (lo, hi) in 1D or ((xlo, xhi), (ylo, yhi)) in 2D")
+    if density.dim == 1:
         lo, hi = window
         if not hi > lo:
             raise ValueError("window must have positive length")
         support = np.linspace(lo, hi, n_points)
         cell = (hi - lo) / (n_points - 1)
-    elif window.shape == (2, 2):
+    else:
         (xlo, xhi), (ylo, yhi) = window
         if not (xhi > xlo and yhi > ylo):
             raise ValueError("window must have positive area")
@@ -174,10 +169,8 @@ def discretize(
         gx, gy = np.meshgrid(xs, ys, indexing="ij")
         support = np.column_stack([gx.ravel(), gy.ravel()])
         cell = (xhi - xlo) / (n_points - 1) * (yhi - ylo) / (n_points - 1)
-    else:
-        raise ValueError("window must be (lo, hi) or ((xlo, xhi), (ylo, yhi))")
 
-    masses = np.asarray(pdf_fn(support), dtype=float) * cell
+    masses = pdf(density, support) * cell
     coverage = float(masses.sum())
     if coverage < 0.5:
         raise ValueError(f"window captures only {coverage:.3f} of the density mass")

@@ -38,6 +38,28 @@ mean = 0.0
 cov = 1.0
 """
 
+THREE_D_TRAIN = """
+[loss]
+name = MSE
+
+[train]
+total_generator_iters = 20
+eval_every = 10
+eval_batch = 64
+batch_size = 8
+seed = 3
+
+[density.target]
+kind = gaussian
+mean = 4.0 0.0 -1.0
+cov = 1.0
+
+[density.origin]
+kind = gaussian
+mean = 0.0 0.0 0.0
+cov = 1.0
+"""
+
 
 def run_cli(tmp_path, *args):
     return main(["--out", str(tmp_path / "out"), *args])
@@ -278,6 +300,14 @@ class TestSolveGridCommand:
         assert not (tmp_path / "out").exists()
 
 
+    def test_3d_density_is_usage_error(self, tmp_path, capsys):
+        """A 3-D target has a density, but the grid is 1-D or 2-D: exit 2 before anything is staged."""
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text(THREE_D_TRAIN)
+        assert run_cli(tmp_path, "solve-grid", "--loss", "MSE", "--config", str(cfg)) == 2
+        assert capsys.readouterr().err == "solve-grid: grids are 1-D or 2-D only, not 3-D\n"
+        assert not (tmp_path / "out").exists()
+
     def test_short_window_warns_in_one_line(self, tmp_path, capsys):
         """discretize's low-coverage warning reaches stderr as one solve-grid line, not a raw warning."""
         rc = run_cli(tmp_path, "solve-grid", "--loss", "MSE", "--window", "-2.5", "2.5", "--max-iters", "5")
@@ -384,6 +414,21 @@ class TestTrainCommand:
         assert done.stdout == (
             "shift1d-B1a: aborted (non-finite discriminator objective at iteration 1); last-good checkpoint kept\n"
         )
+
+    def test_3d_run_trains_and_echoes(self, tmp_path, capsys):
+        """A 3-D target and origin train to finite metrics; the echoed config re-parses equal."""
+        from ratiogan.config import train_config_from_text
+
+        cfg = tmp_path / "three.cfg"
+        cfg.write_text(THREE_D_TRAIN)
+        assert run_cli(tmp_path, "train", "--config", str(cfg)) == 0
+        header, *rows = (tmp_path / "out" / "three" / "metrics.tsv").read_text().splitlines()
+        assert [row.split("\t")[0] for row in rows] == ["10", "20"]
+        assert all(np.isfinite(float(v)) for row in rows for v in row.split("\t"))
+        assert np.loadtxt(tmp_path / "out" / "three" / "samples_final.csv", delimiter=",", ndmin=2).shape[1] == 3
+        echo = tmp_path / "echo.cfg"
+        assert run_cli(tmp_path, "train", "--config", str(cfg), "--echo-config", str(echo)) == 0
+        assert train_config_from_text(echo.read_text()) == train_config_from_text(THREE_D_TRAIN)
 
     def test_missing_config_is_usage_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.cfg"

@@ -1,4 +1,4 @@
-"""Synthetic densities: samplers, pdfs, the ratio oracle, file ingestion."""
+"""Synthetic densities: samplers, log-densities, the ratio oracle, file ingestion."""
 
 import math
 
@@ -8,6 +8,7 @@ import pytest
 from ratiogan.densities import (
     gaussian,
     load_samples,
+    log_pdf,
     mixture,
     pdf,
     ring,
@@ -61,10 +62,6 @@ class TestSpecValidation:
     def test_non_finite_parameters_rejected(self, make, message, bad):
         with pytest.raises(ValueError, match=message):
             make(bad)
-
-    def test_dimension_limit(self):
-        with pytest.raises(ValueError, match="1D and 2D"):
-            gaussian([0.0, 0.0, 0.0], np.eye(3))
 
 
 class TestSampler:
@@ -220,6 +217,99 @@ class TestTrueLogRatio:
             assert ratios.mean() == pytest.approx(1.0, abs=0.02)
 
 
+RING = ring(8, 2.0, 0.02)
+STD2 = gaussian([0.0, 0.0], np.eye(2))
+
+
+def scipy_log_mixture(weights, means, covs, x):
+    """log sum_j w_j N(x; mean_j, cov_j) from scipy, as an independent oracle."""
+    from scipy.special import logsumexp
+    from scipy.stats import multivariate_normal
+
+    terms = [math.log(w) + multivariate_normal(m, c).logpdf(x) for w, m, c in zip(weights, means, covs)]
+    return logsumexp(terms, axis=0)
+
+
+def random_gaussian(rng, d):
+    a = rng.standard_normal((d, d)) / math.sqrt(d)
+    cov = a @ a.T + 0.5 * np.eye(d)
+    return gaussian(rng.standard_normal(d), 0.5 * (cov + cov.T))
+
+
+class TestLogPdf:
+    """Log-densities stay finite where pdf underflows to 0."""
+
+    def test_ring_hole_ratio(self):
+        """At [0, 0] every ring mode is 100 sigma away: log(g/f) = 5000 + 2 log 0.02."""
+        assert pdf(RING, [0.0, 0.0]) == 0.0
+        ratio = true_log_ratio(RING, STD2, [[0.0, 0.0]])
+        assert ratio.shape == (1,)
+        assert ratio[0] == pytest.approx(5000.0 + 2.0 * math.log(0.02), rel=1e-12)
+
+    @pytest.mark.parametrize("x", [[2.0, 0.0], [10.0, 0.0]], ids=["centre", "far"])
+    def test_ring_against_scipy(self, x):
+        want_f = scipy_log_mixture([1 / 8] * 8, RING.centers, [0.02**2 * np.eye(2)] * 8, x)
+        want_g = scipy_log_mixture([1.0], [np.zeros(2)], [np.eye(2)], x)
+        assert math.isfinite(want_g - want_f)
+        assert log_pdf(RING, x) == pytest.approx(want_f, rel=1e-12)
+        assert true_log_ratio(RING, STD2, x) == pytest.approx(want_g - want_f, rel=1e-12)
+
+    def test_mixture_between_far_modes(self):
+        spec = mixture([(0.5, gaussian([-40.0], [[1.0]])), (0.5, gaussian([40.0], [[1.0]]))])
+        assert pdf(spec, 0.0) == 0.0
+        assert log_pdf(spec, 0.0) == pytest.approx(-800.0 - 0.5 * math.log(2.0 * math.pi), rel=1e-12)
+        assert true_log_ratio(spec, gaussian([0.0], [[1.0]]), 0.0) == pytest.approx(800.0, rel=1e-12)
+
+    def test_64d_gaussian_and_mixture_against_scipy(self):
+        rng = np.random.default_rng(64)
+        comps = [random_gaussian(rng, 64) for _ in range(3)]
+        weights = [0.2, 0.3, 0.5]
+        mix = mixture(list(zip(weights, comps)))
+        x = np.vstack([sample(mix, 16, 1), sample(comps[0], 4, 2) + 3.0])
+        covs = [np.asarray(c.cov) for c in comps]
+        np.testing.assert_allclose(log_pdf(comps[0], x), scipy_log_mixture([1.0], [comps[0].mean], covs[:1], x),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(log_pdf(mix, x), scipy_log_mixture(weights, [c.mean for c in comps], covs, x),
+                                   rtol=1e-12)
+
+    def test_uniform_box_in_3d(self):
+        spec = uniform([0.0, -1.0, 2.0], [2.0, 1.0, 6.0])
+        np.testing.assert_array_equal(
+            log_pdf(spec, [[1.0, 0.0, 3.0], [1.0, 0.0, 7.0]]), [-math.log(16.0), -math.inf]
+        )
+        assert pdf(spec, [1.0, 0.0, 7.0]) == 0.0
+
+    @pytest.mark.parametrize(
+        "f,g",
+        [
+            (RING, STD2),
+            (gaussian([0.3], [[1.5]]), mixture([(0.4, gaussian([-2.0], [[0.5]])), (0.6, gaussian([1.0], [[2.0]]))])),
+            (gaussian([0.0, 1.0, -1.0], np.diag([1.0, 2.0, 0.5])),
+             mixture([(0.5, gaussian([1.0, 0.0, 0.0], np.eye(3))), (0.5, gaussian([-1.0, 0.0, 2.0], np.eye(3)))])),
+        ],
+        ids=["ring", "mixture1d", "mixture3d"],
+    )
+    def test_batch_ratio_equals_per_point(self, f, g):
+        x = sample(g, 200, 9)
+        batched = true_log_ratio(f, g, x)
+        assert np.isfinite(batched).all()
+        assert np.array_equal(batched, [true_log_ratio(f, g, p) for p in x])
+
+    @pytest.mark.parametrize(
+        "spec,x",
+        [(gaussian([0.0], [[1.0]]), np.zeros((4, 3))), (STD2, [1.0, 2.0, 3.0]), (STD2, 1.0), (STD2, np.zeros((4, 2, 1)))],
+        ids=["batch-of-3d-on-1d", "3d-point-on-2d", "scalar-on-2d", "3d-array"],
+    )
+    def test_point_shape_must_fit_the_dimension(self, spec, x):
+        with pytest.raises(ValueError, match="does not fit density dimension"):
+            log_pdf(spec, x)
+
+    def test_batch_names_a_point_where_the_target_vanishes(self):
+        f = uniform([0.0], [1.0])
+        with pytest.raises(ValueError, match=r"target density vanishes at \[2.0\]"):
+            true_log_ratio(f, gaussian([0.0], [[1.0]]), [[0.5], [2.0], [0.7]])
+
+
 class TestLoadSamples:
     def test_basic_matrix(self, tmp_path):
         p = tmp_path / "data.csv"
@@ -273,6 +363,14 @@ class TestSampleFile:
         for n in (8, 1, 64):
             np.testing.assert_array_equal(sample(spec, n, rng), spec.rows[plain.integers(0, 37, size=n)])
         assert rng.bit_generator.state == plain.bit_generator.state
+
+    def test_has_no_density(self, tmp_path):
+        p = tmp_path / "data.csv"
+        p.write_text("1\n2\n3\n")
+        spec = sample_file(p)
+        for fn in (log_pdf, pdf):
+            with pytest.raises(ValueError, match="sample-file target .* has no density"):
+                fn(spec, 1.0)
 
     def test_equality_ignores_rows(self, tmp_path):
         p = tmp_path / "data.csv"

@@ -132,11 +132,17 @@ class TestDiscretize:
         ids=["gaussian", "gaussian2d", "ring", "mixture"],
     )
     def test_batched_masses_equal_per_point_loop(self, spec, window):
-        """One pdf call on the grid gives the masses of one call per point."""
-        batched = discretize(spec, 64, window)
-        looped = discretize(lambda pts: np.asarray([float(pdf(spec, p)) for p in pts]), 64, window)
-        assert np.array_equal(batched.mass, looped.mass)
-        assert batched.coverage == looped.coverage
+        """The one pdf call on the grid gives each node its one-point value."""
+        support = discretize(spec, 64, window).support
+        assert np.array_equal(pdf(spec, support), [pdf(spec, p) for p in support])
+
+    def test_grid_is_1d_or_2d(self):
+        with pytest.raises(ValueError, match="grids are 1-D or 2-D only, not 3-D"):
+            discretize(gaussian(np.zeros(3), np.eye(3)), 8, ((-1.0, 1.0),) * 3)
+
+    def test_window_matches_density_dimension(self):
+        with pytest.raises(ValueError, match="window must be"):
+            discretize(gaussian([0.0], [[1.0]]), 8, ((-1.0, 1.0), (-1.0, 1.0)))
 
     def test_2d_grid(self):
         with warnings.catch_warnings():
