@@ -13,7 +13,7 @@ prints it, as one line on stderr, and returns 2.  Output files are staged
 with an ``.incomplete`` suffix and renamed only when the command
 finishes, so a failed run never leaves files that look complete.  The
 output root comes from ``--out`` or the RATIOGAN_OUT environment
-variable (default ``./out``).
+variable (default ``./out``); ``main`` refuses one that cannot be a directory.
 
 A training run uses up to two Python threads (trainer and eval) and one
 BLAS thread: ``import ratiogan`` sets OPENBLAS_NUM_THREADS=1 unless it or
@@ -61,8 +61,7 @@ ENV_OUT = "RATIOGAN_OUT"
 CONFIG_ERRORS = (ValueError, KeyError, OSError, configparser.Error)
 
 # Least value of each numeric flag, by argparse dest; a smaller value, NaN or +inf is a usage error.
-FLAG_MINIMA = {"n_points": 2, "log_every": 1, "max_iters": 1, "jobs": 1, "init_seed": 0, "tol": 0,
-               "argmax_tol": 0, "minimizer_tol": 0, "value_tol": 0, "deriv_tol": 0}
+FLAG_MINIMA = {"n_points": 2, "log_every": 1, "max_iters": 1, "jobs": 1, "init_seed": 0, "tol": 0}
 
 
 class UsageError(Exception):
@@ -175,24 +174,11 @@ def _select_losses(selector: str):
 
 
 def cmd_verify(args) -> int:
-    from .verify import check_corollary_value, check_derivatives, check_theorem1, write_reports
+    from .verify import certify, write_reports
 
     with _rejected_as_usage("verify"):
         losses = _select_losses(args.loss)
-    reports = []
-    for loss in losses:
-        reports.append(
-            check_theorem1(
-                loss,
-                tol=args.argmax_tol,
-                minimizer_tol=args.minimizer_tol,
-                value_tol=args.value_tol,
-                deriv_tol=args.deriv_tol,
-            )
-        )
-        reports.append(check_corollary_value(loss, tol=args.value_tol))
-        if loss.phi is not None and loss.psi is not None:
-            reports.append(check_derivatives(loss, tol=args.deriv_tol))
+    reports = [report for loss in losses for report in certify(loss)]
     stager = OutputStager(_output_root(args))
     text = write_reports(reports, stager.stage("verify_report.txt"), stager.stage("verify_report.jsonl"))
     stager.commit()
@@ -356,11 +342,12 @@ METRIC_PLOTS = (
 )
 
 
-def _metric_plots(records) -> list:
+def _metric_plots(records, skip_non_finite: bool = False) -> list:
     """(file, series, title, y label, reference line) of each plot the records
-    fill; a plot whose columns are all empty (no ratio readback) is left out.
-    Raises ValueError when there is no record, a plot has no finite value,
-    or a plot has both empty and filled cells."""
+    fill; a plot whose columns are all empty (no ratio readback) is left out,
+    and so is one with no finite value if skip_non_finite (an aborted run's).
+    Raises ValueError when there is no record, a plot has no finite value
+    (not skipped), or a plot has both empty and filled cells."""
     if not records:
         raise ValueError("no metric records to plot")
     iters = [r.generator_iteration for r in records]
@@ -374,6 +361,8 @@ def _metric_plots(records) -> list:
         if len(values) < len(cells):
             raise ValueError(f"empty {' or '.join(columns)} cells on some rows but not on all")
         if not any(map(math.isfinite, values)):
+            if skip_non_finite:
+                continue
             raise ValueError(f"no finite {' or '.join(columns)} value to plot")
         plots.append((file, series, title, y_label, reference_y))
     return plots
@@ -415,7 +404,7 @@ def _run_one_training(run_name: str, config: TrainConfig, root: Path) -> int:
     stager.stage("samples_final.csv").write_text("\n".join(lines) + "\n")
 
     if result.records:
-        _plot_metrics(_metric_plots(result.records), stager)
+        _plot_metrics(_metric_plots(result.records, skip_non_finite=True), stager)
     stager.commit()
 
     if result.aborted:
@@ -501,14 +490,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="numerically certify the optimality identities")
     p.add_argument("--loss", default="all", help="'all' or comma-separated catalogue names")
-    p.add_argument("--argmax-tol", type=float, default=1e-4,
-                   help="tolerance of the inner argmax against omega(r) (default 1e-4)")
-    p.add_argument("--minimizer-tol", type=float, default=1e-3,
-                   help="tolerance of the outer minimizer against r = 1 (default 1e-3)")
-    p.add_argument("--value-tol", type=float, default=1e-6,
-                   help="tolerance of the minimum and saddle values (default 1e-6)")
-    p.add_argument("--deriv-tol", type=float, default=1e-5,
-                   help="relative tolerance of the finite-difference slope checks (default 1e-5)")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("solve-grid", help="ideal min-max solve on a discrete support")
@@ -552,6 +533,10 @@ def main(argv=None) -> int:
         for dest, least in FLAG_MINIMA.items():
             if not least <= getattr(args, dest, least) < math.inf:
                 raise UsageError(f"{args.command}: --{dest.replace('_', '-')} must be >= {least} and finite")
+        root = _output_root(args)  # checked before a command that writes it runs: it, or its nearest existing parent
+        existing = next(path for path in (root, *root.parents) if path.exists())
+        if args.command != "losses" and not getattr(args, "echo_config", None) and not existing.is_dir():
+            raise UsageError(f"{args.command}: cannot make output root {root}: {existing} is not a directory")
         if getattr(args, "config", None):
             with _rejected_as_usage(args.command):
                 args.config_text = Path(args.config).read_text()

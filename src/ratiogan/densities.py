@@ -90,14 +90,13 @@ def gaussian(mean, cov) -> DensitySpec:
         raise ValueError("gaussian mean and covariance must be finite")
     if not np.allclose(cov_arr, cov_arr.T):
         raise ValueError("covariance must be symmetric")
-    if np.any(np.linalg.eigvalsh(cov_arr) <= 0):
-        raise ValueError("covariance must be positive definite")
-    return DensitySpec(
-        kind="gaussian",
-        dim=dim,
-        mean=mean_t,
-        cov=tuple(tuple(float(v) for v in row) for row in cov_arr),
-    )
+    cov_t = tuple(tuple(float(v) for v in row) for row in cov_arr)
+    spec = DensitySpec(kind="gaussian", dim=dim, mean=mean_t, cov=cov_t)
+    try:
+        spec.cholesky_factor  # the one factorisation, cached on the spec
+    except np.linalg.LinAlgError:
+        raise ValueError("covariance must be positive definite") from None
+    return spec
 
 
 def mixture(components: Sequence[Tuple[float, DensitySpec]]) -> DensitySpec:
@@ -224,12 +223,12 @@ def log_pdf(spec: DensitySpec, x) -> Union[float, np.ndarray]:
         raise ValueError(f"point shape {x_arr.shape} does not fit density dimension {spec.dim}")
 
     if spec.kind == "gaussian":
-        diff = pts - np.asarray(spec.mean)
-        cov = np.asarray(spec.cov)
-        inv = np.linalg.inv(cov)
-        # summed over j, then i, per row: a batch gives each point its one-point value
-        quad = ((diff[:, :, None] * inv) * diff[:, None, :]).sum(axis=2).sum(axis=1)
-        out = -0.5 * (quad + spec.dim * math.log(2.0 * math.pi) + math.log(np.linalg.det(cov)))
+        diff, chol = pts - np.asarray(spec.mean), spec.cholesky_factor
+        white = np.empty_like(diff)  # L^-1 diff by forward substitution, one column at a time:
+        for j in range(spec.dim):  # elementwise products, so a batch gives each point its one-point value
+            white[:, j] = (diff[:, j] - (white[:, :j] * chol[j, :j]).sum(axis=1)) / chol[j, j]
+        log_det = 2.0 * np.log(np.diagonal(chol)).sum()
+        out = -0.5 * ((white * white).sum(axis=1) + spec.dim * math.log(2.0 * math.pi) + log_det)
     elif spec.kind == "uniform":
         lo = np.asarray(spec.low)
         hi = np.asarray(spec.high)

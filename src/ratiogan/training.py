@@ -4,8 +4,9 @@ Each generator iteration runs ``critic_phase``, ``critic_iters``
 discriminator ascent steps on mean(phi(D(x))) + mean(psi(D(G(z))))
 minus the gradient penalty, then ``generator_step``, one descent step on
 mean(psi(D(G(z)))) (only the psi term depends on the generator).  A
-non-finite step in either ends the run through one exit: "<reason> at
-iteration N", with the nets and Adam states of the last eval.  Every
+non-finite step in either, or a non-finite value in an eval's record,
+ends the run through one exit: "<reason> at iteration N", with the nets
+and Adam states of the last eval.  Every
 ``eval_every`` iterations ``evaluate`` takes a snapshot on fresh
 evaluation batches: objectives, the discriminator-implied
 likelihood-ratio statistics (for invertible losses; both fresh-batch and
@@ -181,7 +182,7 @@ class TrainResult:
     gen_state: AdamState
     disc_state: AdamState
     checkpoints: list
-    abort_reason: Optional[str] = None  # set on a non-finite step
+    abort_reason: Optional[str] = None  # set on a non-finite step or eval value
 
     @property
     def aborted(self) -> bool:
@@ -284,8 +285,9 @@ def generator_step(loss: LossPair, gen: DenseNet, gen_state: AdamState, disc: De
 
 
 def _ratio_stats(loss: LossPair, d_real: np.ndarray, d_fake: np.ndarray) -> tuple:
-    r_real = ratio_from_discriminator(loss, d_real[:, 0])
-    r_fake = ratio_from_discriminator(loss, d_fake[:, 0])
+    """Readback mean and std on the real and fake rows: NaN where an output is non-finite, which ends the run."""
+    r_real, r_fake = (ratio_from_discriminator(loss, d[:, 0]) if np.isfinite(d).all() else d[:, 0] * np.nan
+                      for d in (d_real, d_fake))
     return float(r_real.mean()), float(r_real.std()), float(r_fake.mean()), float(r_fake.std())
 
 
@@ -357,6 +359,7 @@ def evaluate(config: TrainConfig, loss: LossPair, iteration: int, generator: Den
     )
 
 
+@np.errstate(all="ignore")  # an aborted run's samples may be non-finite
 def final_samples(config: TrainConfig, generator: DenseNet) -> np.ndarray:
     """eval_batch generator outputs on inputs drawn from the final-samples seed."""
     return forward(generator, sample(config.h_spec, config.eval_batch, config.seeds[4]))[0]
@@ -364,7 +367,8 @@ def final_samples(config: TrainConfig, generator: DenseNet) -> np.ndarray:
 
 def train(config: TrainConfig, loss: Optional[LossPair] = None) -> TrainResult:
     """Run the adversarial loop; deterministic given the config seed."""
-    with ThreadPoolExecutor(max_workers=1) as evaluator:
+    # a non-finite value, in a step or an eval, ends the run with a reason: numpy need not warn too
+    with ThreadPoolExecutor(max_workers=1) as evaluator, np.errstate(all="ignore"):
         return _train(config, loss, evaluator)
 
 
@@ -389,26 +393,29 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
     checkpoints: list = []
     last_good = (_snapshot(generator, gen_state), _snapshot(discriminator, disc_state))
     pending = None  # the eval in flight: at most one
+    reason = None  # why the run ends early
     b = config.batch_size
 
     for iteration in range(1, config.total_generator_iters + 1):
         batches = critic_batches(config, train_rng)
         # the generator is fixed during the critic phase: one pass for all steps
-        with np.errstate(all="ignore"):
-            ys = forward(generator, np.vstack([z for _, z, _ in batches]))[0]
+        ys = forward(generator, np.vstack([z for _, z, _ in batches]))[0]
         steps = ((x, ys[k * b : (k + 1) * b], u) for k, (x, _, u) in enumerate(batches))
         outcome = critic_phase(loss, discriminator, disc_state, config.penalty_variant, config.lam, steps)
         if not isinstance(outcome, str):
             last_penalty, train_batch = outcome
             outcome = generator_step(loss, generator, gen_state, discriminator, sample(config.h_spec, b, train_rng))
+        eval_due = iteration % config.eval_every == 0 or iteration == config.total_generator_iters
         if outcome is not None:
+            reason = f"{outcome} at iteration {iteration}"
+        elif eval_due and pending is not None:
+            reason, pending = _collect(pending, records), None
+        if reason is not None:
             (generator, gen_state), (discriminator, disc_state) = last_good  # the last eval's, kept whole
             break
-        if iteration % config.eval_every == 0 or iteration == config.total_generator_iters:
-            if pending is not None:
-                records.append(pending.result())
+        if eval_due:
             last_good = (_snapshot(generator, gen_state), _snapshot(discriminator, disc_state))
-            # copy_context: the eval runs under the caller's numpy error state
+            # copy_context: the eval runs under the training thread's numpy error state
             pending = evaluator.submit(contextvars.copy_context().run, evaluate, config, loss, iteration,
                                        last_good[0][0], last_good[1][0], eval_rng, last_penalty, train_batch)
         if config.checkpoint_every > 0 and iteration % config.checkpoint_every == 0:
@@ -416,10 +423,16 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
                 (iteration, net_to_json(generator, gen_state), net_to_json(discriminator, disc_state))
             )
 
-    if pending is not None:  # the one exit, also on an abort: wait for the eval in flight
-        records.append(pending.result())
-    return TrainResult(generator, discriminator, records, gen_state, disc_state, checkpoints,
-                       None if outcome is None else f"{outcome} at iteration {iteration}")
+    if pending is not None:  # the one exit, also on an abort: wait for the eval in flight, an earlier end
+        reason = _collect(pending, records) or reason
+    return TrainResult(generator, discriminator, records, gen_state, disc_state, checkpoints, reason)
+
+
+def _collect(pending, records: List[MetricRecord]) -> Optional[str]:
+    """Append the record of an eval in flight; return why it ends the run (its first non-finite column) or None."""
+    records.append(pending.result())
+    bad = [col for col in METRIC_COLUMNS[1:] if not math.isfinite(getattr(records[-1], col) or 0.0)]  # None: no readback
+    return f"non-finite {bad[0]} at iteration {records[-1].generator_iteration}" if bad else None
 
 
 def _cell(value) -> str:

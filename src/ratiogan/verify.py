@@ -11,6 +11,16 @@ scans plus golden-section refinement, minima from a log-spaced sweep
 with quadratic refinement, derivatives from central finite differences.
 Each check is a row whose error is |observed - expected| over a scale:
 1 for the absolute checks, max(|expected|, 1e-12) for the relative ones.
+
+``certify(loss)`` checks a loss at one fixed standard, recorded in each row's ``tol``; the first
+four rows (``check_theorem1``) are for invertible losses only, the last for closed forms only:
+
+    inner_argmax        r in R_GRID; 1024-point scan, golden section  1e-4
+    outer_minimizer     601 log-spaced r in [1e-3, 1e3], refined       1e-3
+    min_value           phi(omega(1)) at the refined minimizer         1e-6
+    concentrated_slope  24 log-spaced r in [0.2, 5] off 1, relative    1e-5
+    minmax_value        inner maximum at r = 1, raw psi                1e-6
+    phi/psi_prime_fd    100 probe points each, relative                1e-5
 """
 
 from __future__ import annotations
@@ -33,12 +43,16 @@ __all__ = [
     "check_theorem1",
     "check_corollary_value",
     "check_derivatives",
+    "certify",
     "reports_to_text",
     "reports_to_records",
     "write_reports",
 ]
 
-DEFAULT_R_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)
+# The certificate's standard, one for every loss: the table above.
+ARGMAX_TOL, MINIMIZER_TOL, VALUE_TOL, DERIV_TOL = 1e-4, 1e-3, 1e-6, 1e-5
+R_GRID = (0.1, 0.5, 1.0, 2.0, 10.0)  # ratios of the inner-maximizer check
+ARGMAX_SCAN, SWEEP_POINTS, SLOPE_PROBES, DERIV_PROBES = 1024, 601, 25, 100  # probe sizes
 
 # Probe window for unbounded range ends (pre-squash scale).
 UNBOUNDED_PROBE = 30.0
@@ -76,19 +90,17 @@ class VerificationReport:
 
 @dataclass(frozen=True)
 class InnerMax:
-    """Result of the pointwise maximization over the discriminator value."""
+    """Pointwise maximum over the discriminator value; at an unbounded range end, location -inf or +inf and value +inf."""
 
-    location: Optional[float]
+    location: float
     value: float
-    at_infinity: bool = False
-    direction: int = 0
 
 
-def _golden_max(f, a: float, b: float, width: float = 1e-8) -> float:
+def _golden_max(f, a: float, b: float) -> float:
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = f(c), f(d)
-    while b - a > width:
+    while b - a > 1e-8:  # bracket width
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -100,10 +112,10 @@ def _golden_max(f, a: float, b: float, width: float = 1e-8) -> float:
     return 0.5 * (a + b)
 
 
-def inner_argmax(loss: LossPair, r: float, n_grid: int = 1024, width: float = 1e-8) -> InnerMax:
+def inner_argmax(loss: LossPair, r: float) -> InnerMax:
     """Maximize phi(D) + r*psi(D) over the loss range.
 
-    Coarse scan on ``n_grid`` points over the clamped interior, then
+    Coarse scan on ARGMAX_SCAN points over the clamped interior, then
     golden-section refinement between the best point's neighbours.  An
     objective climbing into an unbounded range end is reported as a
     maximum at infinity rather than raised.
@@ -112,25 +124,21 @@ def inner_argmax(loss: LossPair, r: float, n_grid: int = 1024, width: float = 1e
         raise ValueError(f"ratio value must be nonnegative, got {r}")
     phi_v, psi_v = loss.values()
     lo, hi = loss.range.clamp_interior(np.array([-UNBOUNDED_PROBE, UNBOUNDED_PROBE]))
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, ARGMAX_SCAN)
     vals = np.asarray(phi_v(grid), dtype=float) + r * np.asarray(psi_v(grid), dtype=float)
     k = int(np.argmax(vals))
 
     if k == 0 and not math.isfinite(loss.range.lower) and vals[0] > vals[1]:
-        return InnerMax(location=None, value=float(vals[0]), at_infinity=True, direction=-1)
-    if (
-        k == n_grid - 1
-        and not math.isfinite(loss.range.upper)
-        and vals[-1] > vals[-2]
-    ):
-        return InnerMax(location=None, value=float(vals[-1]), at_infinity=True, direction=+1)
+        return InnerMax(location=-math.inf, value=math.inf)
+    if k == ARGMAX_SCAN - 1 and not math.isfinite(loss.range.upper) and vals[-1] > vals[-2]:
+        return InnerMax(location=math.inf, value=math.inf)
 
     def f(d):
         return float(phi_v(d) + r * psi_v(d))
 
     a = grid[max(k - 1, 0)]
-    b = grid[min(k + 1, n_grid - 1)]
-    d_hat = _golden_max(f, float(a), float(b), width)
+    b = grid[min(k + 1, ARGMAX_SCAN - 1)]
+    d_hat = _golden_max(f, float(a), float(b))
     return InnerMax(location=d_hat, value=f(d_hat))
 
 
@@ -145,13 +153,6 @@ def concentrated_objective(loss: LossPair, r) -> float:
     return float(out) if np.ndim(r) == 0 else out
 
 
-def _outer_sweep(loss: LossPair, n: int = 601):
-    """Concentrated objective over log-spaced ratios in [1e-3, 1e3]."""
-    u = np.linspace(-3.0, 3.0, n)
-    c = concentrated_objective(loss, 10.0**u)
-    return u, np.asarray(c, dtype=float)
-
-
 def _quadratic_vertex(u: np.ndarray, c: np.ndarray, j: int) -> float:
     if j == 0 or j == len(u) - 1:
         return float(u[j])
@@ -162,14 +163,7 @@ def _quadratic_vertex(u: np.ndarray, c: np.ndarray, j: int) -> float:
     return float(u[j] + 0.5 * h * (c[j - 1] - c[j + 1]) / denom)
 
 
-def check_theorem1(
-    loss: LossPair,
-    r_grid: Sequence[float] = DEFAULT_R_GRID,
-    tol: float = 1e-4,
-    minimizer_tol: float = 1e-3,
-    value_tol: float = 1e-6,
-    deriv_tol: float = 1e-5,
-) -> VerificationReport:
+def check_theorem1(loss: LossPair) -> VerificationReport:
     """Certify the inner maximizer, outer minimizer, and slope identity.
 
     Non-invertible losses get a skipped report: without the inverse
@@ -180,34 +174,32 @@ def check_theorem1(
         report.skipped = "skipped: ratio not recoverable for sign-limit losses"
         return report
 
-    for r in r_grid:
-        expected = float(loss.omega.forward(r))
-        result = inner_argmax(loss, r)
-        observed = math.inf if result.at_infinity else result.location
-        report.add("inner_argmax", r, expected, observed, tol)
+    for r in R_GRID:
+        report.add("inner_argmax", r, float(loss.omega.forward(r)), inner_argmax(loss, r).location, ARGMAX_TOL)
 
-    u, c = _outer_sweep(loss)
+    u = np.linspace(-3.0, 3.0, SWEEP_POINTS)  # the outer sweep: log10 of ratios in [1e-3, 1e3]
+    c = concentrated_objective(loss, 10.0**u)
     j = int(np.argmin(c))
     r_star = 10.0 ** _quadratic_vertex(u, c, j)
-    report.add("outer_minimizer", 1.0, 1.0, r_star, minimizer_tol)
+    report.add("outer_minimizer", 1.0, 1.0, r_star, MINIMIZER_TOL)
 
     value_ref = float(loss.values()[0](loss.omega_at_one))
     min_observed = min(float(c[j]), concentrated_objective(loss, r_star))
-    report.add("min_value", 1.0, value_ref, min_observed, value_tol)
+    report.add("min_value", 1.0, value_ref, min_observed, VALUE_TOL)
 
     # d/dr of the concentrated objective must equal psi_tilde(omega(r)).
     normalized = normalize_psi(loss)
-    for r in np.logspace(math.log10(0.2), math.log10(5.0), 25):
+    for r in np.logspace(math.log10(0.2), math.log10(5.0), SLOPE_PROBES):
         if abs(r - 1.0) < 0.05:
             continue  # slope crosses zero at r = 1; relative error undefined
         h = 1e-5 * (1.0 + r)
         fd = (concentrated_objective(loss, r + h) - concentrated_objective(loss, r - h)) / (2 * h)
         expected = float(concentrated(normalized, r)[1])
-        report.add("concentrated_slope", r, expected, fd, deriv_tol, scale=max(abs(expected), 1e-12))
+        report.add("concentrated_slope", r, expected, fd, DERIV_TOL, scale=max(abs(expected), 1e-12))
     return report
 
 
-def check_corollary_value(loss: LossPair, tol: float = 1e-6) -> VerificationReport:
+def check_corollary_value(loss: LossPair) -> VerificationReport:
     """Certify the unnormalized saddle value phi(omega(1)) + psi(omega(1)).
 
     The observed side maximizes phi(D) + psi(D) numerically (the inner
@@ -216,20 +208,15 @@ def check_corollary_value(loss: LossPair, tol: float = 1e-6) -> VerificationRepo
     report = VerificationReport(loss_name=loss.name)
     phi_v, psi_v = loss.values()
     z1 = loss.omega_at_one
-    expected = float(phi_v(z1) + psi_v(z1))
-    result = inner_argmax(loss, 1.0)
-    observed = math.inf if result.at_infinity else result.value
-    report.add("minmax_value", 1.0, expected, observed, tol)
+    report.add("minmax_value", 1.0, float(phi_v(z1) + psi_v(z1)), inner_argmax(loss, 1.0).value, VALUE_TOL)
     return report
 
 
-def check_derivatives(
-    loss: LossPair, n_points: int = 100, tol: float = 1e-5
-) -> VerificationReport:
+def check_derivatives(loss: LossPair) -> VerificationReport:
     """Central finite differences of phi and psi against the recipe derivatives."""
     report = VerificationReport(loss_name=loss.name)
     phi_v, psi_v = loss.values()
-    z_pts = probe_points(loss, n_points)
+    z_pts = probe_points(loss, DERIV_PROBES)
     if not loss.ratio_invertible:
         # Piecewise-linear losses: skip the kink neighbourhoods.
         z_pts = z_pts[np.minimum(np.abs(z_pts - 1.0), np.abs(z_pts + 1.0)) > 1e-3]
@@ -239,8 +226,17 @@ def check_derivatives(
             h = 1e-6 * max(1.0, abs(z))
             fd = (float(fn(z + h)) - float(fn(z - h))) / (2.0 * h)
             exact = float(deriv(z))
-            report.add(f"{tag}_prime_fd", z, exact, fd, tol, scale=max(abs(exact), 1e-12))
+            report.add(f"{tag}_prime_fd", z, exact, fd, DERIV_TOL, scale=max(abs(exact), 1e-12))
     return report
+
+
+def certify(loss: LossPair) -> list:
+    """A loss's one certificate, its reports in the order verify writes them: Theorem 1,
+    the saddle value, and the derivatives when the loss has both closed forms."""
+    reports = [check_theorem1(loss), check_corollary_value(loss)]
+    if loss.phi is not None and loss.psi is not None:
+        reports.append(check_derivatives(loss))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import argparse
 import builtins
+import math
 import os
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import ratiogan
 from ratiogan.catalogue import catalogue_lookup, catalogue_names
 from ratiogan.cli import UsageError, build_parser, main
 from ratiogan.svgplot import emit_svg_lineplot
-from ratiogan.training import METRIC_COLUMNS
+from ratiogan.training import METRIC_COLUMNS, metrics_from_text
 
 TINY_TRAIN = """
 [loss]
@@ -213,6 +214,15 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"verify: --loss {selector!r} names {name} more than once\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag", ["--argmax-tol", "--minimizer-tol", "--value-tol", "--deriv-tol"])
+    def test_tolerance_flags_are_gone(self, tmp_path, capsys, flag):
+        """The standard is fixed: a tolerance flag is an unknown argument, and nothing is checked or written."""
+        with pytest.raises(SystemExit) as exited:
+            run_cli(tmp_path, "verify", "--loss", "MSE", flag, "1e-6")
+        assert exited.value.code == 2
+        assert f"unrecognized arguments: {flag} 1e-6" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_stdout_is_the_written_table(self, tmp_path, capsys):
@@ -415,6 +425,29 @@ class TestTrainCommand:
             "shift1d-B1a: aborted (non-finite discriminator objective at iteration 1); last-good checkpoint kept\n"
         )
 
+    @pytest.mark.parametrize("preset,rate,column,plots", [
+        ("shift1d-MSE", "1e100", "disc_objective", ["likelihood_ratio.svg", "penalty.svg"]),
+        ("shift1d-B2", "1e20", "lr_real_mean", ["distances.svg", "objectives.svg", "penalty.svg"]),
+    ], ids=["nan-objective", "ratio-overflow"])
+    def test_non_finite_eval_aborts(self, tmp_path, capsys, preset, rate, column, plots):
+        """A non-finite eval value ends the run as a step abort does: one line,
+        exit 1, the nets of that eval, its record kept, a plot for every column
+        pair with a finite value, and nothing left staged."""
+        settings = (f"train.learning_rate={rate}", "train.critic_iters=1", "train.eval_every=1",
+                    "train.total_generator_iters=3", "train.eval_batch=256", "train.checkpoint_every=1")
+        args = ["train", "--preset", preset, *(a for setting in settings for a in ("--set", setting))]
+        assert run_cli(tmp_path, *args) == 1
+        assert capsys.readouterr() == (
+            f"{preset}: aborted (non-finite {column} at iteration 1); last-good checkpoint kept\n", "")
+        run = tmp_path / "out" / preset
+        assert not list(run.rglob("*.incomplete"))
+        records = metrics_from_text((run / "metrics.tsv").read_text())
+        assert [r.generator_iteration for r in records] == [1]
+        assert not math.isfinite(getattr(records[0], column))
+        assert sorted(p.name for p in (run / "plots").iterdir()) == plots
+        for net in ("gen", "disc"):
+            assert (run / f"{net}_final.json").read_text() == (run / f"{net}_iter1.json").read_text()
+
     def test_3d_run_trains_and_echoes(self, tmp_path, capsys):
         """A 3-D target and origin train to finite metrics; the echoed config re-parses equal."""
         from ratiogan.config import train_config_from_text
@@ -545,10 +578,6 @@ class TestConfigErrors:
             (None, ["solve-grid", "--loss", "MSE", "--max-iters", "-3"], "solve-grid: --max-iters must be >= 1"),
             (None, ["solve-grid", "--loss", "MSE", "--tol", "-1"], "solve-grid: --tol must be >= 0"),
             (None, ["solve-grid", "--loss", "MSE", "--tol", "nan"], "solve-grid: --tol must be >= 0"),
-            (None, ["verify", "--loss", "MSE", "--value-tol", "-1"], "verify: --value-tol must be >= 0"),
-            (None, ["verify", "--loss", "MSE", "--deriv-tol", "nan"], "verify: --deriv-tol must be >= 0"),
-            (None, ["verify", "--loss", "MSE", "--argmax-tol", "-1"], "verify: --argmax-tol must be >= 0"),
-            (None, ["verify", "--loss", "MSE", "--minimizer-tol", "nan"], "verify: --minimizer-tol must be >= 0"),
             (None, ["train", "--preset", "shift1d-MSE", "--jobs", "0"], "train: --jobs must be >= 1"),
             (None, SHIFT + ["train.seed=-1"], "seed must be >= 0"),
             (None, SHIFT + ["train.lambda=nan"], "lambda must be nonnegative and finite"),
@@ -588,11 +617,6 @@ class TestConfigErrors:
              "lambda-sweep: each run sets its own train.lambda; drop the train.lambda override"),
             (None, ["solve-grid", "--loss", "MSE", "--tol", "inf", "--max-iters", "3"],
              "solve-grid: --tol must be >= 0 and finite"),
-            (None, ["verify", "--loss", "MSE", "--value-tol", "inf"], "verify: --value-tol must be >= 0 and finite"),
-            (None, ["verify", "--loss", "MSE", "--deriv-tol", "inf"], "verify: --deriv-tol must be >= 0 and finite"),
-            (None, ["verify", "--loss", "MSE", "--argmax-tol", "inf"], "verify: --argmax-tol must be >= 0 and finite"),
-            (None, ["verify", "--loss", "MSE", "--minimizer-tol", "inf"],
-             "verify: --minimizer-tol must be >= 0 and finite"),
             (TINY_TRAIN.format(loss="Nope"), ["train", "--preset", "shift1d-MSE", "--echo-config", "ECHO"],
              "train: --preset ignores --config; give one of them"),
         ],
@@ -603,16 +627,14 @@ class TestConfigErrors:
              "train-beta2-one", "train-beta1-above-one", "train-negative-learning-rate",
              "train-zero-learning-rate", "solve-log-every-zero", "solve-uniform-no-points",
              "solve-uniform-empty-window", "verify-no-loss-names", "solve-max-iters-zero",
-             "solve-max-iters-negative", "solve-negative-tol", "solve-nan-tol", "verify-negative-value-tol",
-             "verify-nan-deriv-tol", "verify-negative-argmax-tol", "verify-nan-minimizer-tol", "train-jobs-zero",
+             "solve-max-iters-negative", "solve-negative-tol", "solve-nan-tol", "train-jobs-zero",
              "train-negative-seed", "train-nan-lambda", "train-inf-lambda", "train-inf-learning-rate",
              "train-negative-checkpoint-every", "train-misspelt-density-key", "solve-misspelt-density-key",
              "solve-uniform-nan-window", "solve-uniform-reversed-window", "solve-inf-window", "solve-empty-window",
              "solve-uniform-with-config", "train-nan-target-mean", "train-inf-origin-cov", "train-inf-ring-radius",
              "train-nan-ring-sigma", "train-inf-uniform-high", "solve-inf-mean", "solve-negative-init-seed",
              "train-misspelt-section", "train-misspelt-density-section", "solve-misspelt-density-section",
-             "train-misspelt-loss-key", "sweep-lambda-override", "solve-inf-tol", "verify-inf-value-tol",
-             "verify-inf-deriv-tol", "verify-inf-argmax-tol", "verify-inf-minimizer-tol", "train-preset-with-config"],
+             "train-misspelt-loss-key", "sweep-lambda-override", "solve-inf-tol", "train-preset-with-config"],
     )
     def test_one_line_usage_error_and_nothing_written(self, tmp_path, capsys, config, args, message):
         echo = tmp_path / "echo.cfg"
@@ -627,6 +649,21 @@ class TestConfigErrors:
         assert message in err
         assert not (tmp_path / "out").exists()
         assert not echo.exists()
+
+    @pytest.mark.parametrize("args", [
+        ["verify"], ["solve-grid", "--loss", "MSE"], ["train", "--preset", "shift1d-MSE"],
+        ["report", "--metrics", "nope.tsv"],
+    ], ids=["verify", "solve-grid", "train", "report"])
+    def test_output_root_that_cannot_be_a_directory(self, tmp_path, capsys, args):
+        """Refused in main before the command runs (report's missing metrics
+        file is not even looked at), and nothing is created."""
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        for root in (blocker, blocker / "sub"):
+            assert main(["--out", str(root), *args]) == 2
+            message = f"{args[0]}: cannot make output root {root}: {blocker} is not a directory\n"
+            assert capsys.readouterr() == ("", message)
+        assert list(tmp_path.iterdir()) == [blocker]
 
     def test_commands_raise_usage_error(self, tmp_path, capsys):
         """Each command raises bad input as a UsageError; only main prints it and returns 2."""
@@ -770,6 +807,29 @@ class TestHelp:
             if action.option_strings and action.option_strings != ["-h", "--help"] and not action.help
         ]
         assert missing == []
+
+
+class TestOptionSurface:
+    """Every option of the CLI, by command: adding or removing one is an edit here."""
+
+    OPTIONS = {
+        "ratiogan": ["--out"],
+        "losses": ["--filter", "--notes"],
+        "verify": ["--loss"],
+        "solve-grid": ["--loss", "--config", "--uniform", "--n-points", "--window", "--init", "--init-seed",
+                       "--max-iters", "--tol", "--log-every"],
+        "train": ["--config", "--preset", "--set", "--echo-config", "--jobs"],
+        "report": ["--metrics"],
+    }
+
+    def test_each_command_has_exactly_its_options(self):
+        parser = build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        surface = {
+            name: [s for action in p._actions for s in action.option_strings if s not in ("-h", "--help")]
+            for name, p in [("ratiogan", parser), *subparsers.choices.items()]
+        }
+        assert surface == self.OPTIONS
 
 
 class TestOutputRootEnv:

@@ -29,6 +29,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="positive definite"):
             gaussian([0.0, 0.0], [[1.0, 2.0], [2.0, 1.0]])
 
+    def test_factor_computed_once_when_built(self):
+        """The positive-definiteness check is the Cholesky factorisation, kept on the spec."""
+        spec = gaussian([0.0, 0.0], [[2.0, 0.5], [0.5, 1.0]])
+        assert "cholesky_factor" in vars(spec)
+        np.testing.assert_allclose(spec.cholesky_factor @ spec.cholesky_factor.T, spec.cov, rtol=1e-15)
+
     def test_covariance_must_be_symmetric(self):
         with pytest.raises(ValueError, match="symmetric"):
             gaussian([0.0, 0.0], [[1.0, 0.5], [0.2, 1.0]])
@@ -272,6 +278,22 @@ class TestLogPdf:
         np.testing.assert_allclose(log_pdf(mix, x), scipy_log_mixture(weights, [c.mean for c in comps], covs, x),
                                    rtol=1e-12)
 
+    def test_64d_gaussian_memory_is_linear_in_the_batch(self):
+        """4096 points of a 64-D Gaussian are whitened by forward substitution
+        on the cached factor: no (n, d, d) product, no inverse per call."""
+        import tracemalloc
+
+        spec = random_gaussian(np.random.default_rng(7), 64)
+        x = sample(spec, 4096, 3)
+        spec.cholesky_factor
+        tracemalloc.start()
+        try:
+            log_pdf(spec, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20  # a (4096, 64) float array is 2 MiB
+
     def test_uniform_box_in_3d(self):
         spec = uniform([0.0, -1.0, 2.0], [2.0, 1.0, 6.0])
         np.testing.assert_array_equal(
@@ -286,8 +308,10 @@ class TestLogPdf:
             (gaussian([0.3], [[1.5]]), mixture([(0.4, gaussian([-2.0], [[0.5]])), (0.6, gaussian([1.0], [[2.0]]))])),
             (gaussian([0.0, 1.0, -1.0], np.diag([1.0, 2.0, 0.5])),
              mixture([(0.5, gaussian([1.0, 0.0, 0.0], np.eye(3))), (0.5, gaussian([-1.0, 0.0, 2.0], np.eye(3)))])),
+            (gaussian([0.5, -0.5], [[1.0, 0.6], [0.6, 2.0]]),
+             mixture([(0.3, gaussian([1.0, 1.0], [[0.5, -0.2], [-0.2, 0.4]])), (0.7, gaussian([0.0, -1.0], np.eye(2)))])),
         ],
-        ids=["ring", "mixture1d", "mixture3d"],
+        ids=["ring", "mixture1d", "mixture3d", "correlated2d"],
     )
     def test_batch_ratio_equals_per_point(self, f, g):
         x = sample(g, 200, 9)

@@ -697,6 +697,19 @@ class TestEvalThread:
         assert [r.generator_iteration for r in got.records] == [3]
         assert_same_run(got, want)
 
+    def test_non_finite_eval_matches_serial_loop(self):
+        """A non-finite eval record ends the run at that eval's iteration, with
+        that eval's nets, threaded as inline; NaN cells are compared as text."""
+        cfg = shift_config(loss_name="B2", learning_rate=1e20, critic_iters=1, eval_every=1,
+                           total_generator_iters=3, eval_batch=256)
+        got, want = train(cfg), serial_train(cfg)
+        one = train(dataclasses.replace(cfg, total_generator_iters=1))  # its one eval is the same
+        assert got.abort_reason == "non-finite lr_real_mean at iteration 1"
+        assert [r.generator_iteration for r in got.records] == [1]
+        for other in (want, one):
+            assert metrics_to_text(got.records) == metrics_to_text(other.records)
+            assert_same_run(dataclasses.replace(got, records=[]), dataclasses.replace(other, records=[]))
+
     def test_evals_run_off_the_training_thread_under_its_error_state(self, monkeypatch):
         seen = []
         mmd = training.mmd_rbf

@@ -9,6 +9,11 @@ import pytest
 from ratiogan.catalogue import catalogue_lookup, iter_catalogue
 from ratiogan.losses import make_loss_pair, normalize_psi, OmegaTransform, REALS
 from ratiogan.verify import (
+    ARGMAX_TOL,
+    DERIV_TOL,
+    MINIMIZER_TOL,
+    VALUE_TOL,
+    certify,
     check_corollary_value,
     check_derivatives,
     check_theorem1,
@@ -40,16 +45,16 @@ class TestInnerArgmax:
         for loss in INVERTIBLE:
             for r in (0.1, 0.5, 1.0, 2.0, 10.0):
                 result = inner_argmax(loss, r)
-                assert not result.at_infinity, loss.name
+                assert math.isfinite(result.location), loss.name
                 expected = float(loss.omega.forward(r))
                 assert result.location == pytest.approx(expected, abs=1e-4), (loss.name, r)
 
     def test_wasserstein_linear_objective_diverges(self):
         loss = catalogue_lookup("Wasserstein").loss
         up = inner_argmax(loss, 0.5)  # slope 1 - r > 0
-        assert up.at_infinity and up.direction == +1
+        assert (up.location, up.value) == (math.inf, math.inf)
         down = inner_argmax(loss, 2.0)
-        assert down.at_infinity and down.direction == -1
+        assert (down.location, down.value) == (-math.inf, math.inf)
 
     def test_negative_ratio_rejected(self):
         with pytest.raises(ValueError):
@@ -170,11 +175,11 @@ class TestCorollaryValue:
 class TestDerivativeChecks:
     def test_catalogue_closed_forms(self):
         for entry in iter_catalogue():
-            report = check_derivatives(entry.loss, n_points=100, tol=1e-5)
+            report = check_derivatives(entry.loss)
             assert report.passed, entry.loss.name
 
     def test_check_count(self):
-        report = check_derivatives(catalogue_lookup("MSE").loss, n_points=100)
+        report = check_derivatives(catalogue_lookup("MSE").loss)
         assert len(report.checks) == 200  # phi and psi at each point
 
 
@@ -201,15 +206,35 @@ class TestReportSerialization:
         """The reports of verify --loss all: records equal the first-written
         asdict form (tests/helpers.py), keys in the same order, and each is a
         fresh dict, not a view of its row."""
-        reports = []
-        for entry in iter_catalogue():
-            loss = entry.loss
-            reports += [check_theorem1(loss), check_corollary_value(loss)]
-            if loss.phi is not None and loss.psi is not None:
-                reports.append(check_derivatives(loss))
+        reports = [report for entry in iter_catalogue() for report in certify(entry.loss)]
         records, oracle = reports_to_records(reports), old_reports_to_records(reports)
         assert len(records) > 1000
         assert records == oracle
         assert [json.dumps(r) for r in records] == [json.dumps(r) for r in oracle]
         records[0]["error"] = -1.0  # A1a's first row
         assert reports[0].checks[0].error >= 0.0
+
+
+class TestCertify:
+    TOLERANCES = {"inner_argmax": ARGMAX_TOL, "outer_minimizer": MINIMIZER_TOL, "min_value": VALUE_TOL,
+                  "concentrated_slope": DERIV_TOL, "minmax_value": VALUE_TOL,
+                  "phi_prime_fd": DERIV_TOL, "psi_prime_fd": DERIV_TOL}
+
+    @pytest.mark.parametrize("name", ["MSE", "Hinge"])
+    def test_reports_in_order(self, name):
+        """Theorem 1, the saddle value, then the derivatives of a closed-form pair."""
+        loss = catalogue_lookup(name).loss
+        assert certify(loss) == [check_theorem1(loss), check_corollary_value(loss), check_derivatives(loss)]
+
+    def test_derivative_only_pair_gets_no_derivative_report(self):
+        omega = OmegaTransform(forward=np.log, inverse=np.exp, range=REALS, description="log r")
+        pair = make_loss_pair(omega, lambda z: np.exp(-np.asarray(z, dtype=float)))
+        reports = certify(pair)
+        assert len(reports) == 2 and all(r.passed for r in reports)
+
+    def test_every_row_records_the_fixed_tolerance(self):
+        """One standard for every loss: each row's tol is its check's constant."""
+        for entry in iter_catalogue():
+            for report in certify(entry.loss):
+                for row in report.checks:
+                    assert row.tol == self.TOLERANCES[row.check], (entry.loss.name, row.check)
