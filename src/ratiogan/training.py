@@ -423,7 +423,7 @@ def _train(config: TrainConfig, loss: Optional[LossPair], evaluator: ThreadPoolE
                 (iteration, net_to_json(generator, gen_state), net_to_json(discriminator, disc_state))
             )
 
-    if pending is not None:  # the one exit, also on an abort: wait for the eval in flight, an earlier end
+    if pending is not None:  # the one exit, also on an abort: wait for the eval in flight, whose end is the earlier
         reason = _collect(pending, records) or reason
     return TrainResult(generator, discriminator, records, gen_state, disc_state, checkpoints, reason)
 
