@@ -237,8 +237,7 @@ def cmd_solve_grid(args) -> int:
                 mass=np.full(args.n_points, 1.0 / args.n_points),
             )
         else:
-            window = (lo, hi) if density.dim == 1 else ((lo, hi),) * 2
-            f = discretize(density, args.n_points, window)
+            f = discretize(density, args.n_points, lo, hi)
     if f.coverage < FULL_COVERAGE:  # a short window's coverage, as one line
         print(f"solve-grid: window captures {f.coverage:.4f} < {FULL_COVERAGE} of the density mass", file=sys.stderr)
 
@@ -342,12 +341,11 @@ METRIC_PLOTS = (
 )
 
 
-def _metric_plots(records, skip_non_finite: bool = False) -> list:
+def _metric_plots(records) -> list:
     """(file, series, title, y label, reference line) of each plot the records
-    fill; a plot whose columns are all empty (no ratio readback) is left out,
-    and so is one with no finite value if skip_non_finite (an aborted run's).
-    Raises ValueError when there is no record, a plot has no finite value
-    (not skipped), or a plot has both empty and filled cells."""
+    fill; a plot whose columns are all empty (no ratio readback) or hold no
+    finite value (an aborted run's) is left out.  Raises ValueError when there
+    is no record or a plot has both empty and filled cells."""
     if not records:
         raise ValueError("no metric records to plot")
     iters = [r.generator_iteration for r in records]
@@ -356,15 +354,10 @@ def _metric_plots(records, skip_non_finite: bool = False) -> list:
         series = [(col, iters, [getattr(r, col) for r in records]) for col in columns]
         cells = [v for _, _, ys in series for v in ys]
         values = [v for v in cells if v is not None]
-        if not values:
-            continue
-        if len(values) < len(cells):
+        if values and len(values) < len(cells):
             raise ValueError(f"empty {' or '.join(columns)} cells on some rows but not on all")
-        if not any(map(math.isfinite, values)):
-            if skip_non_finite:
-                continue
-            raise ValueError(f"no finite {' or '.join(columns)} value to plot")
-        plots.append((file, series, title, y_label, reference_y))
+        if any(map(math.isfinite, values)):
+            plots.append((file, series, title, y_label, reference_y))
     return plots
 
 
@@ -404,7 +397,7 @@ def _run_one_training(run_name: str, config: TrainConfig, root: Path) -> int:
     stager.stage("samples_final.csv").write_text("\n".join(lines) + "\n")
 
     if result.records:
-        _plot_metrics(_metric_plots(result.records, skip_non_finite=True), stager)
+        _plot_metrics(_metric_plots(result.records), stager)
     stager.commit()
 
     if result.aborted:
@@ -441,7 +434,8 @@ def cmd_train(args) -> int:
         raise UsageError("lambda-sweep: each run sets its own train.lambda; drop the train.lambda override")
 
     if args.echo_config:
-        Path(args.echo_config).write_text(train_config_to_text(configs[0]))
+        with _rejected_as_usage("train"):  # a directory, or under a missing one
+            Path(args.echo_config).write_text(train_config_to_text(configs[0]))
         print(f"effective config for {names[0]} written to {args.echo_config}")
         return 0
 
@@ -465,6 +459,8 @@ def cmd_report(args) -> int:
     with _rejected_as_usage("report"):
         records = metrics_from_text(path.read_text())
         plots = _metric_plots(records)
+    if not plots:
+        raise UsageError(f"report: {path} has no finite value to plot")
     stager = OutputStager(_output_root(args))
     _plot_metrics(plots, stager)
     stager.commit()

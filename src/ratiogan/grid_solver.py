@@ -23,7 +23,6 @@ import itertools
 import math
 from array import array
 from dataclasses import dataclass, field
-from typing import Sequence, Union
 
 import numpy as np
 
@@ -137,38 +136,29 @@ class SolverDiverged(RuntimeError):
         self.trace = trace
 
 
-def discretize(density: DensitySpec, n_points: int, window: Sequence) -> DiscreteDensity:
+def discretize(density: DensitySpec, n_points: int, lo: float, hi: float) -> DiscreteDensity:
     """Evaluate a density's ``pdf`` on a regular grid and renormalize to unit mass.
 
-    The pdf is called once on the whole grid: (n,) points in 1D, (n*n, 2) in 2D;
-    a grid is 1-D or 2-D only.  ``window`` is (lo, hi) in 1D or
-    ((xlo, xhi), (ylo, yhi)) in 2D; ``n_points`` counts grid nodes per axis.
-    The mass the window captures is kept as ``coverage``; less than half of
-    it is an error.
+    The grid lays ``n_points`` nodes on [lo, hi] along every axis: (n,)
+    points in 1D, (n*n, 2) in 2D; a grid is 1-D or 2-D only.  The pdf is
+    called once on the whole grid.  The mass the window captures is kept as
+    ``coverage``; less than half of it is an error.
     """
     if density.dim not in (1, 2):
         raise ValueError(f"grids are 1-D or 2-D only, not {density.dim}-D")
     if n_points < 2:
         raise ValueError("need at least 2 grid points")
+    if not lo < hi:
+        raise ValueError(f"window [{lo:g}, {hi:g}] must have lo < hi")
 
-    window = np.asarray(window, dtype=float)
-    if window.shape != (2,) * density.dim:
-        raise ValueError("window must be (lo, hi) in 1D or ((xlo, xhi), (ylo, yhi)) in 2D")
+    axis = np.linspace(lo, hi, n_points)
+    step = (hi - lo) / (n_points - 1)
     if density.dim == 1:
-        lo, hi = window
-        if not hi > lo:
-            raise ValueError("window must have positive length")
-        support = np.linspace(lo, hi, n_points)
-        cell = (hi - lo) / (n_points - 1)
+        support, cell = axis, step
     else:
-        (xlo, xhi), (ylo, yhi) = window
-        if not (xhi > xlo and yhi > ylo):
-            raise ValueError("window must have positive area")
-        xs = np.linspace(xlo, xhi, n_points)
-        ys = np.linspace(ylo, yhi, n_points)
-        gx, gy = np.meshgrid(xs, ys, indexing="ij")
+        gx, gy = np.meshgrid(axis, axis, indexing="ij")
         support = np.column_stack([gx.ravel(), gy.ravel()])
-        cell = (xhi - xlo) / (n_points - 1) * (yhi - ylo) / (n_points - 1)
+        cell = step * (hi - lo) / (n_points - 1)  # left to right: step * step rounds differently
 
     masses = pdf(density, support) * cell
     coverage = float(masses.sum())
@@ -286,12 +276,11 @@ def solve_minmax_grid(
     return result, trace
 
 
-def minmax_value(loss: LossPair, r: Union[RatioField, np.ndarray], f: DiscreteDensity) -> float:
+def minmax_value(loss: LossPair, r: RatioField, f: DiscreteDensity) -> float:
     """Discrete cost at the inner optimum, with the unnormalized psi."""
-    values = r.values if isinstance(r, RatioField) else np.asarray(r, dtype=float)
-    if len(values) != len(f):
+    if len(r) != len(f):
         raise ValueError("ratio field and density lengths differ")
-    return float(f.mass @ concentrated(loss, values)[0])
+    return float(f.mass @ concentrated(loss, r.values)[0])
 
 
 def write_trace(trace: SolveTrace, path) -> None:

@@ -225,13 +225,15 @@ def mmd_rbf(x: np.ndarray, y: np.ndarray, bandwidth: float) -> float:
 def sliced_wasserstein(x: np.ndarray, y: np.ndarray, n_projections: int = 64, seed=0) -> float:
     """Mean 1D 2-Wasserstein distance over seeded random unit directions.
 
-    Projections are sorted and matched rank-by-rank (equal sample counts)
-    or through quantile interpolation otherwise.
+    x and y hold the same number of samples: each direction's projections
+    are sorted and matched rank by rank.
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
     if x.shape[1] != y.shape[1]:
         raise ValueError("samples must share their arity")
+    if len(x) != len(y):
+        raise ValueError(f"samples must be of equal size, not {len(x)} and {len(y)}")
     if n_projections < 1:
         raise ValueError("need at least one projection")
 
@@ -242,14 +244,4 @@ def sliced_wasserstein(x: np.ndarray, y: np.ndarray, n_projections: int = 64, se
 
     proj_x = np.sort(x @ directions.T, axis=0)
     proj_y = np.sort(y @ directions.T, axis=0)
-    if len(x) == len(y):
-        w2 = np.sqrt(np.mean((proj_x - proj_y) ** 2, axis=0))
-    else:
-        k = max(len(x), len(y))
-        q = (np.arange(k) + 0.5) / k
-        w2 = np.empty(n_projections)
-        for j in range(n_projections):
-            qx = np.quantile(proj_x[:, j], q)
-            qy = np.quantile(proj_y[:, j], q)
-            w2[j] = np.sqrt(np.mean((qx - qy) ** 2))
-    return float(w2.mean())
+    return float(np.sqrt(np.mean((proj_x - proj_y) ** 2, axis=0)).mean())

@@ -39,7 +39,6 @@ __all__ = [
     "VerificationReport",
     "InnerMax",
     "inner_argmax",
-    "concentrated_objective",
     "check_theorem1",
     "check_corollary_value",
     "check_derivatives",
@@ -142,17 +141,6 @@ def inner_argmax(loss: LossPair, r: float) -> InnerMax:
     return InnerMax(location=d_hat, value=f(d_hat))
 
 
-def concentrated_objective(loss: LossPair, r) -> float:
-    """phi(omega(r)) + r * psi_tilde(omega(r)) with psi normalized at omega(1)."""
-    if not loss.ratio_invertible:
-        raise ValueError(f"{loss.name}: concentrated objective needs an invertible omega")
-    r_arr = np.asarray(r, dtype=float)
-    if np.any(r_arr < 0):
-        raise ValueError("ratio values must be nonnegative")
-    out = concentrated(normalize_psi(loss), r_arr)[0]
-    return float(out) if np.ndim(r) == 0 else out
-
-
 def _quadratic_vertex(u: np.ndarray, c: np.ndarray, j: int) -> float:
     if j == 0 or j == len(u) - 1:
         return float(u[j])
@@ -177,23 +165,23 @@ def check_theorem1(loss: LossPair) -> VerificationReport:
     for r in R_GRID:
         report.add("inner_argmax", r, float(loss.omega.forward(r)), inner_argmax(loss, r).location, ARGMAX_TOL)
 
+    normalized = normalize_psi(loss)  # the concentrated objective: smallest, phi(omega(1)), at r = 1
     u = np.linspace(-3.0, 3.0, SWEEP_POINTS)  # the outer sweep: log10 of ratios in [1e-3, 1e3]
-    c = concentrated_objective(loss, 10.0**u)
+    c = concentrated(normalized, 10.0**u)[0]
     j = int(np.argmin(c))
     r_star = 10.0 ** _quadratic_vertex(u, c, j)
     report.add("outer_minimizer", 1.0, 1.0, r_star, MINIMIZER_TOL)
 
     value_ref = float(loss.values()[0](loss.omega_at_one))
-    min_observed = min(float(c[j]), concentrated_objective(loss, r_star))
+    min_observed = min(float(c[j]), float(concentrated(normalized, r_star)[0]))
     report.add("min_value", 1.0, value_ref, min_observed, VALUE_TOL)
 
     # d/dr of the concentrated objective must equal psi_tilde(omega(r)).
-    normalized = normalize_psi(loss)
     for r in np.logspace(math.log10(0.2), math.log10(5.0), SLOPE_PROBES):
         if abs(r - 1.0) < 0.05:
             continue  # slope crosses zero at r = 1; relative error undefined
         h = 1e-5 * (1.0 + r)
-        fd = (concentrated_objective(loss, r + h) - concentrated_objective(loss, r - h)) / (2 * h)
+        fd = (concentrated(normalized, r + h)[0] - concentrated(normalized, r - h)[0]) / (2 * h)
         expected = float(concentrated(normalized, r)[1])
         report.add("concentrated_slope", r, expected, fd, DERIV_TOL, scale=max(abs(expected), 1e-12))
     return report

@@ -2,8 +2,10 @@
 
 import argparse
 import builtins
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -124,6 +126,18 @@ class TestImports:
         )
         assert "ratiogan.grid_solver" in loaded
         assert [m for m in (*TRAINING_STACK, "numpy.ma") if m in loaded] == []
+
+    def test_every_exported_name_resolves(self):
+        """Each name in a module's __all__ exists, so ``from ratiogan.<module> import *`` works."""
+        names = ["ratiogan"] + [f"ratiogan.{m.name}" for m in pkgutil.iter_modules(ratiogan.__path__)
+                                if m.name != "__main__"]
+        exported = [importlib.import_module(name) for name in names]
+        exported = [module for module in exported if hasattr(module, "__all__")]
+        assert len(exported) == 11
+        for module in exported:
+            namespace = {}
+            exec(f"from {module.__name__} import *", namespace)
+            assert set(module.__all__) <= set(namespace), module.__name__
 
 
 class TestLossesCommand:
@@ -676,6 +690,17 @@ class TestConfigErrors:
         assert capsys.readouterr() == ("", "")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("target,message", [
+        (".", "train: [Errno 21] Is a directory: '{}'"),
+        ("missing/x.cfg", "train: [Errno 2] No such file or directory: '{}'"),
+    ], ids=["directory", "missing-parent"])
+    def test_echo_config_path_that_cannot_be_written(self, tmp_path, capsys, target, message):
+        """One usage line; neither the echo file, its directory nor the output root is made."""
+        echo = tmp_path / target
+        assert run_cli(tmp_path, "train", "--preset", "shift1d-MSE", "--echo-config", str(echo)) == 2
+        assert capsys.readouterr() == ("", message.format(echo) + "\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_echo_config_refuses_a_multi_run_preset(self, tmp_path, capsys):
         echo = tmp_path / "echo.cfg"
         assert run_cli(tmp_path, "train", "--preset", "lambda-sweep", "--echo-config", str(echo)) == 2
@@ -731,6 +756,19 @@ class TestReportCommand:
         b = (tmp_path / "re" / "plots" / "objectives.svg").read_bytes()
         assert a == b
 
+    def test_rerenders_an_aborted_runs_plots(self, tmp_path, capsys):
+        """An aborted run's metrics re-render to the plots train wrote, byte
+        for byte: both leave out a plot with no finite value."""
+        settings = ("train.learning_rate=1e100", "train.critic_iters=1", "train.eval_every=1",
+                    "train.total_generator_iters=3", "train.eval_batch=256")
+        args = ["train", "--preset", "shift1d-MSE", *(a for setting in settings for a in ("--set", setting))]
+        assert run_cli(tmp_path, *args) == 1
+        run = tmp_path / "out" / "shift1d-MSE"
+        assert main(["--out", str(tmp_path / "re"), "report", "--metrics", str(run / "metrics.tsv")]) == 0
+        written = {p.name: p.read_bytes() for p in (run / "plots").iterdir()}
+        assert sorted(written) == ["likelihood_ratio.svg", "penalty.svg"]
+        assert {p.name: p.read_bytes() for p in (tmp_path / "re" / "plots").iterdir()} == written
+
     def test_one_record_spans_a_unit_iteration_axis(self, tmp_path, capsys):
         metrics = tmp_path / "one.tsv"
         row = "\t".join(["5"] + ["1.0"] * (len(METRIC_COLUMNS) - 1))
@@ -785,7 +823,7 @@ class TestReportCommand:
             (empty, "report: empty metrics file"),
             (wrong, "report: unexpected metrics columns: ('iteration', 'loss')"),
             (header_only, "report: no metric records to plot"),
-            (all_nan, "report: no finite lr_real_mean or lr_gen_mean value to plot"),
+            (all_nan, f"report: {all_nan} has no finite value to plot"),
             (partly_empty, "report: empty lr_real_mean or lr_gen_mean cells on some rows but not on all"),
         ):
             assert run_cli(tmp_path, "report", "--metrics", str(path)) == 2

@@ -2,7 +2,8 @@
 
 tests/data/golden_digests.json holds the digests of the data files that
 short training runs, ``verify --loss all`` and three capped ideal solves
-write, with the numpy version and BLAS library they were recorded under.
+write (one of them on a correlated 2-D Gaussian grid), with the numpy
+version and BLAS library they were recorded under.
 A change that is meant to keep every result bit for bit must leave them
 as they are.  To record them again after a deliberate change:
 
@@ -27,7 +28,10 @@ COMMANDS = {
     "ring2d-C2": ["train", "--preset", "ring2d-C2", "--set", "train.lambda=10.0", *_SHORT],
     "verify": ["verify", "--loss", "all"],
     **{f"solve-{loss}": ["solve-grid", "--loss", loss, "--max-iters", "200"] for loss in ("MSE", "B1b", "C2")},
+    "solve2d-MSE": ["solve-grid", "--loss", "MSE", "--config", "GAUSSIAN2D", "--n-points", "16", "--max-iters", "50"],
 }
+# the 2-D solve's target, written under the output root as gaussian2d.cfg
+GAUSSIAN2D = "[density.target]\nkind = gaussian\nmean = 0.5 -0.25\ncov = 1.0 0.6; 0.6 1.5\n"
 # result files only: not config.cfg, plots or the text report
 DATA_FILES = ("metrics.tsv", "*.json", "samples_final.csv", "verify_report.jsonl", "solve_*.tsv")
 
@@ -40,7 +44,10 @@ def environment() -> dict:
 def digests(out: Path) -> dict:
     """Run every command under out; sha256 of each data file, keyed command/relative path."""
     found = {}
+    config = out / "gaussian2d.cfg"
+    config.write_text(GAUSSIAN2D)
     for name, argv in COMMANDS.items():
+        argv = [str(config) if a == "GAUSSIAN2D" else a for a in argv]
         main(["--out", str(out / name), *argv])  # a capped solve exits 1; its files still count
         for pattern in DATA_FILES:
             for path in (out / name).rglob(pattern):

@@ -96,59 +96,64 @@ class TestRatioField:
 
 class TestDiscretize:
     def test_gaussian_symmetric(self):
-        d = discretize(gaussian([0.0], [[1.0]]), 64, (-5.0, 5.0))
+        d = discretize(gaussian([0.0], [[1.0]]), 64, -5.0, 5.0)
         assert d.mass.sum() == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(d.mass, d.mass[::-1], atol=1e-12)
 
     def test_uniform_equal_masses(self):
         from ratiogan.densities import uniform
 
-        d = discretize(uniform([0.0], [1.0]), 10, (0.0, 1.0))
+        d = discretize(uniform([0.0], [1.0]), 10, 0.0, 1.0)
         np.testing.assert_allclose(d.mass, 0.1, rtol=1e-12)
 
     def test_mixture_mass_split(self):
         spec = mixture([(0.5, gaussian([-2.0], [[1.0]])), (0.5, gaussian([2.0], [[1.0]]))])
-        d = discretize(spec, 128, (-8.0, 8.0))
+        d = discretize(spec, 128, -8.0, 8.0)
         left = d.mass[d.support < 0.0].sum()
         assert left == pytest.approx(0.5, abs=1e-6)
 
     def test_low_coverage_is_recorded(self):
-        d = discretize(gaussian([0.0], [[1.0]]), 64, (-1.0, 1.0))
+        d = discretize(gaussian([0.0], [[1.0]]), 64, -1.0, 1.0)
         assert d.coverage == pytest.approx(0.69, abs=0.01)  # below FULL_COVERAGE: solve-grid reports it
         assert d.coverage < FULL_COVERAGE
 
     def test_very_low_coverage_errors(self):
         with pytest.raises(ValueError, match="captures"):
-            discretize(gaussian([0.0], [[1.0]]), 64, (4.0, 5.0))
+            discretize(gaussian([0.0], [[1.0]]), 64, 4.0, 5.0)
 
     @pytest.mark.parametrize(
         "spec,window",
         [
             (gaussian([0.5], [[2.0]]), (-6.0, 7.0)),
-            (gaussian([0.0, 1.0], [[1.0, 0.3], [0.3, 2.0]]), ((-6.0, 6.0), (-5.0, 7.0))),
-            (ring(8, 2.0, 0.2), ((-4.0, 4.0), (-4.0, 4.0))),
+            (gaussian([0.0, 1.0], [[1.0, 0.3], [0.3, 2.0]]), (-6.0, 7.0)),
+            (ring(8, 2.0, 0.2), (-4.0, 4.0)),
             (mixture([(0.3, gaussian([-1.0], [[0.5]])), (0.7, gaussian([2.0], [[1.5]]))]), (-6.0, 8.0)),
         ],
         ids=["gaussian", "gaussian2d", "ring", "mixture"],
     )
     def test_batched_masses_equal_per_point_loop(self, spec, window):
         """The one pdf call on the grid gives each node its one-point value."""
-        support = discretize(spec, 64, window).support
+        support = discretize(spec, 64, *window).support
         assert np.array_equal(pdf(spec, support), [pdf(spec, p) for p in support])
 
     def test_grid_is_1d_or_2d(self):
         with pytest.raises(ValueError, match="grids are 1-D or 2-D only, not 3-D"):
-            discretize(gaussian(np.zeros(3), np.eye(3)), 8, ((-1.0, 1.0),) * 3)
+            discretize(gaussian(np.zeros(3), np.eye(3)), 8, -1.0, 1.0)
 
-    def test_window_matches_density_dimension(self):
-        with pytest.raises(ValueError, match="window must be"):
-            discretize(gaussian([0.0], [[1.0]]), 8, ((-1.0, 1.0), (-1.0, 1.0)))
+    @pytest.mark.parametrize("lo,hi", [(1.0, 1.0), (1.0, -1.0), (math.nan, 1.0)], ids=["empty", "reversed", "nan"])
+    def test_window_needs_lo_below_hi(self, lo, hi):
+        with pytest.raises(ValueError, match="must have lo < hi"):
+            discretize(gaussian([0.0], [[1.0]]), 8, lo, hi)
 
     def test_2d_grid(self):
+        """The one interval is laid on both axes; a cell is 0.5 x 0.5."""
+        spec = gaussian([0.0, 0.0], np.eye(2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            d = discretize(gaussian([0.0, 0.0], np.eye(2)), 21, ((-5.0, 5.0), (-5.0, 5.0)))
-        assert d.support.shape == (441, 2)
+            d = discretize(spec, 21, -5.0, 5.0)
+        axis = np.linspace(-5.0, 5.0, 21)
+        assert np.array_equal(d.support, [[x, y] for x in axis for y in axis])
+        assert d.coverage == float(pdf(spec, d.support).sum() * 0.25)
         assert d.mass.sum() == pytest.approx(1.0, abs=1e-12)
 
 
@@ -238,7 +243,7 @@ class TestMatchesFirstWrittenPath:
 
     def test_projection_bits_and_input_untouched(self):
         rng = np.random.default_rng(12)
-        f = discretize(gaussian([0.0], [[1.0]]), 64, (-4.0, 4.0))
+        f = discretize(gaussian([0.0], [[1.0]]), 64, -4.0, 4.0)
         for scale in (0.1, 1.0, 5.0, 100.0):
             for _ in range(20):
                 raw = rng.standard_normal(64) * scale + rng.uniform(-1.0, 2.0)
@@ -253,7 +258,7 @@ class TestMatchesFirstWrittenPath:
         """solve-grid's default problem (N(0,1), 64 points on [-4, 4], random
         init), over 300 iterations: same trace and same field bits."""
         loss = catalogue_lookup(name).loss
-        f = discretize(gaussian([0.0], [[1.0]]), 64, (-4.0, 4.0))
+        f = discretize(gaussian([0.0], [[1.0]]), 64, -4.0, 4.0)
         r0 = feasible_from(np.abs(np.random.default_rng(init_seed).standard_normal(64)), f)
         r, trace = solve_minmax_grid(loss, f, r0, max_iters=300, log_every=7)
         monkeypatch.setattr(RangeInterval, "clamp_interior", old_clamp_interior)
@@ -293,7 +298,7 @@ class TestWriteTrace:
     @pytest.mark.parametrize("name", ["MSE", "B1b", "C2"])
     def test_cli_default_problem(self, tmp_path, name, init_seed, log_every):
         loss = catalogue_lookup(name).loss
-        f = discretize(gaussian([0.0], [[1.0]]), 64, (-4.0, 4.0))
+        f = discretize(gaussian([0.0], [[1.0]]), 64, -4.0, 4.0)
         r0 = feasible_from(np.abs(np.random.default_rng(init_seed).standard_normal(64)), f)
         _, trace = solve_minmax_grid(loss, f, r0, max_iters=300, log_every=log_every)
         assert_written_as_before(trace, tmp_path)
@@ -389,7 +394,7 @@ class TestSolver:
     def test_gaussian_support_skewed_init(self):
         """Skewed start on a discretized bell curve still lands on the unit field."""
         loss = catalogue_lookup("CrossEntropy").loss
-        f = discretize(gaussian([0.0], [[1.0]]), 64, (-3.5, 3.5))
+        f = discretize(gaussian([0.0], [[1.0]]), 64, -3.5, 3.5)
         skew = np.where(f.support < 0.0, 2.0, 1.0)
         r0 = feasible_from(skew, f)
         r, trace = solve_minmax_grid(loss, f, r0, max_iters=400000, tol=1e-10, log_every=1000)
@@ -429,7 +434,7 @@ class TestSolver:
         """B1b on the CLI default problem at init seed 4 proposes a step to
         r = 0, where the objective is NaN; the solve backtracks and stays finite."""
         loss = catalogue_lookup("B1b").loss
-        f = discretize(gaussian([0.0], [[1.0]]), 64, (-4.0, 4.0))
+        f = discretize(gaussian([0.0], [[1.0]]), 64, -4.0, 4.0)
         r0 = feasible_from(np.abs(np.random.default_rng(4).standard_normal(64)), f)
         with np.errstate(all="ignore"):
             r, trace = solve_minmax_grid(loss, f, r0, max_iters=60)
@@ -441,7 +446,7 @@ class TestSolver:
         """The same solve under warnings-as-errors: the NaN and inf objectives
         of the candidates it rejects are not reported as numpy warnings."""
         loss = catalogue_lookup("B1b").loss
-        f = discretize(gaussian([0.0], [[1.0]]), 64, (-4.0, 4.0))
+        f = discretize(gaussian([0.0], [[1.0]]), 64, -4.0, 4.0)
         r0 = feasible_from(np.abs(np.random.default_rng(4).standard_normal(64)), f)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ratiogan.catalogue import catalogue_lookup, iter_catalogue
-from ratiogan.losses import make_loss_pair, normalize_psi, OmegaTransform, REALS
+from ratiogan.losses import concentrated, make_loss_pair, normalize_psi, OmegaTransform, REALS
 from ratiogan.verify import (
     ARGMAX_TOL,
     DERIV_TOL,
@@ -17,7 +17,6 @@ from ratiogan.verify import (
     check_corollary_value,
     check_derivatives,
     check_theorem1,
-    concentrated_objective,
     inner_argmax,
     reports_to_records,
     reports_to_text,
@@ -73,25 +72,25 @@ class TestInnerArgmax:
 class TestConcentratedObjective:
     def test_mse_closed_form(self):
         loss = catalogue_lookup("MSE").loss
-        assert concentrated_objective(loss, 1.0) == pytest.approx(-0.5)
+        assert concentrated(normalize_psi(loss), 1.0)[0] == pytest.approx(-0.5)
         # phi(omega(r)) + r psi_tilde(omega(r)) = r^2/2 - r for this pair
         for r in (0.3, 2.0, 7.0):
-            assert concentrated_objective(loss, r) == pytest.approx(0.5 * r**2 - r)
+            assert concentrated(normalize_psi(loss), r)[0] == pytest.approx(0.5 * r**2 - r)
 
     def test_cross_entropy_at_one(self):
-        val = concentrated_objective(catalogue_lookup("CrossEntropy").loss, 1.0)
+        val = concentrated(normalize_psi(catalogue_lookup("CrossEntropy").loss), 1.0)[0]
         assert val == pytest.approx(math.log(0.5), abs=1e-12)
 
     def test_unit_ratio_hits_phi_at_omega_one(self):
         for loss in INVERTIBLE:
             expected = float(loss.phi(loss.omega_at_one))
-            assert concentrated_objective(loss, 1.0) == pytest.approx(expected, abs=1e-10), loss.name
+            assert concentrated(normalize_psi(loss), 1.0)[0] == pytest.approx(expected, abs=1e-10), loss.name
 
     def test_unit_ratio_is_global_minimum(self):
         r = np.logspace(-3, 3, 301)
         for loss in INVERTIBLE:
-            c = concentrated_objective(loss, r)
-            c1 = concentrated_objective(loss, 1.0)
+            c = concentrated(normalize_psi(loss), r)[0]
+            c1 = concentrated(normalize_psi(loss), 1.0)[0]
             assert np.all(c >= c1 - 1e-12), loss.name
 
     def test_slope_equals_normalized_psi(self):
@@ -100,9 +99,7 @@ class TestConcentratedObjective:
             normalized = normalize_psi(loss)
             for r in (0.2, 0.5, 2.0, 5.0):
                 h = 1e-5 * (1 + r)
-                fd = (
-                    concentrated_objective(loss, r + h) - concentrated_objective(loss, r - h)
-                ) / (2 * h)
+                fd = (concentrated(normalized, r + h)[0] - concentrated(normalized, r - h)[0]) / (2 * h)
                 expected = float(normalized.psi(loss.omega.forward(r)))
                 assert fd == pytest.approx(expected, rel=1e-5), (loss.name, r)
 
@@ -113,12 +110,6 @@ class TestConcentratedObjective:
             normalized = normalize_psi(loss)
             vals = np.asarray(normalized.psi(loss.range.clamp_interior(loss.omega.forward(r))))
             assert np.all(np.diff(vals) > 0.0), loss.name
-
-    def test_rejects_negative_ratio_and_limit_losses(self):
-        with pytest.raises(ValueError):
-            concentrated_objective(catalogue_lookup("MSE").loss, -1.0)
-        with pytest.raises(ValueError):
-            concentrated_objective(catalogue_lookup("Hinge").loss, 1.0)
 
 
 class TestTheorem1Report:
