@@ -40,7 +40,7 @@ import numpy as np
 from .catalogue import catalogue_lookup
 from .densities import DensitySpec, sample
 from .losses import LossPair, ratio_from_discriminator
-from .metrics import median_pair_distance, mmd_rbf, sliced_wasserstein
+from .metrics import kernel_gamma, median_pair_distance, mmd_rbf, sliced_wasserstein
 from .nets import (
     AdamState,
     net_to_json,
@@ -135,9 +135,13 @@ class TrainConfig:
                 "discriminator.hidden = relu has no second derivative for the gradient "
                 "penalty; use smooth_leaky or tanh, or set lambda = 0"
             )
-        bandwidth = self.mmd_bandwidth
-        if not bandwidth > 0:
-            raise ValueError(f"the MMD bandwidth, the target's median pair distance, is {bandwidth!r}; it must be > 0")
+        try:
+            kernel_gamma(self.mmd_bandwidth)
+        except ValueError:
+            raise ValueError(
+                f"the MMD bandwidth, the target's median pair distance, is {self.mmd_bandwidth!r}; "
+                "1/(2 bandwidth^2) must be finite and > 0"
+            ) from None
 
     @cached_property
     def seeds(self) -> tuple:

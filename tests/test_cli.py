@@ -725,13 +725,25 @@ class TestConfigErrors:
     def test_one_row_sample_file_target_has_no_mmd_bandwidth(self, tmp_path, capsys, monkeypatch):
         """Every pair of a one-row target is at distance 0, so the run's MMD
         kernel would have no width: refused before anything is staged."""
+        self._refused(tmp_path, capsys, monkeypatch, "4.0\n", "0.0")
+
+    def test_target_too_narrow_for_a_kernel_refused(self, tmp_path, capsys, monkeypatch):
+        """Rows i * 1e-160 have a median pair distance near 1.4e-159, whose
+        1/(2 bandwidth^2) overflows to inf: refused as a zero distance is,
+        not trained and aborted on a NaN mmd."""
+        rows = "".join(f"{i * 1e-160!r}\n" for i in range(50))
+        self._refused(tmp_path, capsys, monkeypatch, rows, "1.39999926510834e-159")
+
+    @staticmethod
+    def _refused(tmp_path, capsys, monkeypatch, rows, bandwidth):
         monkeypatch.chdir(tmp_path)
-        (tmp_path / "one.csv").write_text("4.0\n")
+        (tmp_path / "target.csv").write_text(rows)
         gaussian_target = "kind = gaussian\nmean = 4.0\ncov = 1.0\n"
-        config = TINY_TRAIN.format(loss="MSE").replace(gaussian_target, "kind = file\npath = one.csv\n", 1)
+        config = TINY_TRAIN.format(loss="MSE").replace(gaussian_target, "kind = file\npath = target.csv\n", 1)
         (tmp_path / "run.cfg").write_text(config)
         assert run_cli(tmp_path, "train", "--config", str(tmp_path / "run.cfg")) == 2
-        message = "run: the MMD bandwidth, the target's median pair distance, is 0.0; it must be > 0"
+        message = (f"run: the MMD bandwidth, the target's median pair distance, is {bandwidth}; "
+                   "1/(2 bandwidth^2) must be finite and > 0")
         assert capsys.readouterr() == ("", message + "\n")
         assert not (tmp_path / "out").exists()
 
